@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flagcomb import Flag, enumerate_flags, vertex_set
+from .flagcomb import Flag, enumerate_flags, perm_sign, vertex_set
 from .symexpr import Poly, RationalFn, RationalForm, flag_limit
 
 
@@ -24,21 +24,6 @@ class NonPolynomialResidue(ArithmeticError):
 
 class UnisolvenceError(ArithmeticError):
     """The DOF/basis pairing failed to be the identity matrix."""
-
-
-@dataclass(frozen=True)
-class ThetaFace:
-    """The face of the blow-up attached to a flag: a product of simplices."""
-
-    flag: Flag
-
-    @property
-    def factors(self) -> tuple[tuple[int, ...], ...]:
-        return self.flag.blocks
-
-    @property
-    def dimension(self) -> int:
-        return self.flag.k
 
 
 def integrate_monomial_simplex(W, exponents: dict[int, int]) -> Fraction:
@@ -117,13 +102,11 @@ def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
         while stack:
             idx, sign, picked = stack.pop()
             if idx == len(choices):
-                psign, key = _perm_sign(picked)
-                if psign == 0:
-                    continue
-                g = f * (sign * psign)
-                for i in key:
+                # picked never repeats a variable, so its sign is +-1
+                g = f * (sign * perm_sign(picked))
+                for i in sorted(picked):
                     g = g * Poly.subset_sum(radius[i])
-                K = frozenset(key)
+                K = frozenset(picked)
                 s = reduced.get(K)
                 reduced[K] = g if s is None else s + g
                 continue
@@ -148,13 +131,6 @@ def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
     return RationalForm(flag.k, final)
 
 
-def _perm_sign(seq: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    if len(set(seq)) != len(seq):
-        return 0, ()
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
-    return (-1 if inv % 2 else 1), tuple(sorted(seq))
-
-
 def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
     """The degree of freedom: restrict to Theta_F, then integrate exactly.
 
@@ -176,7 +152,7 @@ def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
         if any(len(p) != sizes[frozenset(b)] for p, b in zip(per_block, blocks)):
             continue
         target = tuple(v for p in per_block for v in p)
-        sign = _perm_sign_between(tuple(sorted(W)), target)
+        sign = perm_sign(target)  # reorders ascending W into block order
         for mono, coeff in f.num.terms.items():
             exps = dict(mono)
             val = Fraction(1)
@@ -184,14 +160,6 @@ def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
                 val *= _eta_integral(b, {i: exps.get(i, 0) for i in b})
             total += sign * coeff * val
     return total
-
-
-def _perm_sign_between(frm: tuple[int, ...], to: tuple[int, ...]) -> int:
-    """Sign of the permutation mapping tuple `frm` onto tuple `to`."""
-    pos = {v: i for i, v in enumerate(frm)}
-    perm = [pos[v] for v in to]
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-    return -1 if inv % 2 else 1
 
 
 @dataclass(frozen=True)

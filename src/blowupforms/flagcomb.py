@@ -13,7 +13,6 @@ layouts byte-for-byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -29,6 +28,20 @@ def vertex_set(ids) -> tuple[int, ...]:
     if len(set(vs)) != len(vs):
         raise ValueError(f"vertex ids must be distinct, got {ids!r}")
     return vs
+
+
+def perm_sign(seq) -> int:
+    """Sign of the permutation sorting ``seq`` ascending; 0 on a repeated entry.
+
+    Every orientation sign in the package follows from this convention.
+    """
+    seq = tuple(seq)
+    if len(set(seq)) != len(seq):
+        return 0
+    inversions = sum(
+        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
+    )
+    return -1 if inversions % 2 else 1
 
 
 class Flag:
@@ -71,20 +84,6 @@ class Flag:
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
-
-    @property
-    def block_factorial(self) -> int:
-        """Product of n_j! over blocks, with n_j = |V_j| - 1."""
-        out = 1
-        for b in self.blocks:
-            out *= math.factorial(len(b) - 1)
-        return out
-
-    def block_of(self, v: int) -> int:
-        for j, b in enumerate(self.blocks):
-            if v in b:
-                return j
-        raise KeyError(f"vertex {v} not in flag {self}")
 
     # -- operations --------------------------------------------------------
 

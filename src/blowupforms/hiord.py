@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import linalg
 from .flagcomb import ArrivalSequence, Flag, vertex_set
 from .shadow import IdentityFailed, shadow_basis
-from .symexpr import Poly, RationalFn, dilation_limit
+from .symexpr import Poly, RationalFn, _den_scale, dilation_limit
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,17 @@ class HigherBasisCandidate:
     sequence: ArrivalSequence
     flag: Flag
     probability: RationalFn
+
+
+def _multinomial_term(counts) -> Poly:
+    """(r! / prod r_i!) * prod lambda_i^{r_i} for (vertex, r_i) pairs summing to r."""
+    coeff = math.factorial(sum(c for _, c in counts))
+    mono = Poly.const(1)
+    for v, c in counts:
+        coeff //= math.factorial(c)
+        if c:
+            mono = mono * Poly.var(v, c)
+    return mono * coeff
 
 
 def enumerate_experiments(V, r: int) -> list[HigherBasisCandidate]:
@@ -54,18 +65,13 @@ def enumerate_experiments(V, r: int) -> list[HigherBasisCandidate]:
         A = frozenset(active)
         for counts in compositions(active, r):
             hit = tuple(v for v, c in zip(active, counts) if c >= 1)
-            coeff = math.factorial(r)
-            mono = Poly.const(1)
-            for v, c in zip(active, counts):
-                coeff //= math.factorial(c)
-                if c:
-                    mono = mono * Poly.var(v, c)
-            new_num = num * mono * coeff
+            rnd = tuple(zip(active, counts))
+            new_num = num * _multinomial_term(rnd)
             new_den = dict(den)
             new_den[A] = new_den.get(A, 0) + r
             rec(
                 tuple(v for v in active if v not in hit),
-                rounds + [tuple(zip(active, counts))],
+                rounds + [rnd],
                 silenced + [hit],
                 new_num,
                 new_den,
@@ -101,12 +107,7 @@ def independence_rank(candidates: list[HigherBasisCandidate]) -> int:
     numerators = []
     monomials: set = set()
     for c in candidates:
-        scale = Poly.const(1)
-        for S, e in common.items():
-            gap = e - c.probability.den.get(S, 0)
-            if gap:
-                scale = scale * Poly.subset_sum(S) ** gap
-        p = c.probability.num * scale
+        p = c.probability.num * _den_scale(common, c.probability.den)
         numerators.append(p)
         monomials.update(p.terms)
     cols = sorted(monomials)
@@ -128,13 +129,7 @@ def pr_containment(V, r: int) -> bool:
         acc = groups.get(key)
         groups[key] = c.probability if acc is None else acc + c.probability
     for key, total in groups.items():
-        coeff = math.factorial(r)
-        mono = Poly.const(1)
-        for v, cnt in key:
-            coeff //= math.factorial(cnt)
-            if cnt:
-                mono = mono * Poly.var(v, cnt)
-        bernstein = RationalFn(mono * coeff, {frozenset(V): r})
+        bernstein = RationalFn(_multinomial_term(key), {frozenset(V): r})
         if not total == bernstein:
             raise IdentityFailed(f"first-round group {key} does not sum to its Bernstein monomial")
     return True

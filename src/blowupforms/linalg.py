@@ -35,49 +35,3 @@ def rank(matrix) -> int:
             break
     return r
 
-
-def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    pivots: list[int] = []
-    if not rows:
-        return rows, pivots
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [a / pv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def kernel_basis(matrix, ncols: int):
-    """Basis of the right kernel, as a list of length-ncols Fraction vectors."""
-    if not matrix:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
-    rows, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis

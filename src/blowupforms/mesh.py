@@ -17,15 +17,15 @@ neighbors; boundary faces are skipped and reported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
 from . import linalg
-from .blowcx import build_blowup_complex
-from .flagcomb import Flag, enumerate_flags
+from .blowcx import BlowupComplex, build_blowup_complex
+from .flagcomb import Flag, enumerate_flags, perm_sign
 
 
 class MeshError(ValueError):
@@ -57,13 +57,17 @@ class GluingRule:
         return self.variant == "general-continuity"
 
 
-def _face_sign(face: tuple[int, ...], cell: tuple[int, ...]) -> int:
-    """Parity of (sorted face + sorted complement) against the sorted cell."""
-    seq = face + tuple(v for v in cell if v not in set(face))
-    pos = {v: i for i, v in enumerate(cell)}
-    perm = [pos[v] for v in seq]
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-    return -1 if inv % 2 else 1
+def _opposite(face: tuple[int, ...], cell: tuple[int, ...]) -> tuple[int, ...]:
+    """The vertices of ``cell`` outside ``face``, ascending."""
+    return tuple(v for v in cell if v not in face)
+
+
+def _find(parent, x):
+    """Union-find root of ``x`` with path halving; ``parent`` is a list or dict."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 class Triangulation:
@@ -132,18 +136,11 @@ class Triangulation:
             if not stars:
                 continue
             parent = {ci: ci for ci in stars}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
             for f, cis in self.cofaces.items():
                 if len(f) == 2 and v in f:
                     for a, b in zip(cis, cis[1:]):
-                        parent[find(a)] = find(b)
-            roots = {find(ci) for ci in stars}
+                        parent[_find(parent, a)] = _find(parent, b)
+            roots = {_find(parent, ci) for ci in stars}
             if len(roots) > 1:
                 raise MeshError(f"vertex {v} has a disconnected link (pinch point)")
 
@@ -163,7 +160,8 @@ class Triangulation:
                     for cj in self.cofaces[f]:
                         if cj == ci:
                             continue
-                        want = -orient[ci] * _face_sign(f, c) * _face_sign(f, self.cells[cj])
+                        want = (-orient[ci] * perm_sign(f + _opposite(f, c))
+                                * perm_sign(f + _opposite(f, self.cells[cj])))
                         if orient[cj] == 0:
                             orient[cj] = want
                             queue.append(cj)
@@ -176,20 +174,6 @@ class Triangulation:
     def is_boundary_face(self, face: tuple[int, ...]) -> bool:
         fs = set(face)
         return any(fs <= set(bf) for bf in self.boundary_facets)
-
-    def component_count(self) -> int:
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.cells:
-            for a in c[1:]:
-                parent[find(c[0])] = find(a)
-        return len({find(v) for v in self.vertices})
 
     def __repr__(self):
         return (f"Triangulation(dim={self.dimension}, cells={len(self.cells)}, "
@@ -233,31 +217,18 @@ def global_flags(tri: Triangulation, k: int) -> list[tuple[int, Flag]]:
     return out
 
 
-# -- local coboundary, computed once per dimension and transferred -----------
+# -- local complex, built once per dimension and transferred -----------------
 
 @lru_cache(maxsize=None)
-def _local_coboundary(n: int, k: int):
-    """Signed one-merge coarsenings for canonical flags on {0..n}."""
-    cx = build_blowup_complex(tuple(range(n + 1)))
-    cols = cx.cells[k]
-    rows = {F: i for i, F in enumerate(cx.cells[k + 1])}
-    table = {}
-    for col, F in enumerate(cols):
-        table[F] = [
-            (cx.cells[k + 1][ri], cx.coboundary[k][ri][col])
-            for ri in range(len(cx.cells[k + 1]))
-            if cx.coboundary[k][ri][col]
-        ]
-    return table
+def _local_complex(n: int) -> BlowupComplex:
+    """The blow-up complex of the canonical simplex {0..n}."""
+    # the module-level name is looked up per call, so a rebinding of
+    # build_blowup_complex (a tracer, a test spy) is honoured
+    return build_blowup_complex(tuple(range(n + 1)))
 
 
 def _transfer_flag(F: Flag, cell: tuple[int, ...]) -> Flag:
     return Flag(tuple(tuple(cell[v] for v in b) for b in F.blocks))
-
-
-def _untransfer_flag(F: Flag, cell: tuple[int, ...]) -> Flag:
-    back = {v: i for i, v in enumerate(cell)}
-    return Flag(tuple(tuple(back[v] for v in b) for b in F.blocks))
 
 
 # -- assembly -----------------------------------------------------------------
@@ -272,7 +243,6 @@ class GlobalSpace:
     dofs: list[tuple[int, Flag]]
     constraints: list[dict[int, Fraction]]
     skipped_boundary_faces: int
-    dof_index: dict[tuple[int, Flag], int] = field(repr=False, default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -306,20 +276,13 @@ class GlobalSpace:
             return basis
         # identification variants: constraints are stars over classes
         parent = list(range(len(self.dofs)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for row in self.constraints:
             idxs = sorted(row)
             for other in idxs[1:]:
-                parent[find(other)] = find(idxs[0])
+                parent[_find(parent, other)] = _find(parent, idxs[0])
         classes: dict[int, list[int]] = {}
         for idx in range(len(self.dofs)):
-            classes.setdefault(find(idx), []).append(idx)
+            classes.setdefault(_find(parent, idx), []).append(idx)
         return [
             {idx: Fraction(1) for idx in members}
             for _, members in sorted(classes.items())
@@ -350,9 +313,9 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
                         row: dict[int, Fraction] = {}
                         for ci in tri.cofaces[K]:
                             cell = tri.cells[ci]
-                            tail = tuple(v for v in cell if v not in set(K))
+                            tail = _opposite(K, cell)
                             FT = Flag(F.blocks + (tail,))
-                            sign = tri.orientation[ci] * _face_sign(K, cell)
+                            sign = tri.orientation[ci] * perm_sign(K + tail)
                             row[index[(ci, FT)]] = Fraction(sign)
                         rows.append(row)
     else:
@@ -390,24 +353,28 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
         dofs=dofs,
         constraints=deduped,
         skipped_boundary_faces=skipped,
-        dof_index=index,
     )
 
 
 def _global_coboundary(tri: Triangulation, k: int) -> list[dict[int, Fraction]]:
     """Block-diagonal coboundary on pre-gluing DOFs: rows over (k+1)-flags."""
-    n = tri.dimension
-    table = _local_coboundary(n, k)
+    cx = _local_complex(tri.dimension)
+    local = cx.coboundary[k]
+    # per canonical k-flag, its signed one-merge coarsenings
+    table = [
+        (F, [(G, local[ri][col]) for ri, G in enumerate(cx.cells[k + 1]) if local[ri][col]])
+        for col, F in enumerate(cx.cells[k])
+    ]
     dofs_k = global_flags(tri, k)
     dofs_k1 = global_flags(tri, k + 1)
     col_index = {df: i for i, df in enumerate(dofs_k)}
     row_index = {df: i for i, df in enumerate(dofs_k1)}
     rows: list[dict[int, Fraction]] = [dict() for _ in dofs_k1]
     for ci, cell in enumerate(tri.cells):
-        for F_local, entries in table.items():
-            col = col_index[(ci, _transfer_flag(F_local, cell))]
-            for F_row_local, sign in entries:
-                row = row_index[(ci, _transfer_flag(F_row_local, cell))]
+        for F, coarsenings in table:
+            col = col_index[(ci, _transfer_flag(F, cell))]
+            for G, sign in coarsenings:
+                row = row_index[(ci, _transfer_flag(G, cell))]
                 rows[row][col] = rows[row].get(col, Fraction(0)) + sign
     return rows
 

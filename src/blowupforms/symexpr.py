@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .flagcomb import Flag
+from .flagcomb import Flag, perm_sign
 
 
 class DivergentLimit(ArithmeticError):
@@ -146,11 +146,6 @@ class Poly:
     def variables(self) -> frozenset[int]:
         return frozenset(v for m in self.terms for v, _ in m)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
-
     def homogeneous_components(self) -> dict[int, "Poly"]:
         comps: dict[int, dict] = {}
         for m, c in self.terms.items():
@@ -265,13 +260,6 @@ def _den_scale(target: dict, own: dict) -> Poly:
         gap = e - own.get(S, 0)
         if gap:
             out = out * Poly.subset_sum(S) ** gap
-    return out
-
-
-def den_poly(den: dict) -> Poly:
-    out = Poly.const(1)
-    for S, e in den.items():
-        out = out * Poly.subset_sum(S) ** e
     return out
 
 
@@ -399,9 +387,6 @@ class RationalFn:
             {frozenset(perm.get(i, i) for i in S): e for S, e in self.den.items()},
         )
 
-    def den_degree(self) -> int:
-        return sum(self.den.values())
-
     def is_homogeneous(self, d: int) -> bool:
         """True iff f(t*lambda) = t^d f(lambda) identically."""
         if self.num.is_zero():
@@ -411,10 +396,6 @@ class RationalFn:
             return False
         (deg,) = comps
         return deg - sum(self.den.values()) == d
-
-    def dilation_degrees(self) -> list[int]:
-        dden = sum(self.den.values())
-        return sorted(d - dden for d in self.num.homogeneous_components())
 
     # -- display / serialization ----------------------------------------------
 
@@ -462,27 +443,6 @@ def dilation_limit(f: RationalFn, scaled) -> RationalFn:
 # ---------------------------------------------------------------------------
 # differential forms
 # ---------------------------------------------------------------------------
-
-def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Sign of sorting the concatenation of two sorted disjoint tuples."""
-    inversions = 0
-    for x in a:
-        for y in b:
-            if y < x:
-                inversions += 1
-    return -1 if inversions % 2 else 1
-
-
-def _sort_sign(seq) -> tuple[int, tuple[int, ...]]:
-    """Sign of the permutation sorting seq ascending; 0 sign on repeats."""
-    seq = tuple(seq)
-    if len(set(seq)) != len(seq):
-        return 0, ()
-    inversions = sum(
-        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
-    )
-    return (-1 if inversions % 2 else 1), tuple(sorted(seq))
-
 
 class RationalForm:
     """A differential k-form with RationalFn coefficients.
@@ -556,7 +516,7 @@ class RationalForm:
             for Wb, fb in other.terms.items():
                 if Wa & Wb:
                     continue
-                sign = _merge_sign(sa, tuple(sorted(Wb)))
+                sign = perm_sign(sa + tuple(sorted(Wb)))
                 W = Wa | Wb
                 contrib = fa * fb * sign
                 s = out.get(W)
@@ -607,7 +567,7 @@ class RationalForm:
     def relabel(self, perm: dict[int, int]) -> "RationalForm":
         out: dict[frozenset, RationalFn] = {}
         for W, f in self.terms.items():
-            sign, _ = _sort_sign(tuple(perm.get(w, w) for w in sorted(W)))
+            sign = perm_sign(perm.get(w, w) for w in sorted(W))
             key = frozenset(perm.get(w, w) for w in W)
             contrib = f.relabel(perm) * sign
             s = out.get(key)
@@ -639,10 +599,6 @@ def wedge(a: RationalForm, b: RationalForm) -> RationalForm:
 
 def exterior_derivative(a: RationalForm) -> RationalForm:
     return a.exterior_derivative()
-
-
-def contract_tautological(a: RationalForm, S) -> RationalForm:
-    return a.contract_tautological(S)
 
 
 def flag_limit(x, flag: Flag, j: int):
@@ -687,10 +643,6 @@ def vanishes_on_slice(f: RationalFn, V) -> bool:
     for d, p in comps.items():
         total = total + p * lv ** (top - d)
     return total.is_zero()
-
-
-def functions_equal_on_slice(f: RationalFn, g: RationalFn, V) -> bool:
-    return vanishes_on_slice(f - g, V)
 
 
 def reduce_mod_dlv(form: RationalForm, V) -> RationalForm:

@@ -112,6 +112,29 @@ def test_budget_reports_partial(capsys):
     assert report["results"]["partial"] is True
 
 
+def test_d_check_budget_is_checked_per_flag(monkeypatch, capsys):
+    # a fake clock that advances 1 s per flag check: with a 2.5 s budget the
+    # fourth flag finds the budget spent
+    import types
+
+    import blowupforms.cli as cli
+
+    clock = [0.0]
+    real_check = cli._check_one_flag_d
+
+    def slow_check(F):
+        clock[0] += 1.0
+        return real_check(F)
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+        monotonic=lambda: clock[0], time=cli.time.time))
+    monkeypatch.setattr(cli, "_check_one_flag_d", slow_check)
+    code, report = run_json(capsys, ["d-check", "--n", "2", "--budget-seconds", "2.5"])
+    assert code == 0
+    assert report["results"]["flags_checked"] == 3
+    assert report["results"]["partial"] is True
+
+
 def test_basis_eval_grid(capsys):
     code, report = run_json(capsys, ["basis", "--n", "1", "--k", "0", "--eval-grid", "2"])
     assert code == 0

@@ -9,6 +9,7 @@ from blowupforms.flagcomb import (
     Flag,
     enumerate_arrival_sequences,
     enumerate_flags,
+    perm_sign,
     vertex_set,
 )
 
@@ -38,6 +39,21 @@ def stirling2(n, m):
 
 
 ORDERED_BELL = {2: 3, 3: 13, 4: 75, 5: 541}
+
+
+def cycle_parity_sign(perm):
+    """(-1)^(n - number of cycles) for a permutation of range(n)."""
+    seen = set()
+    cycles = 0
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        cycles += 1
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+    return -1 if (len(perm) - cycles) % 2 else 1
 
 
 # -- flag enumeration -----------------------------------------------------------
@@ -190,3 +206,36 @@ def test_arrival_sequence_validation():
         ArrivalSequence(r=3, rounds=(((0, 1),),), silenced=((0,),))  # counts != r
     with pytest.raises(ValueError):
         ArrivalSequence(r=2, rounds=(((0, 2),), ((0, 2),)), silenced=((0,), (0,)))
+
+
+# -- permutation sign -------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(7))
+def test_perm_sign_matches_cycle_parity(n):
+    for perm in permutations(range(n)):
+        assert perm_sign(perm) == cycle_parity_sign(perm)
+        # only the relative order of the entries matters
+        assert perm_sign(tuple(10 + 3 * v for v in perm)) == cycle_parity_sign(perm)
+
+
+def test_perm_sign_zero_on_repeats():
+    assert perm_sign((0, 0)) == 0
+    assert perm_sign((3, 1, 2, 1)) == 0
+    assert perm_sign(iter((2, 5, 2))) == 0
+
+
+def test_perm_sign_of_concatenation_is_the_merge_sign():
+    def merge_sign(a, b):
+        inversions = sum(1 for x in a for y in b if y < x)
+        return -1 if inversions % 2 else 1
+
+    elems = range(6)
+    for mask in range(3 ** len(elems)):
+        a, b = [], []
+        for e in elems:
+            digit = (mask // 3 ** e) % 3
+            if digit == 1:
+                a.append(e)
+            elif digit == 2:
+                b.append(e)
+        assert perm_sign(tuple(a) + tuple(b)) == merge_sign(a, b)

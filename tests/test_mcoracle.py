@@ -5,11 +5,15 @@ import pytest
 from blowupforms.flagcomb import ArrivalSequence, Flag, enumerate_flags
 from blowupforms.hiord import enumerate_experiments
 from blowupforms.mcoracle import (
+    Estimate,
     ExtrapolationUnstable,
     SimulationConfig,
+    check_concordance,
+    concordant,
     estimate_face_integral,
     estimate_higher,
     estimate_pF,
+    within_escalation_budget,
 )
 from blowupforms.shadow import basis_element, omega_form, poisson_probability
 
@@ -135,3 +139,55 @@ def test_extrapolation_instability_detected():
     cfg = SimulationConfig(rates={0: Fraction(1)}, samples=500, seed=2)
     with pytest.raises(ExtrapolationUnstable):
         estimate_face_integral(Flag.parse("0|1,2"), singular, cfg)
+
+
+# -- concordance rule --------------------------------------------------------------
+
+def scripted_run(*means, stderr=0.01):
+    """A run(samples, attempt) callback that replays fixed estimates."""
+    calls = []
+
+    def run(samples, attempt):
+        calls.append((samples, attempt))
+        return Estimate(mean=means[attempt], stderr=stderr, samples=samples)
+
+    return run, calls
+
+
+def test_concordance_passes_on_first_try():
+    run, calls = scripted_run(0.52)
+    est, escalated, ok = check_concordance(run, 0.5, 1000)
+    assert (est.mean, escalated, ok) == (0.52, False, True)
+    assert calls == [(1000, 0)]
+
+
+def test_concordance_escalates_to_ten_times_the_samples():
+    run, calls = scripted_run(0.6, 0.505)
+    est, escalated, ok = check_concordance(run, 0.5, 1000)
+    assert (est.mean, est.samples, escalated, ok) == (0.505, 10_000, True, True)
+    assert calls == [(1000, 0), (10_000, 1)]
+
+
+def test_concordance_fails_after_escalation():
+    run, calls = scripted_run(0.6, 0.6)
+    est, escalated, ok = check_concordance(run, 0.5, 1000)
+    assert (escalated, ok) == (True, False)
+    assert len(calls) == 2
+
+
+def test_concordance_binomial_fallback_on_zero_spread():
+    # binomial stderr of p = 0.01 at 100 samples is about 0.00995
+    assert concordant(Estimate(mean=0.0, stderr=0.0, samples=100), 0.01)
+    assert not concordant(Estimate(mean=0.0, stderr=0.0, samples=100), 0.2)
+    # exact 0 or 1 has no binomial noise: only an exact hit passes
+    assert concordant(Estimate(mean=1.0, stderr=0.0, samples=100), 1.0)
+    assert not concordant(Estimate(mean=0.999, stderr=0.0, samples=100), 1.0)
+
+
+def test_escalation_budget_is_one_percent():
+    assert within_escalation_budget(0, 0)
+    assert within_escalation_budget(0, 5)
+    assert within_escalation_budget(1, 100)
+    assert not within_escalation_budget(1, 99)
+    assert within_escalation_budget(7, 700)
+    assert not within_escalation_budget(8, 700)

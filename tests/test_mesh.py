@@ -210,6 +210,23 @@ def test_tet_pair_general():
     assert rep["betti_blowup"] == [1, 0, 0, 0]
 
 
+def test_local_complex_built_once_per_dimension(monkeypatch):
+    from blowupforms import mesh
+
+    calls = []
+    real = mesh.build_blowup_complex
+
+    def spy(V):
+        calls.append(V)
+        return real(V)
+
+    monkeypatch.setattr(mesh, "build_blowup_complex", spy)
+    mesh._local_complex.cache_clear()
+    rep = global_cohomology("tet-pair", "general")
+    assert rep["betti_blowup"] == [1, 0, 0, 0]
+    assert calls == [(0, 1, 2, 3)]
+
+
 def test_nonmanifold_verbatim_mode():
     # three triangles around one edge: accepted with manifold="none",
     # constraints applied verbatim, report marked non-manifold
