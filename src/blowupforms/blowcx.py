@@ -62,11 +62,5 @@ def _assert_zero_product(A, B, k: int):
 def betti_numbers(cx: BlowupComplex) -> tuple[int, ...]:
     """Exact rational cohomology ranks of the cellular cochain complex."""
     n = len(cx.simplex_vertices) - 1
-    ranks = {k: linalg.rank(cx.coboundary[k]) for k in range(n)}
-    out = []
-    for k in range(n + 1):
-        dim_k = len(cx.cells[k])
-        r_k = ranks.get(k, 0)
-        r_prev = ranks.get(k - 1, 0)
-        out.append(dim_k - r_k - r_prev)
-    return tuple(out)
+    ranks = [linalg.rank(cx.coboundary[k]) for k in range(n)]
+    return tuple(linalg.betti(cx.f_vector, ranks))

@@ -493,6 +493,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cmd == "cohomology" and args.mode == "global" and args.mesh is None:
+            parser.error("cohomology global requires --mesh")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .flagcomb import ArrivalSequence, Flag, vertex_set
 from .shadow import IdentityFailed, shadow_basis
-from .symexpr import Poly, RationalFn, _den_scale, dilation_limit
+from .symexpr import Poly, RationalFn, _den_scale, flag_limit
 
 
 @dataclass(frozen=True)
@@ -98,21 +97,13 @@ def independence_rank(candidates: list[HigherBasisCandidate]) -> int:
     Clears to the common subset-sum denominator and row-reduces the
     numerator coefficient vectors.
     """
-    if not candidates:
-        return 0
     common: dict[frozenset, int] = {}
     for c in candidates:
         for S, e in c.probability.den.items():
             common[S] = max(common.get(S, 0), e)
-    numerators = []
-    monomials: set = set()
-    for c in candidates:
-        p = c.probability.num * _den_scale(common, c.probability.den)
-        numerators.append(p)
-        monomials.update(p.terms)
-    cols = sorted(monomials)
-    matrix = [[p.terms.get(m, Fraction(0)) for m in cols] for p in numerators]
-    return linalg.rank(matrix)
+    return linalg.rank([
+        (c.probability.num * _den_scale(common, c.probability.den)).terms for c in candidates
+    ])
 
 
 def pr_containment(V, r: int) -> bool:
@@ -143,7 +134,6 @@ def face_vanishing_check(candidate: HigherBasisCandidate, face: Flag) -> bool:
     """
     p = candidate.probability
     for j in range(len(face.blocks) - 1, 0, -1):
-        scaled = frozenset(v for b in face.blocks[j:] for v in b)
-        p = dilation_limit(p, scaled)
+        p = flag_limit(p, face, j)
     vanishes = p.is_zero()
     return vanishes == (not candidate.flag.refines(face))

@@ -1,7 +1,9 @@
-"""Dense exact linear algebra over Fraction.
+"""Exact linear algebra over Fraction on sparse rows.
 
-Matrices are lists of rows; rows are lists of Fraction/int.  Sizes here stay
-in the low hundreds, so straightforward Gaussian elimination is plenty.
+A matrix is a list of rows.  A row is a mapping ``{column: value}`` holding
+its nonzero entries; a dense list or tuple is read as ``enumerate(row)``.
+Column keys only need to be mutually sortable, so flag indices and
+monomials both serve.  No function here mutates its input.
 """
 
 from __future__ import annotations
@@ -9,29 +11,48 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rank(matrix) -> int:
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                ratio = f / pv
-                rows[i] = [a - ratio * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+def _entries(row):
+    return row.items() if hasattr(row, "items") else enumerate(row)
 
+
+def rank(matrix) -> int:
+    """Rank by elimination of each row against the pivot rows kept so far."""
+    # pivot column -> row scaled to 1 there, with no entry in a smaller column
+    pivots: dict = {}
+    for row in matrix:
+        r = {c: Fraction(x) for c, x in _entries(row) if x}
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                pv = r[c]
+                pivots[c] = {col: x / pv for col, x in r.items()}
+                break
+            f = r[c]
+            for col, x in p.items():
+                y = r.get(col, 0) - f * x
+                if y:
+                    r[col] = y
+                else:
+                    del r[col]
+    return len(pivots)
+
+
+def apply(rows, vec) -> dict:
+    """The product of ``rows`` with the sparse vector ``vec``, as {row index: value}."""
+    out = {}
+    for i, row in enumerate(rows):
+        s = sum(x * vec[c] for c, x in _entries(row) if c in vec)
+        if s:
+            out[i] = s
+    return out
+
+
+def betti(dims, ranks) -> list[int]:
+    """Cohomology dimensions dim_k - rank d_k - rank d_{k-1} of a cochain complex.
+
+    ``ranks[k]`` is the rank of the coboundary out of degree k; ranks past
+    the end of the list count as 0.
+    """
+    r = list(ranks) + [0] * (len(dims) - len(ranks))
+    return [d - r[k] - (r[k - 1] if k else 0) for k, d in enumerate(dims)]

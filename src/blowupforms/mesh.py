@@ -379,10 +379,6 @@ def _global_coboundary(tri: Triangulation, k: int) -> list[dict[int, Fraction]]:
     return rows
 
 
-def _apply_rows(rows: list[dict[int, Fraction]], vec: dict[int, Fraction]) -> list[Fraction]:
-    return [sum((coeff * vec.get(i, 0) for i, coeff in row.items()), Fraction(0)) for row in rows]
-
-
 def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
     """Betti numbers of the glued global complex, with a simplicial reference.
 
@@ -411,36 +407,26 @@ def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
         spaces = [assemble(tri, k, rule) for k in range(n + 1)]
         bases = [sp.basis() for sp in spaces]
         report["dims"] = [sp.dim for sp in spaces]
-        report["skipped_boundary_faces"] = spaces[0].skipped_boundary_faces if spaces else 0
+        report["skipped_boundary_faces"] = spaces[0].skipped_boundary_faces
         ranks = []
         for k in range(n):
             D = _global_coboundary(tri, k)
-            images = [_apply_rows(D, vec) for vec in bases[k]]
+            images = [linalg.apply(D, b) for b in bases[k]]
             # the image must satisfy the degree-(k+1) constraints exactly
-            for img in images:
-                img_vec = {i: x for i, x in enumerate(img) if x}
-                for row in spaces[k + 1].constraints:
-                    val = sum((c * img_vec.get(i, 0) for i, c in row.items()), Fraction(0))
-                    if val:
-                        report["dd_zero"] = False
-            ranks.append(linalg.rank(images) if images else 0)
-        betti = []
-        for k in range(n + 1):
-            r_k = ranks[k] if k < n else 0
-            r_prev = ranks[k - 1] if k >= 1 else 0
-            betti.append(spaces[k].dim - r_k - r_prev)
+            if any(linalg.apply(spaces[k + 1].constraints, img) for img in images):
+                report["dd_zero"] = False
+            ranks.append(linalg.rank(images))
+        betti = linalg.betti(report["dims"], ranks)
         report["betti_blowup"] = betti
         report["match"] = betti == list(simplicial)
         return report
 
     # named 2D scalar variants: scalar dimension and H^0 only
     sp0 = assemble(tri, 0, rule)
-    basis0 = sp0.basis()
     D0 = _global_coboundary(tri, 0)
-    images = [_apply_rows(D0, vec) for vec in basis0]
-    r0 = linalg.rank(images) if images else 0
+    images = [linalg.apply(D0, b) for b in sp0.basis()]
     report["dims"] = [sp0.dim]
-    report["betti_blowup"] = [sp0.dim - r0]
+    report["betti_blowup"] = linalg.betti(report["dims"], [linalg.rank(images)])
     report["match"] = report["betti_blowup"][0] == simplicial[0]
     report["degrees"] = [0]
     return report
@@ -450,22 +436,14 @@ def simplicial_cohomology(tri_or_source) -> tuple[int, ...]:
     """Betti numbers of the simplicial cochain complex (ascending orientation)."""
     tri = load_mesh(tri_or_source)
     n = tri.dimension
-    ranks = {}
+    ranks = []
     for d in range(n):
         lower = {f: i for i, f in enumerate(tri.faces[d])}
-        matrix = []
-        for f in tri.faces[d + 1]:
-            row = [Fraction(0)] * len(lower)
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1:]
-                row[lower[sub]] += (-1) ** pos
-            matrix.append(row)
-        ranks[d] = linalg.rank(matrix)
-    out = []
-    for d in range(n + 1):
-        dim_d = len(tri.faces[d])
-        out.append(dim_d - ranks.get(d, 0) - ranks.get(d - 1, 0))
-    return tuple(out)
+        ranks.append(linalg.rank([
+            {lower[f[:pos] + f[pos + 1:]]: (-1) ** pos for pos in range(len(f))}
+            for f in tri.faces[d + 1]
+        ]))
+    return tuple(linalg.betti([len(tri.faces[d]) for d in range(n + 1)], ranks))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,13 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_global_cohomology_without_mesh_is_usage_error(capsys):
+    assert run(["cohomology", "global"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--mesh" in captured.err
+
+
 def test_failure_exits_1(capsys):
     code = run(["cohomology", "global", "--mesh", "/nonexistent.json"])
     capsys.readouterr()

@@ -1,0 +1,78 @@
+import copy
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blowupforms import linalg
+
+try:
+    import sympy
+except ImportError:  # the rank oracle is optional
+    sympy = None
+
+
+@st.composite
+def matrices(draw):
+    """Small integer matrices as dense rows, with zero rows and dependent rows mixed in."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append([0] * ncols)
+    order = draw(st.permutations(range(len(rows))))
+    return ncols, [rows[i] for i in order]
+
+
+def _as_dicts(dense, key=lambda j: j, keep_zeros=False):
+    return [{key(j): x for j, x in enumerate(row) if x or keep_zeros} for row in dense]
+
+
+def _rank_unchanged(rows):
+    before = copy.deepcopy(rows)
+    r = linalg.rank(rows)
+    assert rows == before
+    return r
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_matches_sympy(m):
+    ncols, dense = m
+    want = sympy.Matrix(len(dense), ncols, [x for row in dense for x in row]).rank()
+    assert _rank_unchanged(dense) == want
+    assert _rank_unchanged(_as_dicts(dense)) == want
+    assert _rank_unchanged(_as_dicts(dense, keep_zeros=True)) == want
+    # tuple column keys whose order differs from the index order, Fraction values
+    tuple_rows = [
+        {k: Fraction(x, 3) for k, x in row.items()}
+        for row in _as_dicts(dense, key=lambda j: (j % 2, -j))
+    ]
+    assert _rank_unchanged(tuple_rows) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_apply_matches_dense_product(m, data):
+    ncols, dense = m
+    vec = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+    want = {}
+    for i, row in enumerate(dense):
+        s = sum(a * b for a, b in zip(row, vec))
+        if s:
+            want[i] = s
+    sparse_vec = {j: Fraction(x) for j, x in enumerate(vec) if x}
+    assert linalg.apply(dense, sparse_vec) == want
+    assert linalg.apply(_as_dicts(dense), sparse_vec) == want
+
+
+def test_betti_pads_missing_ranks():
+    # the boundary of a triangle: d_0 has rank 2
+    assert linalg.betti([3, 3], [2]) == [1, 1]
+    assert linalg.betti([3, 3], [2, 0]) == [1, 1]

@@ -120,18 +120,18 @@ def test_variant_requires_2d_scalars():
 
 
 def test_constraint_rows_have_full_rank():
+    # GlobalSpace.dim is len(dofs) - len(constraints), so the rows must be
+    # independent; closed and 3D meshes included
     from blowupforms import linalg
 
-    pair = load_mesh("triangle-pair")
-    for rule in ("edge-identified", "vertex-identified", "general-continuity"):
-        for k in range(3 if rule == "general-continuity" else 1):
-            sp = assemble(pair, k, rule)
-            if not sp.constraints:
-                continue
-            dense = [
-                [row.get(i, 0) for i in range(len(sp.dofs))] for row in sp.constraints
-            ]
-            assert linalg.rank(dense) == len(sp.constraints)
+    cases = [("triangle-pair", rule) for rule in ("edge-identified", "vertex-identified")]
+    cases += [(name, "general-continuity")
+              for name in ("triangle-pair", "torus-7", "octahedron", "tet-pair")]
+    for name, rule in cases:
+        tri = load_mesh(name)
+        for k in range(tri.dimension + 1 if rule == "general-continuity" else 1):
+            sp = assemble(tri, k, rule)
+            assert linalg.rank(sp.constraints) == len(sp.constraints), (name, rule, k)
 
 
 def test_sum_zero_count_around_interior_vertex():
