@@ -2,7 +2,10 @@
 
 Every subcommand writes a machine-readable JSON report to stdout and a
 one-line human summary to stderr.  Exit codes: 0 when all asserted checks
-pass, 1 on a check failure, 2 on usage errors.  Long suites accept
+pass, 1 on a check failure or an internal error, 2 on usage errors, which
+include an unreadable or invalid mesh and an unknown gluing rule.  An error
+after the arguments parse still writes a JSON report, with ``"pass": false``
+and an ``"error"`` object naming the exception class.  Long suites accept
 ``--budget-seconds`` and report partial coverage instead of hanging; the
 budget is checked before each matrix row (``dof-matrix``), each flag
 (``d-check``) and each flag or candidate (``mc-verify``).
@@ -36,7 +39,7 @@ from .mcoracle import (
     random_rates,
     within_escalation_budget,
 )
-from .mesh import global_cohomology, write_samples
+from .mesh import MeshError, global_cohomology, write_samples
 from .shadow import (
     basis_element,
     d_decomposition,
@@ -69,14 +72,32 @@ def _report(command: str, inputs: dict, results: dict, passed: bool, t0: float,
         "pass": bool(passed),
         "timing_ms": int(1000 * (time.time() - t0)),
     }
-    json.dump(report, sys.stdout, indent=1, default=str)
-    sys.stdout.write("\n")
+    # write the side file first, so that failing to write it leaves stdout
+    # free for the error report
     if latex_path and latex_text is not None:
         with open(latex_path, "w", encoding="utf-8") as fh:
             fh.write(latex_text)
+    json.dump(report, sys.stdout, indent=1, default=str)
+    sys.stdout.write("\n")
     print(f"[{command}] {'pass' if passed else 'FAIL'} ({report['timing_ms']} ms)",
           file=sys.stderr)
     return 0 if passed else 1
+
+
+def _error_report(args, exc: Exception, code: int) -> int:
+    """Report an exception as JSON on stdout and return the exit code."""
+    report = {
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": args.cmd,
+        "inputs": {k: v for k, v in vars(args).items() if k not in ("cmd", "fn")},
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+        "pass": False,
+    }
+    json.dump(report, sys.stdout, indent=1, default=str)
+    sys.stdout.write("\n")
+    print(f"[{args.cmd}] error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +271,7 @@ def _cmd_cohomology(args) -> int:
         return _report("cohomology-local", {"n": args.n}, results, betti == expected, t0)
     # global
     rep = global_cohomology(args.mesh, args.rule)
-    passed = rep["dd_zero"] and rep["betti_blowup"][0] == rep["betti_simplicial"][0]
+    passed = rep["dd_zero"] and rep["match"]
     return _report("cohomology-global", {"mesh": args.mesh, "rule": args.rule}, rep, passed, t0)
 
 
@@ -499,9 +520,10 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except (MeshError, OSError) as exc:  # unreadable or invalid input: a usage error
+        return _error_report(args, exc, 2)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error_report(args, exc, 1)
 
 
 def main() -> None:

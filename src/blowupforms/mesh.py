@@ -193,12 +193,15 @@ def load_mesh(source) -> Triangulation:
         doc = SAMPLE_MESHES[source]
     elif isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise MeshError(f"{source}: not a JSON document ({exc})") from exc
     elif isinstance(source, dict):
         doc = source
     else:
         raise MeshError(f"cannot load a mesh from {type(source)!r}")
-    if "dimension" not in doc or "cells" not in doc:
+    if not isinstance(doc, dict) or "dimension" not in doc or "cells" not in doc:
         raise MeshError("mesh document needs 'dimension' and 'cells'")
     return Triangulation(
         dimension=doc["dimension"],
@@ -384,8 +387,11 @@ def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
 
     Under the general rule all degrees are assembled and the full Betti
     vector is computed; the 2D scalar variants report H^0 and the scalar
-    dimension only.  The constraint/coboundary compatibility check (the
-    global complex property) is exact and recorded as ``dd_zero``.
+    dimension only.  ``match`` says whether the computed Betti numbers are
+    the ones the rule must give: the simplicial ones, except that H^0 is the
+    number of cells under cell-discontinuous.  The constraint/coboundary
+    compatibility check (the global complex property) is exact and recorded
+    as ``dd_zero``.
     """
     tri = load_mesh(tri_or_source)
     if isinstance(rule, str):
@@ -427,7 +433,9 @@ def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
     images = [linalg.apply(D0, b) for b in sp0.basis()]
     report["dims"] = [sp0.dim]
     report["betti_blowup"] = linalg.betti(report["dims"], [linalg.rank(images)])
-    report["match"] = report["betti_blowup"][0] == simplicial[0]
+    # cells share no DOF under cell-discontinuous, so each keeps its own constant
+    h0 = len(tri.cells) if rule.variant == "cell-discontinuous" else simplicial[0]
+    report["match"] = report["betti_blowup"][0] == h0
     report["degrees"] = [0]
     return report
 

@@ -108,10 +108,57 @@ def test_global_cohomology_without_mesh_is_usage_error(capsys):
     assert "--mesh" in captured.err
 
 
-def test_failure_exits_1(capsys):
-    code = run(["cohomology", "global", "--mesh", "/nonexistent.json"])
-    capsys.readouterr()
+@pytest.mark.parametrize("mesh, cells", [("triangle-pair", 2), ("fan-disk", 6)])
+def test_cell_discontinuous_h0_is_cell_count(capsys, mesh, cells):
+    code, report = run_json(
+        capsys, ["cohomology", "global", "--mesh", mesh, "--rule", "cell-discontinuous"]
+    )
+    assert code == 0
+    assert report["results"]["betti_blowup"] == [cells]
+    assert report["results"]["match"] is True
+
+
+def _error_exit(capsys, argv):
+    code, report = run_json(capsys, argv)
+    assert report["pass"] is False
+    assert set(report["error"]) == {"type", "message"}
+    return code, report
+
+
+def test_missing_mesh_file_is_usage_error(capsys):
+    code, report = _error_exit(capsys, ["cohomology", "global", "--mesh", "/nonexistent.json"])
+    assert code == 2
+    assert report["error"]["type"] == "FileNotFoundError"
+    assert report["command"] == "cohomology"
+
+
+@pytest.mark.parametrize("text", ['{"dimension": 2, "cells": [[0, 1]]}', "not json", "[]"])
+def test_malformed_mesh_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, report = _error_exit(capsys, ["cohomology", "global", "--mesh", str(path)])
+    assert code == 2
+    assert report["error"]["type"] == "MeshError"
+
+
+def test_unknown_rule_is_usage_error(capsys):
+    code, report = _error_exit(
+        capsys, ["cohomology", "global", "--mesh", "triangle", "--rule", "no-such-rule"]
+    )
+    assert code == 2
+    assert "no-such-rule" in report["error"]["message"]
+
+
+def test_internal_error_exits_1_with_report(monkeypatch, capsys):
+    import blowupforms.cli as cli
+
+    def broken(V, k):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(cli, "shadow_basis", broken)
+    code, report = _error_exit(capsys, ["basis", "--n", "1"])
     assert code == 1
+    assert report["error"] == {"type": "ZeroDivisionError", "message": "bug"}
 
 
 def test_budget_reports_partial(capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blowupforms.flagcomb import Flag
 from blowupforms.symexpr import (
@@ -9,12 +9,18 @@ from blowupforms.symexpr import (
     Poly,
     RationalFn,
     RationalForm,
+    _probe,
     dilation_limit,
     flag_limit,
     forms_equal_on_simplex,
     is_homogeneous,
     vanishes_on_slice,
 )
+
+try:
+    import sympy
+except ImportError:  # the division oracle is optional
+    sympy = None
 
 
 def l(*ids):
@@ -62,6 +68,105 @@ def test_division_inverts_multiplication(p, S):
     prod = p * Poly.subset_sum(S)
     q = prod.divide_by_subset_sum(S)
     assert q == p
+
+
+# -- trial division against sympy ------------------------------------------------
+
+def _to_sympy(p: Poly):
+    xs = sympy.symbols("x0:4")
+    expr = sympy.Integer(0)
+    for m, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for v, e in m:
+            term *= xs[v] ** e
+        expr += term
+    return expr, xs
+
+
+def _sympy_remainder(p: Poly, S) -> object:
+    expr, xs = _to_sympy(p)
+    _, r = sympy.div(expr, sum(xs[i] for i in S), *xs)
+    return sympy.expand(r)
+
+
+def _probe_point(S) -> dict:
+    """The point of l_S = 0 at which divide_by_subset_sum evaluates first."""
+    point = {v: Fraction(_probe(v)) for v in range(4)}
+    v0 = min(S)
+    point[v0] = -sum(point[w] for w in S if w != v0)
+    return point
+
+
+@st.composite
+def division_cases(draw):
+    """(p, S) with p arbitrary, a multiple l_S*q, or l_S*q + r with r zero at
+    the probe point but not divisible by l_S, so the long division still runs."""
+    S = draw(subsets)
+    kind = draw(st.sampled_from(["random", "multiple", "hidden-remainder"]))
+    p = draw(polys)
+    if kind == "random":
+        return kind, p, S
+    lS = Poly.subset_sum(S)
+    if kind == "multiple":
+        return kind, lS * p, S
+    # h = point[b]*lambda_a - point[a]*lambda_b vanishes at the probe point
+    point = _probe_point(S)
+    a, b = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    h = Poly.var(a) * point[b] - Poly.var(b) * point[a]
+    r = draw(polys) * h
+    assume(not r.is_zero() and _sympy_remainder(r, S) != 0)
+    return kind, lS * p + r, S
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+def test_divide_by_subset_sum_matches_sympy(case):
+    kind, p, S = case
+    q = p.divide_by_subset_sum(S)
+    if kind == "hidden-remainder":
+        assert p.evaluate(_probe_point(S)) == 0
+        assert q is None
+    if q is None:
+        assert _sympy_remainder(p, S) != 0
+    else:
+        assert q * Poly.subset_sum(S) == p
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(rationals, rationals, st.integers(0, 3))
+def test_rationalfn_results_are_canonical(f, g, v):
+    for h in (f + g, f * g, f.derivative(v)):
+        for S in h.den:
+            assert _sympy_remainder(h.num, S) != 0
+
+
+def test_pre_test_rejects_failing_divisions(monkeypatch):
+    """Nearly every failing division in a local complex build must be rejected
+    by the hyperplane value alone, before any long division."""
+    from blowupforms import symexpr
+    from blowupforms.blowcx import build_blowup_complex
+
+    counts = {"failed": 0, "rejected": 0}
+    value = symexpr._hyperplane_value
+    divide = Poly.divide_by_subset_sum
+
+    def counting_value(p, S):
+        out = value(p, S)
+        counts["rejected"] += bool(out)
+        return out
+
+    def counting_divide(p, S):
+        q = divide(p, S)
+        counts["failed"] += q is None
+        return q
+
+    monkeypatch.setattr(symexpr, "_hyperplane_value", counting_value)
+    monkeypatch.setattr(Poly, "divide_by_subset_sum", counting_divide)
+    build_blowup_complex((0, 1, 2, 3))
+    assert counts["failed"]  # 15 362 when every construction is uncached
+    assert counts["rejected"] >= 0.99 * counts["failed"]
 
 
 # -- rational functions -----------------------------------------------------------
