@@ -9,7 +9,6 @@ decomposition d(psi_F) = sum of signed psi over one-merge coarsenings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .flagcomb import Flag, enumerate_flags, vertex_set
@@ -20,7 +19,8 @@ from .shadow import d_decomposition
 class BlowupComplex:
     simplex_vertices: tuple[int, ...]
     cells: dict[int, list[Flag]]
-    coboundary: dict[int, list[list[Fraction]]]
+    # column c of d_k, {index in cells[k + 1]: +-1}: the signed coarsenings of cells[k][c]
+    coboundary: dict[int, list[dict[int, int]]]
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -29,7 +29,7 @@ class BlowupComplex:
 
 
 def build_blowup_complex(V) -> BlowupComplex:
-    """Cells, incidence, and coboundary matrices for the blow-up of T_V.
+    """Cells, incidence, and coboundary columns for the blow-up of T_V.
 
     Verifies that the composite of consecutive coboundaries vanishes.
     """
@@ -38,29 +38,21 @@ def build_blowup_complex(V) -> BlowupComplex:
         raise ValueError("blow-up complexes are supported for |V| <= 6")
     n = len(V) - 1
     cells = {k: enumerate_flags(V, k) for k in range(n + 1)}
-    coboundary: dict[int, list[list[Fraction]]] = {}
+    coboundary: dict[int, list[dict[int, int]]] = {}
     for k in range(n):
-        rows = {F: i for i, F in enumerate(cells[k + 1])}
-        matrix = [[Fraction(0)] * len(cells[k]) for _ in cells[k + 1]]
-        for col, F in enumerate(cells[k]):
-            for sign, Fj in d_decomposition(F):
-                matrix[rows[Fj]][col] += sign
-        coboundary[k] = matrix
+        index = {F: i for i, F in enumerate(cells[k + 1])}
+        coboundary[k] = [
+            {index[Fj]: sign for sign, Fj in d_decomposition(F)} for F in cells[k]
+        ]
     for k in range(n - 1):
-        _assert_zero_product(coboundary[k + 1], coboundary[k], k)
+        if any(linalg.combine(coboundary[k + 1], col) for col in coboundary[k]):
+            raise ArithmeticError(f"coboundary composite nonzero at degree {k}")
     return BlowupComplex(simplex_vertices=V, cells=cells, coboundary=coboundary)
-
-
-def _assert_zero_product(A, B, k: int):
-    for i, row in enumerate(A):
-        for j in range(len(B[0])):
-            val = sum(row[m] * B[m][j] for m in range(len(B)))
-            if val:
-                raise ArithmeticError(f"coboundary composite nonzero at degree {k}")
 
 
 def betti_numbers(cx: BlowupComplex) -> tuple[int, ...]:
     """Exact rational cohomology ranks of the cellular cochain complex."""
     n = len(cx.simplex_vertices) - 1
+    # the columns of d_k are the rows of its transpose, which has the same rank
     ranks = [linalg.rank(cx.coboundary[k]) for k in range(n)]
     return tuple(linalg.betti(cx.f_vector, ranks))

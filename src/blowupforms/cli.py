@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .blowcx import betti_numbers, build_blowup_complex
-from .dof import dof_evaluate
+from .dof import DofMatrix, dof_evaluate
 from .flagcomb import Flag, enumerate_flags
 from .hiord import (
     enumerate_experiments,
@@ -165,21 +165,14 @@ def _cmd_dof_matrix(args) -> int:
     for k in ks:
         flags = enumerate_flags(V, k)
         basis = shadow_basis(V, k)
-
-        def pairing_row(row_flag):
-            return [dof_evaluate(row_flag, elem.form) for elem in basis]
-
         entries = []
-        for i, row_flag in enumerate(flags):
+        for row_flag in flags:
             if budget.exhausted():
                 results["partial"] = True
                 break
-            entries.append(pairing_row(row_flag))
-        identity = all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(entries)
-            for j, x in enumerate(row)
-        )
+            entries.append(tuple(dof_evaluate(row_flag, elem.form) for elem in basis))
+        identity = DofMatrix(tuple(flags[:len(entries)]), tuple(elem.flag for elem in basis),
+                             tuple(entries)).is_identity
         ok = ok and identity
         entry = {
             "k": k,
@@ -260,9 +253,11 @@ def _cmd_cohomology(args) -> int:
             "betti": list(betti),
         }
         if args.matrices:
+            # dense rows over cells[k + 1], read off the stored columns
             results["coboundary"] = {
-                str(k): [[str(x) for x in row] for row in m]
-                for k, m in cx.coboundary.items()
+                str(k): [[str(col.get(r, 0)) for col in cols]
+                         for r in range(len(cx.cells[k + 1]))]
+                for k, cols in cx.coboundary.items()
             }
         if args.json_faces:
             results["faces"] = {

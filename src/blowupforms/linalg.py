@@ -48,6 +48,17 @@ def apply(rows, vec) -> dict:
     return out
 
 
+def combine(columns, vec) -> dict:
+    """The product of the matrix held as ``columns`` with ``vec``, as {row: value}:
+    the sum of ``vec[c] * columns[c]``, reading only the columns ``vec`` touches."""
+    out: dict = {}
+    for c, x in _entries(vec):
+        if x:
+            for r, y in _entries(columns[c]):
+                out[r] = out.get(r, 0) + x * y
+    return {r: s for r, s in out.items() if s}
+
+
 def betti(dims, ranks) -> list[int]:
     """Cohomology dimensions dim_k - rank d_k - rank d_{k-1} of a cochain complex.
 

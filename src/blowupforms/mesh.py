@@ -62,6 +62,11 @@ def _opposite(face: tuple[int, ...], cell: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v for v in cell if v not in face)
 
 
+def _nonneg_int(x) -> bool:
+    """A non-negative JSON integer; ``True`` and ``1.0`` are not."""
+    return type(x) is int and x >= 0
+
+
 def _find(parent, x):
     """Union-find root of ``x`` with path halving; ``parent`` is a list or dict."""
     while parent[x] != x:
@@ -76,11 +81,17 @@ class Triangulation:
     def __init__(self, dimension: int, cells, orientation=None, manifold: str = "boundary"):
         if manifold not in ("closed", "boundary", "none"):
             raise MeshError(f"manifold must be closed/boundary/none, got {manifold!r}")
-        self.dimension = int(dimension)
+        if not _nonneg_int(dimension):
+            raise MeshError(f"dimension must be a non-negative integer, got {dimension!r}")
+        self.dimension = dimension
+        if not isinstance(cells, (list, tuple)):
+            raise MeshError(f"cells must be a list of vertex lists, got {cells!r}")
         seen = set()
         canon = []
         for c in cells:
-            t = tuple(sorted(int(v) for v in c))
+            if not isinstance(c, (list, tuple)) or not all(_nonneg_int(v) for v in c):
+                raise MeshError(f"cell {c!r} must list non-negative integer vertex labels")
+            t = tuple(sorted(c))
             if len(t) != self.dimension + 1 or len(set(t)) != len(t):
                 raise MeshError(f"cell {c!r} is not a {self.dimension}-simplex")
             if t in seen:
@@ -120,10 +131,10 @@ class Triangulation:
             self._check_vertex_links()
 
         if orientation is not None:
-            orientation = [int(s) for s in orientation]
-            if len(orientation) != len(self.cells) or any(s not in (1, -1) for s in orientation):
+            if (not isinstance(orientation, (list, tuple)) or len(orientation) != len(self.cells)
+                    or not all(type(s) is int and s in (1, -1) for s in orientation)):
                 raise MeshError("orientation must list +-1 per cell")
-            self.orientation = orientation
+            self.orientation = list(orientation)
             self.orientable = True
         else:
             self.orientation, self.orientable = self._solve_orientation()
@@ -258,23 +269,19 @@ class GlobalSpace:
         each row is solved for its base-element DOF (the incident cell with
         the smallest vertex tuple); variant rules use class indicators.
         """
-        pivot_of: dict[int, tuple[dict[int, Fraction], int]] = {}
-        in_row: set[int] = set()
         if self.rule.is_general:
-            for row in self.constraints:
-                base = min(row)  # cells are sorted, so min dof index = smallest cell tuple
-                for idx in row:
-                    in_row.add(idx)
-                pivot_of[base] = (row, base)
+            # cells are sorted, so min dof index = smallest cell tuple
+            pivot_of = {min(row) for row in self.constraints}
+            row_of = {idx: row for row in self.constraints for idx in row}
             basis = []
             for idx in range(len(self.dofs)):
                 if idx in pivot_of:
                     continue
                 vec = {idx: Fraction(1)}
-                for row in self.constraints:
-                    if idx in row:
-                        base = min(row)
-                        vec[base] = -row[idx] / row[base]
+                row = row_of.get(idx)
+                if row is not None:
+                    base = min(row)
+                    vec[base] = -row[idx] / row[base]
                 basis.append(vec)
             return basis
         # identification variants: constraints are stars over classes
@@ -359,27 +366,17 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
     )
 
 
-def _global_coboundary(tri: Triangulation, k: int) -> list[dict[int, Fraction]]:
-    """Block-diagonal coboundary on pre-gluing DOFs: rows over (k+1)-flags."""
+def _global_coboundary(tri: Triangulation, k: int) -> list[dict[int, int]]:
+    """Block-diagonal coboundary on pre-gluing DOFs, one column per k-DOF in
+    ``global_flags`` order (transfer to a cell keeps the order of flags)."""
     cx = _local_complex(tri.dimension)
-    local = cx.coboundary[k]
-    # per canonical k-flag, its signed one-merge coarsenings
-    table = [
-        (F, [(G, local[ri][col]) for ri, G in enumerate(cx.cells[k + 1]) if local[ri][col]])
-        for col, F in enumerate(cx.cells[k])
+    row_index = {df: i for i, df in enumerate(global_flags(tri, k + 1))}
+    return [
+        {row_index[(ci, _transfer_flag(cx.cells[k + 1][r], cell))]: sign
+         for r, sign in col.items()}
+        for ci, cell in enumerate(tri.cells)
+        for col in cx.coboundary[k]
     ]
-    dofs_k = global_flags(tri, k)
-    dofs_k1 = global_flags(tri, k + 1)
-    col_index = {df: i for i, df in enumerate(dofs_k)}
-    row_index = {df: i for i, df in enumerate(dofs_k1)}
-    rows: list[dict[int, Fraction]] = [dict() for _ in dofs_k1]
-    for ci, cell in enumerate(tri.cells):
-        for F, coarsenings in table:
-            col = col_index[(ci, _transfer_flag(F, cell))]
-            for G, sign in coarsenings:
-                row = row_index[(ci, _transfer_flag(G, cell))]
-                rows[row][col] = rows[row].get(col, Fraction(0)) + sign
-    return rows
 
 
 def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
@@ -417,7 +414,7 @@ def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
         ranks = []
         for k in range(n):
             D = _global_coboundary(tri, k)
-            images = [linalg.apply(D, b) for b in bases[k]]
+            images = [linalg.combine(D, b) for b in bases[k]]
             # the image must satisfy the degree-(k+1) constraints exactly
             if any(linalg.apply(spaces[k + 1].constraints, img) for img in images):
                 report["dd_zero"] = False
@@ -430,7 +427,7 @@ def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
     # named 2D scalar variants: scalar dimension and H^0 only
     sp0 = assemble(tri, 0, rule)
     D0 = _global_coboundary(tri, 0)
-    images = [linalg.apply(D0, b) for b in sp0.basis()]
+    images = [linalg.combine(D0, b) for b in sp0.basis()]
     report["dims"] = [sp0.dim]
     report["betti_blowup"] = linalg.betti(report["dims"], [linalg.rank(images)])
     # cells share no DOF under cell-discontinuous, so each keeps its own constant

@@ -38,25 +38,44 @@ def test_coboundary_support_is_the_coarsening_relation():
     cx = build_blowup_complex((0, 1, 2, 3))
     for k in range(3):
         rows = cx.cells[k + 1]
-        cols = cx.cells[k]
-        for ri, row in enumerate(cx.coboundary[k]):
-            for ci, val in enumerate(row):
-                F, Fp = cols[ci], rows[ri]
-                merges = {F.coarsen(j) for j in range(1, len(F.blocks))}
-                if val:
-                    assert val in (1, -1)
-                    assert Fp in merges
-                else:
-                    assert Fp not in merges
+        assert len(cx.coboundary[k]) == len(cx.cells[k])
+        for F, col in zip(cx.cells[k], cx.coboundary[k]):
+            merges = {F.coarsen(j) for j in range(1, len(F.blocks))}
+            assert all(0 <= r < len(rows) for r in col)
+            assert all(val in (1, -1) for val in col.values())
+            assert {rows[r] for r in col} == merges
+
+
+def _dense(cx, k):
+    """d_k as dense rows over cells[k + 1], read off the stored columns."""
+    return [[col.get(r, 0) for col in cx.coboundary[k]] for r in range(len(cx.cells[k + 1]))]
 
 
 def test_coboundary_squares_to_zero():
     cx = build_blowup_complex((0, 1, 2, 3))
     for k in range(2):
-        A, B = cx.coboundary[k + 1], cx.coboundary[k]
+        A, B = _dense(cx, k + 1), _dense(cx, k)
         for i in range(len(A)):
             for j in range(len(B[0])):
                 assert sum(A[i][m] * B[m][j] for m in range(len(B))) == 0
+
+
+def test_sign_error_in_a_decomposition_fails_the_build(monkeypatch):
+    from blowupforms import blowcx
+
+    real = blowcx.d_decomposition
+    target = Flag(((0,), (1,), (2,)))
+
+    def flipped(F):
+        out = real(F)
+        if F == target:
+            (sign, G), *rest = out
+            return [(-sign, G)] + rest
+        return out
+
+    monkeypatch.setattr(blowcx, "d_decomposition", flipped)
+    with pytest.raises(ArithmeticError):
+        build_blowup_complex((0, 1, 2))
 
 
 def test_vertex_set_cap():

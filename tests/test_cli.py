@@ -57,6 +57,23 @@ def test_cohomology_local_flag_spelling(capsys):
     assert report["results"]["f_vector"] == [6, 6, 1]
 
 
+def test_cohomology_local_matrices(capsys):
+    # d_k as dense rows over the (k+1)-cells, columns over the k-cells
+    code, report = run_json(capsys, ["cohomology", "local", "--n", "2", "--matrices"])
+    assert code == 0
+    assert report["results"]["coboundary"] == {
+        "0": [
+            ["-1", "1", "0", "0", "0", "0"],
+            ["-1", "0", "1", "0", "0", "0"],
+            ["0", "-1", "0", "0", "1", "0"],
+            ["0", "0", "-1", "1", "0", "0"],
+            ["0", "0", "0", "-1", "0", "1"],
+            ["0", "0", "0", "0", "-1", "1"],
+        ],
+        "1": [["-1", "1", "-1", "1", "1", "-1"]],
+    }
+
+
 def test_cohomology_global(capsys):
     code, report = run_json(
         capsys, ["cohomology", "global", "--mesh", "torus-7", "--rule", "general"]
@@ -132,7 +149,17 @@ def test_missing_mesh_file_is_usage_error(capsys):
     assert report["command"] == "cohomology"
 
 
-@pytest.mark.parametrize("text", ['{"dimension": 2, "cells": [[0, 1]]}', "not json", "[]"])
+@pytest.mark.parametrize("text", [
+    '{"dimension": 2, "cells": [[0, 1]]}', "not json", "[]",
+    # numbers that are not non-negative JSON integers, or not +-1 orientations
+    '{"dimension": 1, "cells": [[0.2, 1.9], [1.1, 2]]}',
+    '{"dimension": 2, "cells": [[0, 1, 2]], "orientation": [1.5]}',
+    '{"dimension": 1, "cells": [[true, 2]]}',
+    '{"dimension": 1, "cells": [["a", 1]]}',
+    '{"dimension": 1, "cells": [[-1, 1]]}',
+    '{"dimension": "1.5", "cells": [[0, 1]]}',
+    '{"dimension": 1, "cells": 5}',
+])
 def test_malformed_mesh_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)

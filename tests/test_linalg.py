@@ -72,6 +72,30 @@ def test_apply_matches_dense_product(m, data):
     assert linalg.apply(_as_dicts(dense), sparse_vec) == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_combine_matches_dense_product_and_apply(m, data):
+    # the drawn rows serve as columns: column c is dense[c]
+    nrows, dense = m
+    vec = data.draw(st.lists(st.integers(-3, 3), min_size=len(dense), max_size=len(dense)))
+    want = {}
+    for r in range(nrows):
+        s = sum(x * col[r] for x, col in zip(vec, dense))
+        if s:
+            want[r] = s
+    sparse_vec = {c: Fraction(x) for c, x in enumerate(vec) if x}
+    transpose = [[col[r] for col in dense] for r in range(nrows)]
+    assert linalg.apply(transpose, sparse_vec) == want
+    fraction_cols = [{r: Fraction(x, 3) for r, x in col.items()} for col in _as_dicts(dense)]
+    for columns in (dense, _as_dicts(dense), _as_dicts(dense, keep_zeros=True)):
+        before = copy.deepcopy(columns)
+        assert linalg.combine(columns, sparse_vec) == want
+        assert linalg.combine(columns, vec) == want
+        assert columns == before
+    thirds = {r: Fraction(x, 3) for r, x in want.items()}
+    assert linalg.combine(fraction_cols, sparse_vec) == thirds
+
+
 def test_betti_pads_missing_ranks():
     # the boundary of a triangle: d_0 has rank 2
     assert linalg.betti([3, 3], [2]) == [1, 1]

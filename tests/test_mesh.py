@@ -227,6 +227,23 @@ def test_local_complex_built_once_per_dimension(monkeypatch):
     assert calls == [(0, 1, 2, 3)]
 
 
+def test_sign_error_in_local_coboundary_fails_dd_zero(monkeypatch):
+    import dataclasses
+
+    from blowupforms import mesh
+
+    cx = mesh._local_complex(2)
+    col = dict(cx.coboundary[0][0])
+    first = next(iter(col))
+    col[first] = -col[first]
+    cob = dict(cx.coboundary)
+    cob[0] = [col] + cob[0][1:]
+    broken = dataclasses.replace(cx, coboundary=cob)
+    monkeypatch.setattr(mesh, "_local_complex", lambda n: broken)
+    rep = global_cohomology("triangle-pair", "general")
+    assert rep["dd_zero"] is False
+
+
 def test_nonmanifold_verbatim_mode():
     # three triangles around one edge: accepted with manifold="none",
     # constraints applied verbatim, report marked non-manifold
