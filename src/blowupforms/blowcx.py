@@ -14,6 +14,9 @@ from . import linalg
 from .flagcomb import Flag, enumerate_flags, vertex_set
 from .shadow import d_decomposition
 
+# the largest simplex, counted in vertices, whose complex is built
+MAX_VERTICES = 6
+
 
 @dataclass(frozen=True)
 class BlowupComplex:
@@ -34,8 +37,8 @@ def build_blowup_complex(V) -> BlowupComplex:
     Verifies that the composite of consecutive coboundaries vanishes.
     """
     V = vertex_set(V)
-    if len(V) > 6:
-        raise ValueError("blow-up complexes are supported for |V| <= 6")
+    if len(V) > MAX_VERTICES:
+        raise ValueError(f"blow-up complexes are supported for |V| <= {MAX_VERTICES}")
     n = len(V) - 1
     cells = {k: enumerate_flags(V, k) for k in range(n + 1)}
     coboundary: dict[int, list[dict[int, int]]] = {}

@@ -3,12 +3,13 @@
 Every subcommand writes a machine-readable JSON report to stdout and a
 one-line human summary to stderr.  Exit codes: 0 when all asserted checks
 pass, 1 on a check failure or an internal error, 2 on usage errors, which
-include an unreadable or invalid mesh and an unknown gluing rule.  An error
-after the arguments parse still writes a JSON report, with ``"pass": false``
-and an ``"error"`` object naming the exception class.  Long suites accept
-``--budget-seconds`` and report partial coverage instead of hanging; the
-budget is checked before each matrix row (``dof-matrix``), each flag
-(``d-check``) and each flag or candidate (``mc-verify``).
+include an unreadable or invalid mesh, an unknown gluing rule and a numeric
+option out of range.  An error after the arguments parse still writes a
+JSON report, with ``"pass": false`` and an ``"error"`` object naming the
+exception class.  Long suites accept ``--budget-seconds`` and report
+partial coverage instead of hanging; the budget is checked before each
+matrix row (``dof-matrix``), each flag (``d-check``) and each flag or
+candidate (``mc-verify``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .blowcx import betti_numbers, build_blowup_complex
+from .blowcx import MAX_VERTICES, betti_numbers, build_blowup_complex
 from .dof import DofMatrix, dof_evaluate
 from .flagcomb import Flag, enumerate_flags
 from .hiord import (
@@ -499,6 +500,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the smallest accepted value of each numeric option
+_LOWEST = {"n": 0, "k": 0, "r": 1, "samples": 1, "rates": 1, "eval_grid": 0}
+
+
+def _out_of_range(args) -> str | None:
+    """A usage message for the first numeric option out of range, or None."""
+    lowest = _LOWEST
+    if args.cmd == "mc-verify":
+        # its pF and higher cases start at an edge, so n = 0 would check nothing
+        lowest = {**_LOWEST, "n": 1}
+    for name, low in lowest.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            return f"--{name.replace('_', '-')} must be at least {low}, got {value}"
+    if getattr(args, "k", None) is not None and args.k > args.n:
+        return f"--k must be at most --n ({args.n}), got {args.k}"
+    if args.cmd == "cohomology" and args.mode == "local" and args.n >= MAX_VERTICES:
+        return (f"--n must be at most {MAX_VERTICES - 1}: blow-up complexes are built "
+                f"for |V| <= {MAX_VERTICES}, got {args.n}")
+    return None
+
+
 def run(argv) -> int:
     # tolerate --local/--global flag spellings for the cohomology subcommand
     argv = list(argv)
@@ -511,6 +534,9 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         if args.cmd == "cohomology" and args.mode == "global" and args.mesh is None:
             parser.error("cohomology global requires --mesh")
+        problem = _out_of_range(args)
+        if problem:
+            parser.error(problem)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

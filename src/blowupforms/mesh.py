@@ -24,7 +24,7 @@ from itertools import combinations
 from pathlib import Path
 
 from . import linalg
-from .blowcx import BlowupComplex, build_blowup_complex
+from .blowcx import MAX_VERTICES, BlowupComplex, build_blowup_complex
 from .flagcomb import Flag, enumerate_flags, perm_sign
 
 
@@ -83,6 +83,10 @@ class Triangulation:
             raise MeshError(f"manifold must be closed/boundary/none, got {manifold!r}")
         if not _nonneg_int(dimension):
             raise MeshError(f"dimension must be a non-negative integer, got {dimension!r}")
+        if not 1 <= dimension < MAX_VERTICES:
+            raise MeshError(f"dimension must lie in 1..{MAX_VERTICES - 1}, the simplices "
+                            f"whose blow-up complex is built (|V| <= {MAX_VERTICES}); "
+                            f"got {dimension}")
         self.dimension = dimension
         if not isinstance(cells, (list, tuple)):
             raise MeshError(f"cells must be a list of vertex lists, got {cells!r}")
@@ -118,7 +122,7 @@ class Triangulation:
                 for f in combinations(c, d + 1):
                     self.cofaces[f].append(ci)
 
-        facets = self.faces[self.dimension - 1] if self.dimension >= 1 else []
+        facets = self.faces[self.dimension - 1]
         over = [f for f in facets if len(self.cofaces[f]) > 2]
         self.boundary_facets = {f for f in facets if len(self.cofaces[f]) == 1}
         if over and manifold != "none":

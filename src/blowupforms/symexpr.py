@@ -3,7 +3,10 @@
 Everything here is built from three layers:
 
 * ``Poly`` -- multivariate polynomials in the variables ``lambda_i`` with
-  exact ``Fraction`` coefficients.
+  exact rational coefficients.  A coefficient is stored as a Python ``int``
+  whenever it is integral and as a non-integral ``Fraction`` otherwise; the
+  polynomials built from subset sums are integral, so their arithmetic
+  never leaves ``int``.
 * ``RationalFn`` -- a polynomial numerator over a denominator that is a
   product of powers of subset sums ``l_S = sum_{i in S} lambda_i``.  This
   restricted class is closed under sums, products, partial derivatives and
@@ -51,6 +54,14 @@ def _mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a non-integral Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _probe(v: int) -> int:
     """Integer coordinate of lambda_v at the non-divisibility probe point.
 
@@ -83,15 +94,15 @@ def _hyperplane_value(p: "Poly", S: frozenset) -> int:
 
 
 class Poly:
-    """Multivariate polynomial over exact rationals."""
+    """Multivariate polynomial over exact rationals; integral coefficients are ints."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        t: dict[Mono, Fraction] = {}
+        t: dict[Mono, int | Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     t[m] = c
         self.terms = t
@@ -104,16 +115,16 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly({_ONE: Fraction(c)})
+        return Poly({_ONE: c})
 
     @staticmethod
     def var(i: int, exp: int = 1) -> "Poly":
-        return Poly({((i, exp),): Fraction(1)})
+        return Poly({((i, exp),): 1})
 
     @staticmethod
     def subset_sum(S) -> "Poly":
         """The linear form l_S = sum_{i in S} lambda_i."""
-        return Poly({((i, 1),): Fraction(1) for i in S})
+        return Poly({((i, 1),): 1 for i in S})
 
     # -- ring operations ----------------------------------------------------
 
@@ -122,7 +133,7 @@ class Poly:
         for m, c in other.terms.items():
             s = t.get(m, 0) + c
             if s:
-                t[m] = s
+                t[m] = s if type(s) is int else _exact(s)
             else:
                 t.pop(m, None)
         out = Poly.__new__(Poly)
@@ -142,15 +153,15 @@ class Poly:
             if not other:
                 return Poly.zero()
             out = Poly.__new__(Poly)
-            out.terms = {m: c * other for m, c in self.terms.items()}
+            out.terms = {m: _exact(c * other) for m, c in self.terms.items()}
             return out
-        t: dict[Mono, Fraction] = {}
+        t: dict[Mono, int | Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
                 s = t.get(m, 0) + ca * cb
                 if s:
-                    t[m] = s
+                    t[m] = s if type(s) is int else _exact(s)
                 else:
                     t.pop(m, None)
         out = Poly.__new__(Poly)
@@ -185,7 +196,7 @@ class Poly:
         return {d: Poly(t) for d, t in comps.items()}
 
     def derivative(self, v: int) -> "Poly":
-        t: dict[Mono, Fraction] = {}
+        t: dict[Mono, int | Fraction] = {}
         for m, c in self.terms.items():
             d = dict(m)
             e = d.get(v, 0)
@@ -204,7 +215,7 @@ class Poly:
         return Poly(t)
 
     def evaluate(self, point: dict[int, object]):
-        """Evaluate at a point; works for Fraction or float values."""
+        """Evaluate at a point: exact at int or Fraction values, float at float ones."""
         total = None
         for m, c in self.terms.items():
             val = c
@@ -215,7 +226,7 @@ class Poly:
 
     def substitute_one(self, v: int) -> "Poly":
         """Substitute lambda_v -> 1."""
-        t: dict[Mono, Fraction] = {}
+        t: dict[Mono, int | Fraction] = {}
         for m, c in self.terms.items():
             key = tuple((w, e) for w, e in m if w != v)
             s = t.get(key, 0) + c
@@ -410,14 +421,16 @@ class RationalFn:
             if v in S:
                 den = dict(self.den)
                 den[S] = e + 1
-                out = out + RationalFn(self.num * Fraction(-e), den)
+                out = out + RationalFn(self.num * -e, den)
         return out
 
     def evaluate(self, point: dict[int, object]):
+        """The value at a point: exact at int or Fraction points, float at float ones."""
         val = self.num.evaluate(point)
         for S, e in self.den.items():
-            d = sum(point[i] for i in S)
-            val = val / d ** e
+            q = sum(point[i] for i in S) ** e
+            # int / int is float division; keep an all-int point exact
+            val = Fraction(val, q) if type(val) is int and type(q) is int else val / q
         return val
 
     def substitute_one(self, v: int) -> "RationalFn":

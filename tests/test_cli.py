@@ -168,6 +168,45 @@ def test_malformed_mesh_is_usage_error(tmp_path, capsys, text):
     assert report["error"]["type"] == "MeshError"
 
 
+@pytest.mark.parametrize("doc, limit", [
+    ({"dimension": 0, "cells": [[0], [1]]}, "1..5"),
+    ({"dimension": 6, "cells": [list(range(7))]}, "|V| <= 6"),
+    ({"dimension": 7, "cells": [list(range(8))]}, "|V| <= 6"),
+])
+def test_mesh_dimension_out_of_range_is_usage_error(tmp_path, capsys, doc, limit):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(doc))
+    code, report = _error_exit(capsys, ["cohomology", "global", "--mesh", str(path)])
+    assert code == 2
+    assert report["error"]["type"] == "MeshError"
+    assert limit in report["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--n", "-1"],
+    ["basis", "--n", "2", "--k", "3"],
+    ["basis", "--n", "2", "--eval-grid", "-1"],
+    ["whitney-check", "--n", "-1"],
+    ["d-check", "--n", "-1"],
+    ["mc-verify", "--target", "pF", "--n", "-1"],
+    ["mc-verify", "--target", "all", "--n", "0"],
+    ["mc-verify", "--target", "pF", "--samples", "0"],
+    ["mc-verify", "--target", "pF", "--rates", "0"],
+    ["mc-verify", "--target", "higher", "--r", "0"],
+    ["higher-order", "--n", "-1", "--r", "2"],
+    ["higher-order", "--n", "2", "--r", "0"],
+    ["dof-matrix", "--n", "2", "--k", "5"],
+    ["dof-matrix", "--n", "2", "--k", "-1"],
+    ["cohomology", "local", "--n", "6"],
+    ["cohomology", "local", "--n", "-1"],
+])
+def test_out_of_range_number_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --" in captured.err
+
+
 def test_unknown_rule_is_usage_error(capsys):
     code, report = _error_exit(
         capsys, ["cohomology", "global", "--mesh", "triangle", "--rule", "no-such-rule"]

@@ -29,6 +29,18 @@ def v(i):
     return Poly.var(i)
 
 
+def test_n3_basis_coefficients_are_ints():
+    """p_F, psi_F and d(psi_F) are integer polynomials over subset sums, so a
+    Fraction among their stored coefficients means a stray conversion."""
+    for k in range(4):
+        for F in enumerate_flags((0, 1, 2, 3), k):
+            psi = basis_element(F).form
+            fns = [poisson_probability(F), *psi.terms.values(),
+                   *psi.exterior_derivative().terms.values()]
+            for f in fns:
+                assert all(type(c) is int for c in f.num.terms.values()), (str(F), f)
+
+
 # -- Whitney forms ----------------------------------------------------------------
 
 def test_whitney_form_vertex():

@@ -33,7 +33,8 @@ def fn(num, den=None):
 
 # -- random expression strategies ---------------------------------------------
 
-coeffs = st.integers(-3, 3).map(Fraction)
+# integral and small non-integral coefficients, so both stored types are drawn
+coeffs = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
 monos = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)), max_size=2).map(
     lambda ps: tuple(sorted(dict(ps).items()))
 )
@@ -68,6 +69,23 @@ def test_division_inverts_multiplication(p, S):
     prod = p * Poly.subset_sum(S)
     q = prod.divide_by_subset_sum(S)
     assert q == p
+
+
+# -- coefficient types ----------------------------------------------------------------
+
+def test_integral_coefficients_are_stored_as_int():
+    half = Poly.var(0) * Fraction(1, 2)
+    assert type(half.terms[((0, 1),)]) is Fraction
+    for p in (half + half, half * 2, Poly({(): Fraction(4, 2)}), half * (Poly.var(1) * 2)):
+        assert all(type(c) is int for c in p.terms.values()), p.terms
+    assert (half + half).terms == {((0, 1),): 1}
+
+
+def test_evaluate_at_an_integer_point_stays_exact():
+    f = RationalFn(Poly.var(0), {l(0, 1): 1})
+    got = f.evaluate({0: 1, 1: 2})
+    assert type(got) is Fraction and got == Fraction(1, 3)
+    assert f.evaluate({0: 1.0, 1: 2.0}) == pytest.approx(1 / 3)
 
 
 # -- trial division against sympy ------------------------------------------------
@@ -140,6 +158,36 @@ def test_rationalfn_results_are_canonical(f, g, v):
     for h in (f + g, f * g, f.derivative(v)):
         for S in h.den:
             assert _sympy_remainder(h.num, S) != 0
+
+
+def _fn_to_sympy(f: RationalFn):
+    expr, xs = _to_sympy(f.num)
+    for S, e in f.den.items():
+        expr /= sum(xs[i] for i in S) ** e
+    return expr, xs
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(rationals, rationals, st.integers(0, 3))
+def test_rationalfn_arithmetic_matches_sympy(f, g, v):
+    (F, xs), (G, _) = _fn_to_sympy(f), _fn_to_sympy(g)
+    cases = ((f + g, F + G), (f * g, F * G), (f.derivative(v), sympy.diff(F, xs[v])))
+    for got, want in cases:
+        assert sympy.cancel(_fn_to_sympy(got)[0] - want) == 0
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(rationals, st.lists(st.integers(1, 4), min_size=4, max_size=4), st.booleans())
+def test_rationalfn_evaluate_matches_sympy(f, values, integral):
+    # positive coordinates keep every subset sum of the denominator nonzero
+    point = {v: x if integral else Fraction(x, 3) for v, x in enumerate(values)}
+    got = f.evaluate(point)
+    assert isinstance(got, (int, Fraction))
+    F, xs = _fn_to_sympy(f)
+    want = F.subs({xs[v]: sympy.Rational(x.numerator, x.denominator) for v, x in point.items()})
+    assert sympy.Rational(got.numerator, got.denominator) == want
 
 
 def test_pre_test_rejects_failing_divisions(monkeypatch):
