@@ -333,22 +333,22 @@ def _cmd_mc_verify(args) -> int:
             V = tuple(range(nv))
             for k in range(nv):
                 for F in enumerate_flags(V, k):
-                    pairs.append(("pF", F, None))
+                    pairs.append(("pF", F))
     if args.target in ("higher", "all"):
         for nv in range(2, min(args.n, 2) + 2):
             V = tuple(range(nv))
             for r in range(1, args.r + 1):
                 for c in enumerate_experiments(V, r):
-                    pairs.append(("higher", c, None))
+                    pairs.append(("higher", c))
     if args.target == "dof":
         V = tuple(range(args.n + 1))
         for k in range(args.n + 1):
             for F in enumerate_flags(V, k):
-                pairs.append(("dof", F, None))
+                pairs.append(("dof", F))
 
     checked, escalated, failures, partial = 0, 0, [], False
     details = []
-    for kind, obj, _ in pairs:
+    for kind, obj in pairs:
         if budget.exhausted():
             partial = True
             break
@@ -391,7 +391,7 @@ def _mc_prob_case(kind: str, obj, rates: dict[int, Fraction], args, trial: int) 
     else:
         exact = float(obj.probability.evaluate(rates))
         label = obj.sequence.compact()
-    seed = args.seed + 7919 * trial + (hash(label) % 65536)
+    seed = (args.seed, trial, *label.encode())
 
     def run(samples: int, attempt: int):
         # the 10x re-run keeps the case's seed, so attempt goes unused
@@ -415,7 +415,7 @@ def _mc_dof_case(flag: Flag, args, trial: int) -> dict:
     exact = 1.0
     cfg = SimulationConfig(rates={0: Fraction(1)},
                            samples=max(1000, args.samples // 10),
-                           seed=args.seed + trial)
+                           seed=(args.seed, trial, *str(flag).encode()))
     est = estimate_face_integral(flag, elem.form, cfg)
     tol = max(3 * est.stderr, 1e-2)
     ok = abs(est.mean - exact) <= tol

@@ -2,8 +2,11 @@
 
 Simulates the Poisson ensembles directly in 64-bit floats, firewalled from
 the exact core: exact rationals cross the boundary only as float rates and
-expected values.  The generator is numpy's counter-based Philox, seeded per
-run, so every estimate is reproducible from (seed, samples).
+expected values.  Each law gets one draw: a Gamma variate per block for a
+flag probability, a multinomial count vector per round for an arrival
+sequence.  The generator is numpy's counter-based Philox; the CLI seeds each
+case with (seed, trial, *label bytes), so every estimate is reproducible
+from (seed, samples) and the case label, in any process.
 
 The concordance rule shared by the CLI and the acceptance suite also lives
 here: an estimate agrees with its exact value within 3 standard errors; a
@@ -20,7 +23,7 @@ from itertools import permutations
 import numpy as np
 
 from .flagcomb import ArrivalSequence, Flag, perm_sign
-from .shadow import omega_form
+from .shadow import flag_omega
 from .symexpr import RationalFn, RationalForm
 
 RNG_ALGORITHM = "numpy.random.Philox"
@@ -32,11 +35,11 @@ class ExtrapolationUnstable(ArithmeticError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Rates per vertex id (positive rationals), sample count, and seed."""
+    """Rates per vertex id (positive rationals), sample count, and an int or int-tuple seed."""
 
     rates: dict[int, Fraction]
     samples: int
-    seed: int
+    seed: int | tuple[int, ...]
 
     def __post_init__(self):
         if self.samples < 1:
@@ -62,57 +65,41 @@ def _indicator_estimate(hits: np.ndarray) -> Estimate:
     return Estimate(mean=mean, stderr=stderr, samples=n)
 
 
-def estimate_pF(flag: Flag, cfg: SimulationConfig, gamma_mode: str = "gamma") -> Estimate:
+def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
     """Estimate the probability that blocks complete in flag order.
 
-    Draws the |V_j|-th arrival time of each block's merged process: either a
-    single Gamma(|V_j|) variate scaled by the block rate, or the equivalent
-    sum of exponentials (``gamma_mode="sum"``, kept as a consistency
-    cross-check).  Ties count as satisfied.
+    Block j completes at the |V_j|-th arrival of its merged process of rate
+    l_{V_j}, a Gamma(|V_j|) variate over l_{V_j}: one Gamma draw per block.
+    Ties count as satisfied.
     """
     rng = cfg.rng()
     n = cfg.samples
     times = np.empty((n, len(flag.blocks)))
     for j, block in enumerate(flag.blocks):
         rate = float(sum(cfg.rates[v] for v in block))
-        if gamma_mode == "sum":
-            times[:, j] = rng.standard_exponential((n, len(block))).sum(axis=1) / rate
-        else:
-            times[:, j] = rng.standard_gamma(len(block), size=n) / rate
-    if times.shape[1] > 1:
-        hits = np.all(times[:, :-1] <= times[:, 1:], axis=1)
-    else:
-        hits = np.ones(n, dtype=bool)
-    return _indicator_estimate(hits)
+        times[:, j] = rng.standard_gamma(len(block), size=n) / rate
+    return _indicator_estimate(np.all(times[:, :-1] <= times[:, 1:], axis=1))
 
 
 def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
     """Estimate the probability of one degree-r arrival sequence.
 
-    Runs the experiment with competing exponential clocks: each active
-    source emits a rate-lambda_i stream, the first r arrivals of a round are
-    counted by source, and matching is checked round by round.  Sequences
-    whose rounds reference already-silenced sources get estimate 0.
+    Each round, the sources of the first r arrivals of the active streams
+    are independent draws with odds lambda_i / l_A (competing exponentials),
+    so their counts are one Multinomial(r, lambda_A / l_A) draw, matched
+    round by round.  Sequences whose rounds reference already-silenced
+    sources get estimate 0.
     """
     rng = cfg.rng()
     n = cfg.samples
-    r = seq.r
     alive = np.ones(n, dtype=bool)
     active = sorted(cfg.rates)
     for rnd, silenced in zip(seq.rounds, seq.silenced):
         target = {v: c for v, c in rnd if c}
         if not set(target) <= set(active):
             return Estimate(mean=0.0, stderr=0.0, samples=n)
-        m = len(active)
-        # per active source, the times of its first r particles
-        gaps = rng.standard_exponential((n, m, r))
         rates = np.array([float(cfg.rates[v]) for v in active])
-        arrivals = np.cumsum(gaps, axis=2) / rates[None, :, None]
-        flat = arrivals.reshape(n, m * r)
-        first = np.argpartition(flat, r - 1, axis=1)[:, :r]
-        sources = first // r
-        counts = np.zeros((n, m), dtype=np.int64)
-        np.add.at(counts, (np.repeat(np.arange(n), r), sources.ravel()), 1)
+        counts = rng.multinomial(seq.r, rates / rates.sum(), size=n)
         want = np.array([target.get(v, 0) for v in active])
         alive &= np.all(counts == want[None, :], axis=1)
         active = [v for v in active if v not in set(silenced)]
@@ -185,9 +172,7 @@ def estimate_face_integral(
         draws = rng.dirichlet(np.ones(len(block)), size=n)
         for idx, v in enumerate(block):
             theta[v] = draws[:, idx]
-    omega = RationalForm.function(RationalFn.one())
-    for b in flag.blocks:
-        omega = omega.wedge(omega_form(b))
+    omega = flag_omega(flag)
 
     per_eps = []
     means = []

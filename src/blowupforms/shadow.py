@@ -84,11 +84,17 @@ class ShadowBasisElement:
     omega: RationalForm
 
 
-def basis_element(flag: Flag) -> ShadowBasisElement:
-    p = poisson_probability(flag)
+def flag_omega(flag: Flag) -> RationalForm:
+    """omega_F: the wedge of omega_form over the blocks, in flag order."""
     omega = RationalForm.function(RationalFn.one())
     for b in flag.blocks:
         omega = omega.wedge(omega_form(b))
+    return omega
+
+
+def basis_element(flag: Flag) -> ShadowBasisElement:
+    p = poisson_probability(flag)
+    omega = flag_omega(flag)
     return ShadowBasisElement(flag=flag, form=omega * p, probability=p, omega=omega)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,26 @@ def test_mc_verify_small(capsys):
     assert code == 0
     assert report["results"]["cases"] == 6
     assert report["results"]["rng"] == "numpy.random.Philox"
+
+
+def test_mc_verify_results_do_not_depend_on_the_hash_seed():
+    # case seeds come from (seed, trial, label bytes), so hash randomisation never reaches the draws
+    argv = ["mc-verify", "--target", "pF", "--n", "1", "--samples", "20000",
+            "--seed", "5", "--verbose-cases"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    results = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from blowupforms.cli import run; "
+             "sys.exit(run(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout)["results"])
+    assert results[0] == results[1]
+    assert results[0]["details"]
 
 
 def test_emit_samples(tmp_path, capsys):

@@ -1,5 +1,8 @@
 from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 
+import numpy as np
 import pytest
 
 from blowupforms.flagcomb import ArrivalSequence, Flag, enumerate_flags
@@ -52,14 +55,52 @@ def test_full_flag_equal_rates_is_one_sixth():
     assert abs(est.mean - 1 / 6) <= 3 * est.stderr
 
 
+def sum_of_exponentials_pF(flag, rates, samples, seed):
+    """Reference for estimate_pF: block j completes at the sum of |V_j|
+    exponential gaps of its merged process of rate l_{V_j}."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    times = np.empty((samples, len(flag.blocks)))
+    for j, block in enumerate(flag.blocks):
+        rate = float(sum(rates[v] for v in block))
+        times[:, j] = rng.standard_exponential((samples, len(block))).sum(axis=1) / rate
+    mean = float(np.all(times[:, :-1] <= times[:, 1:], axis=1).mean())
+    return mean, (mean * (1 - mean) / samples) ** 0.5
+
+
 def test_gamma_sum_consistency():
     F = Flag.parse("0|1,2|3")
-    cfg1 = SimulationConfig(rates=EQUAL4, samples=150_000, seed=21)
-    cfg2 = SimulationConfig(rates=EQUAL4, samples=150_000, seed=22)
-    a = estimate_pF(F, cfg1, gamma_mode="gamma")
-    b = estimate_pF(F, cfg2, gamma_mode="sum")
-    tol = 3 * (a.stderr ** 2 + b.stderr ** 2) ** 0.5
-    assert abs(a.mean - b.mean) <= tol
+    a = estimate_pF(F, SimulationConfig(rates=EQUAL4, samples=150_000, seed=21))
+    b_mean, b_stderr = sum_of_exponentials_pF(F, EQUAL4, 150_000, seed=22)
+    tol = 3 * (a.stderr ** 2 + b_stderr ** 2) ** 0.5
+    assert abs(a.mean - b_mean) <= tol
+
+
+def clock_race_counts(rates, r, samples, rng):
+    """Reference for one round of estimate_higher: every source races its own
+    rate-lambda_i exponential clocks; count the sources of the first r arrivals."""
+    lam = np.array([float(x) for x in rates])
+    m = len(lam)
+    arrivals = np.cumsum(rng.standard_exponential((samples, m, r)), axis=2) / lam[None, :, None]
+    first = np.argpartition(arrivals.reshape(samples, m * r), r - 1, axis=1)[:, :r]
+    counts = np.zeros((samples, m), dtype=np.int64)
+    np.add.at(counts, (np.repeat(np.arange(samples), r), (first // r).ravel()), 1)
+    return counts
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_clock_race_counts_are_multinomial(r):
+    # competing exponentials: the first r sources are Multinomial(r, lambda / l_A)
+    rates = (Fraction(1, 2), Fraction(1), Fraction(5, 2))
+    total = sum(rates)
+    samples = 100_000
+    counts = clock_race_counts(rates, r, samples, np.random.Generator(np.random.Philox(61 + r)))
+    for k in product(range(r + 1), repeat=len(rates)):
+        if sum(k) != r:
+            continue
+        pmf = factorial(r) / prod(factorial(c) for c in k) * float(
+            prod((lam / total) ** c for lam, c in zip(rates, k)))
+        freq = float(np.all(counts == np.array(k)[None, :], axis=1).mean())
+        assert abs(freq - pmf) <= 3 * (pmf * (1 - pmf) / samples) ** 0.5, (k, freq, pmf)
 
 
 def test_higher_concordance_and_r1_bridge():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from blowupforms.flagcomb import Flag
+from blowupforms.flagcomb import Flag, enumerate_flags
 from blowupforms.symexpr import (
     DivergentLimit,
     Poly,
@@ -348,6 +348,48 @@ def test_divergent_limit_detected():
     f = RationalFn(Poly.var(0), {l(1): 1})
     with pytest.raises(DivergentLimit):
         dilation_limit(f, frozenset((1,)))
+
+
+def _sympy_dilation_limit(f: RationalFn, scaled):
+    """sympy's limit of f(lambda_i -> eps*lambda_i for i in scaled) as eps -> 0+,
+    over positive symbols, and the symbols it is written in."""
+    F, xs = _fn_to_sympy(f)
+    pos = sympy.symbols("x0:4", positive=True)
+    eps = sympy.Symbol("eps", positive=True)
+    sub = {x: eps * p if i in scaled else p for i, (x, p) in enumerate(zip(xs, pos))}
+    expr = sympy.cancel(F.subs(sub, simultaneous=True))
+    return sympy.limit(expr, eps, 0, "+"), dict(zip(xs, pos))
+
+
+def _assert_limit_matches_sympy(f: RationalFn, scaled, take_limit):
+    want, pos = _sympy_dilation_limit(f, scaled)
+    infinite = want.has(sympy.oo, -sympy.oo, sympy.zoo)
+    try:
+        got = take_limit(f)
+    except DivergentLimit:
+        assert infinite, want
+        return
+    assert not infinite, want
+    assert sympy.cancel(_fn_to_sympy(got)[0].subs(pos, simultaneous=True) - want) == 0
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(rationals, subsets)
+def test_dilation_limit_matches_sympy(f, S):
+    _assert_limit_matches_sympy(f, S, lambda g: dilation_limit(g, S))
+
+
+FLAGS4 = [F for k in range(3) for F in enumerate_flags((0, 1, 2, 3), k)]
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(rationals, st.sampled_from(FLAGS4), st.data())
+def test_flag_limit_matches_sympy(f, flag, data):
+    j = data.draw(st.integers(1, len(flag.blocks) - 1))
+    scaled = frozenset(v for b in flag.blocks[j:] for v in b)
+    _assert_limit_matches_sympy(f, scaled, lambda g: flag_limit(g, flag, j))
 
 
 @settings(max_examples=40, deadline=None)
