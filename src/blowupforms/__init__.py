@@ -16,6 +16,7 @@ from .shadow import (
     ShadowBasisElement,
     basis_element,
     d_decomposition,
+    gram_matrix,
     omega_form,
     poisson_probability,
     reduce_dimension,
@@ -23,7 +24,7 @@ from .shadow import (
     whitney_containment,
     whitney_form,
 )
-from .dof import dof_evaluate, gram_matrix, integrate_monomial_simplex, restrict_to_theta
+from .dof import dof_evaluate, integrate_monomial_simplex, restrict_to_theta
 from .blowcx import betti_numbers, build_blowup_complex
 from .mesh import (
     GluingRule,

@@ -4,12 +4,17 @@ Every subcommand writes a machine-readable JSON report to stdout and a
 one-line human summary to stderr.  Exit codes: 0 when all asserted checks
 pass, 1 on a check failure or an internal error, 2 on usage errors, which
 include an unreadable or invalid mesh, an unknown gluing rule and a numeric
-option out of range.  An error after the arguments parse still writes a
-JSON report, with ``"pass": false`` and an ``"error"`` object naming the
-exception class.  Long suites accept ``--budget-seconds`` and report
-partial coverage instead of hanging; the budget is checked before each
-matrix row (``dof-matrix``), each flag (``d-check``) and each flag or
-candidate (``mc-verify``).
+option out of range.  A check fails only on a wrong result or on an
+``ArithmeticError`` raised by the exact core (``DecompositionFailed``,
+``IdentityFailed`` and the like); any other exception is a bug and exits 1
+with an ``"error"`` object naming the exception class.  An error after the
+arguments parse still writes a JSON report, with ``"pass": false``.  Long
+suites accept ``--budget-seconds`` and report partial coverage instead of
+hanging; the budget is checked before each matrix row (``dof-matrix``),
+each flag (``d-check``) and each flag or candidate (``mc-verify``).
+
+Each ``_cmd_*`` function returns ``(inputs, results, passed)``; ``run``
+alone times the command, writes the report and chooses the exit code.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations, product
 
 from . import __version__
 from .blowcx import MAX_VERTICES, betti_numbers, build_blowup_complex
-from .dof import DofMatrix, dof_evaluate
+from .dof import dof_evaluate, is_identity
 from .flagcomb import Flag, enumerate_flags
 from .hiord import (
     enumerate_experiments,
@@ -54,97 +60,61 @@ SCHEMA = "blowup-report/1"
 
 
 class Budget:
+    """A wall-clock budget; ``partial`` is set once it cuts a suite short."""
+
     def __init__(self, seconds):
         self.start = time.monotonic()
         self.seconds = seconds
+        self.partial = False
 
-    def exhausted(self) -> bool:
-        return self.seconds is not None and time.monotonic() - self.start > self.seconds
-
-
-def _report(command: str, inputs: dict, results: dict, passed: bool, t0: float,
-            latex_path=None, latex_text=None) -> int:
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "pass": bool(passed),
-        "timing_ms": int(1000 * (time.time() - t0)),
-    }
-    # write the side file first, so that failing to write it leaves stdout
-    # free for the error report
-    if latex_path and latex_text is not None:
-        with open(latex_path, "w", encoding="utf-8") as fh:
-            fh.write(latex_text)
-    json.dump(report, sys.stdout, indent=1, default=str)
-    sys.stdout.write("\n")
-    print(f"[{command}] {'pass' if passed else 'FAIL'} ({report['timing_ms']} ms)",
-          file=sys.stderr)
-    return 0 if passed else 1
+    def take(self, items):
+        """Yield items until one finds the budget spent, then set ``partial``."""
+        for item in items:
+            if self.seconds is not None and time.monotonic() - self.start > self.seconds:
+                self.partial = True
+                return
+            yield item
 
 
-def _error_report(args, exc: Exception, code: int) -> int:
-    """Report an exception as JSON on stdout and return the exit code."""
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": args.cmd,
-        "inputs": {k: v for k, v in vars(args).items() if k not in ("cmd", "fn")},
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-        "pass": False,
-    }
-    json.dump(report, sys.stdout, indent=1, default=str)
-    sys.stdout.write("\n")
-    print(f"[{args.cmd}] error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return code
+def _write_latex(path: str, header: str, rows: list[str]) -> None:
+    """Write a three-column LaTeX tabular with one line per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"\\begin{{tabular}}{{c|c|c}}\n{header} \\\\\n\\hline\n"
+                 + "\n".join(rows) + "\n\\end{tabular}\n")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (inputs, results, passed)
 # ---------------------------------------------------------------------------
 
-def _cmd_basis(args) -> int:
-    t0 = time.time()
+def _cmd_basis(args):
     V = tuple(range(args.n + 1))
     ks = [args.k] if args.k is not None else list(range(args.n + 1))
+    elems = [(k, elem) for k in ks for elem in shadow_basis(V, k)]
     entries = []
-    latex_rows = []
-    for k in ks:
-        for elem in shadow_basis(V, k):
-            entry = {
-                "k": k,
-                "flag": str(elem.flag),
-                "flag_compact": elem.flag.compact(),
-                "probability": rational_fn_to_json(elem.probability),
-                "psi": form_to_json(elem.form),
-            }
-            if args.eval_grid:
-                entry["grid"] = _grid_values(elem, args.eval_grid)
-            entries.append(entry)
-            latex_rows.append(
-                f"{k} & ${elem.flag.compact()}$ & ${form_latex(elem.form)}$ \\\\"
-            )
-    latex = ("\\begin{tabular}{c|c|c}\n$k$ & $F$ & $\\psi_F$ \\\\\n\\hline\n"
-             + "\n".join(latex_rows) + "\n\\end{tabular}\n")
-    return _report(
-        "basis",
-        {"n": args.n, "k": args.k},
-        {"count": len(entries), "entries": entries},
-        True,
-        t0,
-        latex_path=args.latex,
-        latex_text=latex,
-    )
+    for k, elem in elems:
+        entry = {
+            "k": k,
+            "flag": str(elem.flag),
+            "flag_compact": elem.flag.compact(),
+            "probability": rational_fn_to_json(elem.probability),
+            "psi": form_to_json(elem.form),
+        }
+        if args.eval_grid:
+            entry["grid"] = _grid_values(elem, args.eval_grid)
+        entries.append(entry)
+    if args.latex:
+        _write_latex(args.latex, "$k$ & $F$ & $\\psi_F$", [
+            f"{k} & ${elem.flag.compact()}$ & ${form_latex(elem.form)}$ \\\\"
+            for k, elem in elems
+        ])
+    return {"n": args.n, "k": args.k}, {"count": len(entries), "entries": entries}, True
 
 
 def _grid_values(elem, m: int):
     """Coefficient samples of psi_F on a barycentric grid (CSV-ready rows)."""
     V = elem.flag.vertices
     rows = []
-    from itertools import product
-
     for weights in product(range(1, m + 1), repeat=len(V)):
         total = sum(weights)
         point = {v: Fraction(w, total) for v, w in zip(V, weights)}
@@ -156,40 +126,30 @@ def _grid_values(elem, m: int):
     return rows
 
 
-def _cmd_dof_matrix(args) -> int:
-    t0 = time.time()
+def _cmd_dof_matrix(args):
     V = tuple(range(args.n + 1))
     budget = Budget(args.budget_seconds)
     ks = [args.k] if args.k is not None else list(range(args.n + 1))
-    results = {"matrices": [], "partial": False}
-    ok = True
+    matrices = []
     for k in ks:
         flags = enumerate_flags(V, k)
         basis = shadow_basis(V, k)
-        entries = []
-        for row_flag in flags:
-            if budget.exhausted():
-                results["partial"] = True
-                break
-            entries.append(tuple(dof_evaluate(row_flag, elem.form) for elem in basis))
-        identity = DofMatrix(tuple(flags[:len(entries)]), tuple(elem.flag for elem in basis),
-                             tuple(entries)).is_identity
-        ok = ok and identity
+        rows = [tuple(dof_evaluate(F, elem.form) for elem in basis) for F in budget.take(flags)]
         entry = {
             "k": k,
             "size": len(flags),
-            "rows_computed": len(entries),
+            "rows_computed": len(rows),
             "flags": [str(F) for F in flags],
-            "identity": identity,
+            "identity": is_identity(rows),
         }
         if args.matrices:
-            entry["entries"] = [[str(x) for x in row] for row in entries]
-        results["matrices"].append(entry)
-        if results["partial"]:
+            entry["entries"] = [[str(x) for x in row] for row in rows]
+        matrices.append(entry)
+        if budget.partial:
             break
-    passed = ok or not args.assert_identity
-    results["identity_all"] = ok
-    return _report("dof-matrix", {"n": args.n, "k": args.k}, results, passed, t0)
+    ok = all(entry["identity"] for entry in matrices)
+    results = {"matrices": matrices, "partial": budget.partial, "identity_all": ok}
+    return {"n": args.n, "k": args.k}, results, ok or not args.assert_identity
 
 
 def _check_one_flag_d(F: Flag):
@@ -198,37 +158,22 @@ def _check_one_flag_d(F: Flag):
         dd = basis_element(F).form.exterior_derivative().exterior_derivative()
         if not dd.is_zero():
             return {"flag": str(F), "reason": "dd != 0"}
-    except Exception as exc:  # DecompositionFailed and friends
+    except ArithmeticError as exc:  # DecompositionFailed and friends
         return {"flag": str(F), "reason": str(exc)}
     return None
 
 
-def _cmd_d_check(args) -> int:
-    t0 = time.time()
+def _cmd_d_check(args):
     V = tuple(range(args.n + 1))
     budget = Budget(args.budget_seconds)
-    checked = 0
-    failures = []
-    partial = False
-    for k in range(args.n + 1):
-        for F in enumerate_flags(V, k):
-            if budget.exhausted():
-                partial = True
-                break
-            res = _check_one_flag_d(F)
-            checked += 1
-            if res is not None:
-                failures.append(res)
-        if partial:
-            break
-    results = {"flags_checked": checked, "failures": failures, "partial": partial}
-    return _report("d-check", {"n": args.n}, results, not failures, t0)
+    flags = [F for k in range(args.n + 1) for F in enumerate_flags(V, k)]
+    outcomes = [_check_one_flag_d(F) for F in budget.take(flags)]
+    failures = [res for res in outcomes if res is not None]
+    results = {"flags_checked": len(outcomes), "failures": failures, "partial": budget.partial}
+    return {"n": args.n}, results, not failures
 
 
-def _cmd_whitney_check(args) -> int:
-    t0 = time.time()
-    from itertools import combinations
-
+def _cmd_whitney_check(args):
     V = tuple(range(args.n + 1))
     checked = 0
     failures = []
@@ -236,15 +181,13 @@ def _cmd_whitney_check(args) -> int:
         for W in combinations(V, size):
             try:
                 whitney_containment(W, V)
-            except Exception as exc:
+            except ArithmeticError as exc:  # IdentityFailed
                 failures.append({"W": list(W), "reason": str(exc)})
             checked += 1
-    results = {"subsets_checked": checked, "failures": failures}
-    return _report("whitney-check", {"n": args.n}, results, not failures, t0)
+    return {"n": args.n}, {"subsets_checked": checked, "failures": failures}, not failures
 
 
-def _cmd_cohomology(args) -> int:
-    t0 = time.time()
+def _cmd_cohomology(args):
     if args.mode == "local":
         cx = build_blowup_complex(tuple(range(args.n + 1)))
         betti = betti_numbers(cx)
@@ -264,34 +207,24 @@ def _cmd_cohomology(args) -> int:
             results["faces"] = {
                 str(k): [str(F) for F in cells] for k, cells in cx.cells.items()
             }
-        return _report("cohomology-local", {"n": args.n}, results, betti == expected, t0)
+        return {"n": args.n}, results, betti == expected
     # global
     rep = global_cohomology(args.mesh, args.rule)
-    passed = rep["dd_zero"] and rep["match"]
-    return _report("cohomology-global", {"mesh": args.mesh, "rule": args.rule}, rep, passed, t0)
+    return {"mesh": args.mesh, "rule": args.rule}, rep, rep["dd_zero"] and rep["match"]
 
 
-def _cmd_higher_order(args) -> int:
-    t0 = time.time()
+def _cmd_higher_order(args):
     V = tuple(range(args.n + 1))
     cands = enumerate_experiments(V, args.r)
     checks = args.check
     results: dict = {"count": len(cands)}
     passed = True
-    rows = []
-    latex_rows = []
-    for c in cands:
-        rows.append({
-            "flag": str(c.flag),
-            "flag_compact": c.flag.compact(),
-            "sequence": c.sequence.compact(),
-            "probability": rational_fn_to_json(c.probability),
-        })
-        latex_rows.append(
-            f"${c.flag.compact()}$ & ${c.sequence.compact()}$ & "
-            f"${rational_fn_latex(c.probability)}$ \\\\"
-        )
-    results["candidates"] = rows
+    results["candidates"] = [{
+        "flag": str(c.flag),
+        "flag_compact": c.flag.compact(),
+        "sequence": c.sequence.compact(),
+        "probability": rational_fn_to_json(c.probability),
+    } for c in cands]
     if checks in ("independence", "all"):
         rank = independence_rank(cands)
         results["independence_rank"] = rank
@@ -299,7 +232,7 @@ def _cmd_higher_order(args) -> int:
     if checks in ("containment", "all"):
         try:
             results["containment"] = pr_containment(V, args.r)
-        except Exception as exc:
+        except ArithmeticError as exc:  # IdentityFailed
             results["containment"] = False
             results["containment_error"] = str(exc)
             passed = False
@@ -315,16 +248,18 @@ def _cmd_higher_order(args) -> int:
     if checks == "all":
         results["r1_reduction"] = r1_reduction_check(V)
         passed = passed and results["r1_reduction"]
-    latex = ("\\begin{tabular}{c|c|c}\nflag & sequence & probability \\\\\n\\hline\n"
-             + "\n".join(latex_rows) + "\n\\end{tabular}\n")
-    return _report("higher-order", {"n": args.n, "r": args.r, "check": checks},
-                   results, passed, t0, latex_path=args.latex, latex_text=latex)
+    if args.latex:
+        _write_latex(args.latex, "flag & sequence & probability", [
+            f"${c.flag.compact()}$ & ${c.sequence.compact()}$ & "
+            f"${rational_fn_latex(c.probability)}$ \\\\"
+            for c in cands
+        ])
+    return {"n": args.n, "r": args.r, "check": checks}, results, passed
 
 
-def _cmd_mc_verify(args) -> int:
+def _cmd_mc_verify(args):
     import numpy as np
 
-    t0 = time.time()
     budget = Budget(args.budget_seconds)
     rng = np.random.Generator(np.random.Philox(args.seed))
     pairs = []
@@ -346,12 +281,9 @@ def _cmd_mc_verify(args) -> int:
             for F in enumerate_flags(V, k):
                 pairs.append(("dof", F))
 
-    checked, escalated, failures, partial = 0, 0, [], False
+    checked, escalated, failures = 0, 0, []
     details = []
-    for kind, obj in pairs:
-        if budget.exhausted():
-            partial = True
-            break
+    for kind, obj in budget.take(pairs):
         for trial in range(args.rates):
             if kind == "dof":
                 res = _mc_dof_case(obj, args, trial)
@@ -371,17 +303,13 @@ def _cmd_mc_verify(args) -> int:
         "cases": checked,
         "escalated": escalated,
         "failures": failures,
-        "partial": partial,
+        "partial": budget.partial,
     }
     if args.verbose_cases:
         results["details"] = details
-    passed = not failures and within_escalation_budget(escalated, checked)
-    return _report(
-        "mc-verify",
-        {"target": args.target, "n": args.n, "r": args.r,
-         "samples": args.samples, "seed": args.seed, "rates": args.rates},
-        results, passed, t0,
-    )
+    inputs = {"target": args.target, "n": args.n, "r": args.r,
+              "samples": args.samples, "seed": args.seed, "rates": args.rates}
+    return inputs, results, not failures and within_escalation_budget(escalated, checked)
 
 
 def _mc_prob_case(kind: str, obj, rates: dict[int, Fraction], args, trial: int) -> dict:
@@ -425,10 +353,8 @@ def _mc_dof_case(flag: Flag, args, trial: int) -> dict:
     }
 
 
-def _cmd_emit_samples(args) -> int:
-    t0 = time.time()
-    written = write_samples(args.outdir)
-    return _report("emit-samples", {"outdir": args.outdir}, {"files": written}, True, t0)
+def _cmd_emit_samples(args):
+    return {"outdir": args.outdir}, {"files": write_samples(args.outdir)}, True
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the smallest accepted value of each numeric option
-_LOWEST = {"n": 0, "k": 0, "r": 1, "samples": 1, "rates": 1, "eval_grid": 0}
+_LOWEST = {"n": 0, "k": 0, "r": 1, "samples": 1, "rates": 1, "eval_grid": 0, "seed": 0}
 
 
 def _out_of_range(args) -> str | None:
@@ -539,12 +465,34 @@ def run(argv) -> int:
             parser.error(problem)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    t0 = time.time()
     try:
-        return args.fn(args)
-    except (MeshError, OSError) as exc:  # unreadable or invalid input: a usage error
-        return _error_report(args, exc, 2)
+        inputs, results, passed = args.fn(args)
     except Exception as exc:
-        return _error_report(args, exc, 1)
+        # unreadable or invalid input is a usage error; anything else is a bug
+        command = args.cmd
+        inputs = {k: v for k, v in vars(args).items() if k not in ("cmd", "fn")}
+        outcome = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = 2 if isinstance(exc, (MeshError, OSError)) else 1
+        status = f"error: {type(exc).__name__}: {exc}"
+    else:
+        command = f"cohomology-{args.mode}" if args.cmd == "cohomology" else args.cmd
+        outcome = {"results": results}
+        code = 0 if passed else 1
+        status = "pass" if passed else "FAIL"
+    report = {
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": command,
+        "inputs": inputs,
+        **outcome,
+        "pass": code == 0,
+        "timing_ms": int(1000 * (time.time() - t0)),
+    }
+    json.dump(report, sys.stdout, indent=1, default=str)
+    sys.stdout.write("\n")
+    print(f"[{command}] {status} ({report['timing_ms']} ms)", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -11,10 +11,9 @@ eliminated, and Theta_F is oriented as the product in block order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .flagcomb import Flag, enumerate_flags, perm_sign, vertex_set
+from .flagcomb import Flag, perm_sign, vertex_set
 from .symexpr import Poly, RationalFn, RationalForm, flag_limit
 
 
@@ -162,37 +161,6 @@ def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class DofMatrix:
-    """Pairing matrix: rows are functionals, columns are basis forms."""
-
-    row_flags: tuple[Flag, ...]
-    col_flags: tuple[Flag, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def is_identity(self) -> bool:
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if x != (1 if i == j else 0):
-                    return False
-        return True
-
-
-def gram_matrix(V, k: int, check: bool = True) -> DofMatrix:
-    """Evaluate every DOF against every basis form for fixed (V, k).
-
-    Unisolvence makes this the identity; by default a failure raises
-    UnisolvenceError since it signals an implementation bug.
-    """
-    from .shadow import shadow_basis  # deferred import; shadow uses dof_evaluate
-
-    flags = enumerate_flags(V, k)
-    basis = shadow_basis(V, k)
-    entries = tuple(
-        tuple(dof_evaluate(F_row, elem.form) for elem in basis) for F_row in flags
-    )
-    m = DofMatrix(tuple(flags), tuple(flags), entries)
-    if check and not m.is_identity:
-        raise UnisolvenceError(f"DOF pairing for |V|={len(vertex_set(V))}, k={k} is not the identity")
-    return m
+def is_identity(rows) -> bool:
+    """Whether row i of a DOF/basis pairing is the i-th unit vector, for every row given."""
+    return all(x == (1 if i == j else 0) for i, row in enumerate(rows) for j, x in enumerate(row))

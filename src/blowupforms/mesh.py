@@ -353,19 +353,12 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
             for other in members[1:]:
                 rows.append({members[0]: Fraction(1), other: Fraction(-1)})
 
-    deduped = []
-    seen = set()
-    for row in rows:
-        sig = tuple(sorted(row.items()))
-        if sig not in seen:
-            seen.add(sig)
-            deduped.append(row)
     return GlobalSpace(
         triangulation=tri,
         k=k,
         rule=rule,
         dofs=dofs,
-        constraints=deduped,
+        constraints=rows,
         skipped_boundary_faces=skipped,
     )
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 
+from .dof import UnisolvenceError, dof_evaluate, is_identity
 from .flagcomb import Flag, enumerate_arrival_sequences, enumerate_flags, vertex_set
 from .symexpr import (
     Poly,
@@ -103,6 +105,21 @@ def shadow_basis(V, k: int) -> list[ShadowBasisElement]:
     return [basis_element(F) for F in enumerate_flags(V, k)]
 
 
+def gram_matrix(V, k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Evaluate every DOF (rows) against every basis form (columns) for fixed (V, k).
+
+    Unisolvence makes this the identity; a failure raises UnisolvenceError
+    since it signals an implementation bug.
+    """
+    basis = shadow_basis(V, k)
+    rows = tuple(
+        tuple(dof_evaluate(F_row, elem.form) for elem in basis) for F_row in enumerate_flags(V, k)
+    )
+    if not is_identity(rows):
+        raise UnisolvenceError(f"DOF pairing for |V|={len(vertex_set(V))}, k={k} is not the identity")
+    return rows
+
+
 def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:
     """Write d(psi_F) as a signed sum of psi over one-merge coarsenings.
 
@@ -110,8 +127,6 @@ def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:
     then the full identity is verified symbolically on the simplex; each
     coefficient must be +1 or -1.  Top-degree flags return the empty list.
     """
-    from .dof import dof_evaluate  # deferred: dof depends on this module's basis
-
     V = flag.vertices
     if flag.k == flag.n:
         return []

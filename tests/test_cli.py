@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -223,6 +224,7 @@ def test_mesh_dimension_out_of_range_is_usage_error(tmp_path, capsys, doc, limit
     ["dof-matrix", "--n", "2", "--k", "-1"],
     ["cohomology", "local", "--n", "6"],
     ["cohomology", "local", "--n", "-1"],
+    ["mc-verify", "--target", "pF", "--n", "1", "--seed", "-1"],
 ])
 def test_out_of_range_number_is_usage_error(capsys, argv):
     assert run(argv) == 2
@@ -249,6 +251,45 @@ def test_internal_error_exits_1_with_report(monkeypatch, capsys):
     code, report = _error_exit(capsys, ["basis", "--n", "1"])
     assert code == 1
     assert report["error"] == {"type": "ZeroDivisionError", "message": "bug"}
+
+
+@pytest.mark.parametrize("target, exc, argv", [
+    ("d_decomposition", TypeError("bug"), ["d-check", "--n", "1"]),
+    ("whitney_containment", KeyError("bug"), ["whitney-check", "--n", "1"]),
+    ("pr_containment", KeyError("bug"),
+     ["higher-order", "--n", "1", "--r", "2", "--check", "containment"]),
+], ids=["d_decomposition", "whitney_containment", "pr_containment"])
+def test_kernel_bug_is_an_internal_error_not_a_check_failure(monkeypatch, capsys, target, exc,
+                                                             argv):
+    # only an ArithmeticError from the exact core counts as a failed check
+    import blowupforms.cli as cli
+
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, target, broken)
+    code, report = _error_exit(capsys, argv)
+    assert code == 1
+    assert report["error"]["type"] == type(exc).__name__
+    assert "results" not in report
+
+
+def test_decomposition_failure_is_a_check_failure(monkeypatch, capsys):
+    import blowupforms.cli as cli
+    from blowupforms.shadow import DecompositionFailed
+
+    def failed(F):
+        raise DecompositionFailed(f"coefficient 2 for {F}")
+
+    monkeypatch.setattr(cli, "d_decomposition", failed)
+    code, report = run_json(capsys, ["d-check", "--n", "1"])
+    assert code == 1
+    assert "error" not in report
+    assert report["results"]["failures"] == [
+        {"flag": "0|1", "reason": "coefficient 2 for 0|1"},
+        {"flag": "1|0", "reason": "coefficient 2 for 1|0"},
+        {"flag": "0,1", "reason": "coefficient 2 for 0,1"},
+    ]
 
 
 def test_budget_reports_partial(capsys):
@@ -291,3 +332,18 @@ def test_reports_deterministic(capsys):
     _, b = run_json(capsys, ["basis", "--n", "2"])
     a.pop("timing_ms"), b.pop("timing_ms")
     assert a == b
+
+
+REPORT_DIGESTS = json.loads((Path(__file__).parent / "report_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_report_matches_recorded_digest(monkeypatch, tmp_path, capsys, command):
+    # sha256 of the canonical JSON of the whole report except timing_ms;
+    # the recorded digests pin the reports byte for byte across refactors
+    monkeypatch.chdir(tmp_path)  # so that a relative mesh path is missing
+    code, report = run_json(capsys, command.split())
+    report.pop("timing_ms", None)
+    canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert {"exit": code, "sha256": hashlib.sha256(canonical.encode()).hexdigest()} \
+        == REPORT_DIGESTS[command]
