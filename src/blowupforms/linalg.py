@@ -1,36 +1,54 @@
-"""Exact linear algebra over Fraction on sparse rows.
+"""Exact linear algebra on sparse rows of ints and Fractions.
 
 A matrix is a list of rows.  A row is a mapping ``{column: value}`` holding
 its nonzero entries; a dense list or tuple is read as ``enumerate(row)``.
 Column keys only need to be mutually sortable, so flag indices and
-monomials both serve.  No function here mutates its input.
+monomials both serve.  ``rank`` eliminates in integers.  No function here
+mutates its input.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 
 def _entries(row):
     return row.items() if hasattr(row, "items") else enumerate(row)
 
 
+def _primitive(row) -> dict:
+    """The nonzero entries of ``row`` scaled to coprime integers."""
+    m = lcm(*(x.denominator for _, x in _entries(row)))
+    r = {c: x.numerator * (m // x.denominator) for c, x in _entries(row) if x}
+    g = gcd(*r.values()) or 1
+    return {c: x // g for c, x in r.items()}
+
+
 def rank(matrix) -> int:
-    """Rank by elimination of each row against the pivot rows kept so far."""
-    # pivot column -> row scaled to 1 there, with no entry in a smaller column
+    """Rank by fraction-free elimination of each row against the pivot rows kept so far.
+
+    Each row is cleared once to coprime integers.  A row r is eliminated
+    against the pivot p at their leading column c as (p[c]/g) r - (r[c]/g) p
+    with g = gcd(p[c], r[c]).  Pivots are kept primitive, which bounds the
+    entry growth as in Bareiss's integer-preserving elimination (Math. Comp.
+    22, 1968).
+    """
+    # pivot column -> primitive row with no entry in a smaller column
     pivots: dict = {}
     for row in matrix:
-        r = {c: Fraction(x) for c, x in _entries(row) if x}
+        r = _primitive(row)
         while r:
             c = min(r)
             p = pivots.get(c)
             if p is None:
-                pv = r[c]
-                pivots[c] = {col: x / pv for col, x in r.items()}
+                pivots[c] = _primitive(r)
                 break
-            f = r[c]
+            g = gcd(p[c], r[c])
+            a, b = p[c] // g, r[c] // g
+            if a != 1:
+                r = {col: a * x for col, x in r.items()}
             for col, x in p.items():
-                y = r.get(col, 0) - f * x
+                y = r.get(col, 0) - b * x
                 if y:
                     r[col] = y
                 else:

@@ -3,7 +3,8 @@
 A triangulation is combinatorial only (no coordinates): cells are ascending
 vertex tuples and every face of every cell carries the ascending orientation.
 Per-cell orientation signs relative to ascending order either come from the
-mesh document or are solved by propagation across interior facets.
+mesh document or are solved by propagation across interior facets; the
+propagation always decides whether the mesh is orientable.
 
 Local degrees of freedom are indexed by (cell, flag); gluing rules impose
 exact linear constraints on them.  The general continuity rule follows the
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -108,19 +108,14 @@ class Triangulation:
         self.manifold = manifold
         self.vertices = sorted({v for c in self.cells for v in c})
 
-        self.faces: dict[int, list[tuple[int, ...]]] = {}
+        # each face's cofaces in ascending cell order
         self.cofaces: dict[tuple[int, ...], list[int]] = {}
-        for d in range(self.dimension + 1):
-            fs = set()
-            for ci, c in enumerate(self.cells):
-                for f in combinations(c, d + 1):
-                    fs.add(f)
-                    self.cofaces.setdefault(f, [])
-            self.faces[d] = sorted(fs)
         for ci, c in enumerate(self.cells):
             for d in range(self.dimension + 1):
                 for f in combinations(c, d + 1):
-                    self.cofaces[f].append(ci)
+                    self.cofaces.setdefault(f, []).append(ci)
+        self.faces: dict[int, list[tuple[int, ...]]] = {
+            d: sorted(f for f in self.cofaces if len(f) == d + 1) for d in range(dimension + 1)}
 
         facets = self.faces[self.dimension - 1]
         over = [f for f in facets if len(self.cofaces[f]) > 2]
@@ -134,22 +129,19 @@ class Triangulation:
         if manifold != "none" and self.dimension == 2:
             self._check_vertex_links()
 
-        if orientation is not None:
-            if (not isinstance(orientation, (list, tuple)) or len(orientation) != len(self.cells)
-                    or not all(type(s) is int and s in (1, -1) for s in orientation)):
-                raise MeshError("orientation must list +-1 per cell")
-            self.orientation = list(orientation)
-            self.orientable = True
-        else:
-            self.orientation, self.orientable = self._solve_orientation()
+        if orientation is not None and (
+                not isinstance(orientation, (list, tuple)) or len(orientation) != len(self.cells)
+                or not all(type(s) is int and s in (1, -1) for s in orientation)):
+            raise MeshError("orientation must list +-1 per cell")
+        # supplied signs only orient the cells; orientability is read off the mesh
+        orient, self.orientable = self._solve_orientation()
+        self.orientation = orient if orientation is None else list(orientation)
 
     # -- structure ------------------------------------------------------------
 
     def _check_vertex_links(self):
         for v in self.vertices:
-            stars = [ci for ci, c in enumerate(self.cells) if v in c]
-            if not stars:
-                continue
+            stars = self.cofaces[(v,)]
             parent = {ci: ci for ci in stars}
             for f, cis in self.cofaces.items():
                 if len(f) == 2 and v in f:
@@ -182,9 +174,7 @@ class Triangulation:
                             queue.append(cj)
                         elif orient[cj] != want:
                             orientable = False
-        if not orientable:
-            orient = [1] * len(self.cells)
-        return orient, orientable
+        return (orient if orientable else [1] * len(self.cells)), orientable
 
     def is_boundary_face(self, face: tuple[int, ...]) -> bool:
         fs = set(face)
@@ -259,14 +249,14 @@ class GlobalSpace:
     k: int
     rule: GluingRule
     dofs: list[tuple[int, Flag]]
-    constraints: list[dict[int, Fraction]]
+    constraints: list[dict[int, int]]
     skipped_boundary_faces: int
 
     @property
     def dim(self) -> int:
         return len(self.dofs) - len(self.constraints)
 
-    def basis(self) -> list[dict[int, Fraction]]:
+    def basis(self) -> list[dict[int, int]]:
         """Deterministic kernel basis: one vector per free DOF.
 
         Constraint rows under the general rule touch disjoint DOF sets, so
@@ -281,11 +271,12 @@ class GlobalSpace:
             for idx in range(len(self.dofs)):
                 if idx in pivot_of:
                     continue
-                vec = {idx: Fraction(1)}
+                vec = {idx: 1}
                 row = row_of.get(idx)
                 if row is not None:
                     base = min(row)
-                    vec[base] = -row[idx] / row[base]
+                    # every entry is +-1, so dividing by row[base] is multiplying
+                    vec[base] = -row[idx] * row[base]
                 basis.append(vec)
             return basis
         # identification variants: constraints are stars over classes
@@ -298,7 +289,7 @@ class GlobalSpace:
         for idx in range(len(self.dofs)):
             classes.setdefault(_find(parent, idx), []).append(idx)
         return [
-            {idx: Fraction(1) for idx in members}
+            {idx: 1 for idx in members}
             for _, members in sorted(classes.items())
         ]
 
@@ -312,7 +303,7 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
         raise MeshError(f"k={k} out of range for dimension {n}")
     dofs = global_flags(tri, k)
     index = {df: i for i, df in enumerate(dofs)}
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     skipped = 0
 
     if rule.is_general:
@@ -324,13 +315,13 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
                         skipped += 1
                         continue
                     for F in enumerate_flags(K, (d + 1) - blocks_needed):
-                        row: dict[int, Fraction] = {}
+                        row: dict[int, int] = {}
                         for ci in tri.cofaces[K]:
                             cell = tri.cells[ci]
                             tail = _opposite(K, cell)
                             FT = Flag(F.blocks + (tail,))
                             sign = tri.orientation[ci] * perm_sign(K + tail)
-                            row[index[(ci, FT)]] = Fraction(sign)
+                            row[index[(ci, FT)]] = sign
                         rows.append(row)
     else:
         if n != 2 or k != 0:
@@ -351,7 +342,7 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
         for key in sorted(classes, key=repr):
             members = classes[key]
             for other in members[1:]:
-                rows.append({members[0]: Fraction(1), other: Fraction(-1)})
+                rows.append({members[0]: 1, other: -1})
 
     return GlobalSpace(
         triangulation=tri,
@@ -392,45 +383,34 @@ def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
         rule = GluingRule(rule)
     n = tri.dimension
     simplicial = simplicial_cohomology(tri)
+    # the named 2D scalar variants assemble degree 0 only
+    spaces = [assemble(tri, k, rule) for k in (range(n + 1) if rule.is_general else [0])]
     report: dict = {
-        "dims": [],
-        "betti_blowup": [],
+        "dims": [sp.dim for sp in spaces],
+        "betti_blowup": [],  # filled below; set here for the report's key order
         "betti_simplicial": list(simplicial),
         "rule": rule.variant,
         "orientable": tri.orientable,
         "nonmanifold": tri.nonmanifold,
-        "skipped_boundary_faces": 0,
+        "skipped_boundary_faces": spaces[0].skipped_boundary_faces,
         "dd_zero": True,
     }
-
-    if rule.is_general:
-        spaces = [assemble(tri, k, rule) for k in range(n + 1)]
-        bases = [sp.basis() for sp in spaces]
-        report["dims"] = [sp.dim for sp in spaces]
-        report["skipped_boundary_faces"] = spaces[0].skipped_boundary_faces
-        ranks = []
-        for k in range(n):
-            D = _global_coboundary(tri, k)
-            images = [linalg.combine(D, b) for b in bases[k]]
-            # the image must satisfy the degree-(k+1) constraints exactly
-            if any(linalg.apply(spaces[k + 1].constraints, img) for img in images):
-                report["dd_zero"] = False
-            ranks.append(linalg.rank(images))
-        betti = linalg.betti(report["dims"], ranks)
-        report["betti_blowup"] = betti
-        report["match"] = betti == list(simplicial)
-        return report
-
-    # named 2D scalar variants: scalar dimension and H^0 only
-    sp0 = assemble(tri, 0, rule)
-    D0 = _global_coboundary(tri, 0)
-    images = [linalg.combine(D0, b) for b in sp0.basis()]
-    report["dims"] = [sp0.dim]
-    report["betti_blowup"] = linalg.betti(report["dims"], [linalg.rank(images)])
-    # cells share no DOF under cell-discontinuous, so each keeps its own constant
-    h0 = len(tri.cells) if rule.variant == "cell-discontinuous" else simplicial[0]
-    report["match"] = report["betti_blowup"][0] == h0
-    report["degrees"] = [0]
+    ranks = []
+    for k, sp in enumerate(spaces[:n]):
+        D = _global_coboundary(tri, k)
+        images = [linalg.combine(D, b) for b in sp.basis()]
+        # the image must satisfy the degree-(k+1) constraints exactly
+        if k + 1 < len(spaces) and any(linalg.apply(spaces[k + 1].constraints, img)
+                                       for img in images):
+            report["dd_zero"] = False
+        ranks.append(linalg.rank(images))
+    report["betti_blowup"] = linalg.betti(report["dims"], ranks)
+    want = list(simplicial)
+    if rule.variant == "cell-discontinuous":
+        want[0] = len(tri.cells)  # cells share no DOF, so each keeps its own constant
+    report["match"] = report["betti_blowup"] == want[:len(spaces)]
+    if not rule.is_general:
+        report["degrees"] = [0]
     return report
 
 

@@ -57,6 +57,38 @@ def test_rank_matches_sympy(m):
     assert _rank_unchanged(tuple_rows) == want
 
 
+@st.composite
+def large_matrices(draw):
+    """Entries up to 10**12, some rows entrywise Fractions with mixed denominators,
+    plus rows scaled by large rationals and large combinations of earlier rows."""
+    ncols = draw(st.integers(1, 6))
+    big = st.integers(-10**12, 10**12)
+    entry = st.one_of(big, st.builds(Fraction, big, st.integers(1, 10**6)))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(big, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            scale = Fraction(draw(big.filter(bool)), draw(st.integers(1, 10**12)))
+            rows.append([scale * x for x in draw(st.sampled_from(rows))])
+    order = draw(st.permutations(range(len(rows))))
+    return ncols, [rows[i] for i in order]
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=150, deadline=None)
+@given(large_matrices())
+def test_rank_matches_sympy_on_large_entries(m):
+    ncols, dense = m
+    exact = [sympy.Rational(x.numerator, x.denominator) for row in dense for x in row]
+    want = sympy.Matrix(len(dense), ncols, exact).rank()
+    assert _rank_unchanged(dense) == want
+    assert _rank_unchanged(_as_dicts(dense)) == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(matrices(), st.data())
 def test_apply_matches_dense_product(m, data):

@@ -4,6 +4,7 @@ import pytest
 
 from blowupforms.flagcomb import Flag
 from blowupforms.mesh import (
+    GLUING_VARIANTS,
     GluingRule,
     MeshError,
     SAMPLE_MESHES,
@@ -40,6 +41,15 @@ def test_torus_is_closed_with_zero_euler_characteristic():
     assert len(tri.vertices) - len(tri.faces[1]) + len(tri.cells) == 0
     assert not tri.boundary_facets
     assert tri.orientable
+
+
+def test_supplied_orientation_does_not_make_mobius_strip_orientable():
+    strip = {"dimension": 2, "cells": [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]]}
+    assert load_mesh(strip).orientable is False
+    signed = load_mesh({**strip, "orientation": [1, -1, 1, -1, 1]})
+    assert signed.orientable is False
+    assert signed.orientation == [1, -1, 1, -1, 1]
+    assert global_cohomology({**strip, "orientation": [1] * 5}, "general")["orientable"] is False
 
 
 def test_duplicate_cells_rejected():
@@ -148,13 +158,24 @@ def test_sum_zero_count_around_interior_vertex():
 
 
 def test_basis_annihilates_constraints():
-    pair = load_mesh("triangle-pair")
-    for rule in ("edge-identified", "general-continuity"):
-        sp = assemble(pair, 0, rule)
-        for vec in sp.basis():
+    # every assembled space: each bundled mesh, each degree, each rule that
+    # applies (the named variants take 2D scalars only); entries stay int
+    spaces = []
+    for name in SAMPLE_MESHES:
+        tri = load_mesh(name)
+        for k in range(tri.dimension + 1):
+            spaces.append(assemble(tri, k, "general-continuity"))
+            if tri.dimension == 2 and k == 0:
+                spaces += [assemble(tri, k, v) for v in GLUING_VARIANTS
+                           if not GluingRule(v).is_general]
+    assert len(spaces) == 45
+    for sp in spaces:
+        basis = sp.basis()
+        for vec in basis:
             for row in sp.constraints:
                 assert sum(c * vec.get(i, 0) for i, c in row.items()) == 0
-        assert len(sp.basis()) == sp.dim
+        assert len(basis) == sp.dim
+        assert all(type(x) is int for v in sp.constraints + basis for x in v.values())
 
 
 # -- cohomology -------------------------------------------------------------------------
