@@ -108,12 +108,14 @@ class Flag:
                 i += 1
         return i == len(self.blocks)
 
-    def permuted(self, perm: dict[int, int]) -> "Flag":
-        """Relabel every vertex through a bijection of the vertex set."""
-        vs = self.vertices
-        if sorted(perm) != list(vs) or sorted(perm.values()) != list(vs):
-            raise ValueError("perm must be a bijection of the flag's vertex set")
-        return Flag(tuple(tuple(sorted(perm[v] for v in b)) for b in self.blocks))
+    def relabel(self, mapping) -> "Flag":
+        """The flag with each vertex v replaced by ``mapping[v]``, blocks re-sorted.
+
+        ``mapping`` is a dict or a sequence indexed by vertex id, injective on
+        the vertex set: a permutation, or a cell's vertex tuple carrying the
+        flags of {0..n} onto that cell.  A non-injective map raises ValueError.
+        """
+        return Flag(tuple(tuple(mapping[v] for v in b) for b in self.blocks))
 
     # -- text forms ---------------------------------------------------------
 

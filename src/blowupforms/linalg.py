@@ -1,10 +1,11 @@
 """Exact linear algebra on sparse rows of ints and Fractions.
 
-A matrix is a list of rows.  A row is a mapping ``{column: value}`` holding
-its nonzero entries; a dense list or tuple is read as ``enumerate(row)``.
-Column keys only need to be mutually sortable, so flag indices and
-monomials both serve.  ``rank`` eliminates in integers.  No function here
-mutates its input.
+A matrix is a list of rows.  A row is a dict ``{column: value}`` holding
+its nonzero entries (a stored zero is ignored).  Column keys only need to
+be mutually sortable, so flag indices and monomials both serve.  The one
+product, ``combine``, reads a matrix held as columns, so it touches only the
+columns its vector touches.  ``rank`` eliminates in integers.  No function
+here mutates its input.
 """
 
 from __future__ import annotations
@@ -12,14 +13,10 @@ from __future__ import annotations
 from math import gcd, lcm
 
 
-def _entries(row):
-    return row.items() if hasattr(row, "items") else enumerate(row)
-
-
 def _primitive(row) -> dict:
     """The nonzero entries of ``row`` scaled to coprime integers."""
-    m = lcm(*(x.denominator for _, x in _entries(row)))
-    r = {c: x.numerator * (m // x.denominator) for c, x in _entries(row) if x}
+    m = lcm(*(x.denominator for x in row.values()))
+    r = {c: x.numerator * (m // x.denominator) for c, x in row.items() if x}
     g = gcd(*r.values()) or 1
     return {c: x // g for c, x in r.items()}
 
@@ -56,23 +53,13 @@ def rank(matrix) -> int:
     return len(pivots)
 
 
-def apply(rows, vec) -> dict:
-    """The product of ``rows`` with the sparse vector ``vec``, as {row index: value}."""
-    out = {}
-    for i, row in enumerate(rows):
-        s = sum(x * vec[c] for c, x in _entries(row) if c in vec)
-        if s:
-            out[i] = s
-    return out
-
-
 def combine(columns, vec) -> dict:
     """The product of the matrix held as ``columns`` with ``vec``, as {row: value}:
     the sum of ``vec[c] * columns[c]``, reading only the columns ``vec`` touches."""
     out: dict = {}
-    for c, x in _entries(vec):
+    for c, x in vec.items():
         if x:
-            for r, y in _entries(columns[c]):
+            for r, y in columns[c].items():
                 out[r] = out.get(r, 0) + x * y
     return {r: s for r, s in out.items() if s}
 

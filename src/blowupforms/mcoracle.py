@@ -27,6 +27,10 @@ from .shadow import flag_omega
 from .symexpr import RationalFn, RationalForm
 
 RNG_ALGORITHM = "numpy.random.Philox"
+# the two ladder parameters of a face integral, and the relative tolerance
+# within which their estimates must agree (beyond sampling noise)
+FACE_EPS = (1e-3, 1e-4)
+FACE_RTOL = 1e-2
 
 
 class ExtrapolationUnstable(ArithmeticError):
@@ -147,21 +151,15 @@ def _form_values(form: RationalForm, point: dict[int, np.ndarray], vectors) -> n
     return total
 
 
-def estimate_face_integral(
-    flag: Flag,
-    form: RationalForm,
-    cfg: SimulationConfig,
-    eps_pair: tuple[float, float] = (1e-3, 1e-4),
-    rtol: float = 1e-2,
-) -> Estimate:
+def estimate_face_integral(flag: Flag, form: RationalForm, cfg: SimulationConfig) -> Estimate:
     """Monte Carlo value of the degree of freedom attached to ``flag``.
 
     Samples Theta_F uniformly (per-block Dirichlet), embeds each sample at a
     point of T whose block radii follow the ladder rho_j ~ eps^j (a path
     realizing the sequential limits), evaluates the form on a tangential
-    frame, and divides by the reference volume form.  Two epsilon values are
-    compared; relative disagreement beyond ``rtol`` (plus sampling noise)
-    raises ExtrapolationUnstable.
+    frame, and divides by the reference volume form.  The two values of
+    ``FACE_EPS`` are compared; relative disagreement beyond ``FACE_RTOL``
+    (plus sampling noise) raises ExtrapolationUnstable.
     """
     if form.degree != flag.k:
         raise ValueError("form degree must match the flag")
@@ -176,7 +174,7 @@ def estimate_face_integral(
 
     per_eps = []
     means = []
-    for eps in eps_pair:
+    for eps in FACE_EPS:
         radii = [eps ** j for j in range(len(flag.blocks))]
         total_r = sum(radii)
         point = {
@@ -200,12 +198,12 @@ def estimate_face_integral(
     spread = abs(means[0] - means[1])
     scale = max(1.0, abs(means[0]), abs(means[1]))
     errs = [float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0 for v in per_eps]
-    if spread > rtol * scale + 3.0 * (errs[0] + errs[1]):
+    if spread > FACE_RTOL * scale + 3.0 * (errs[0] + errs[1]):
         raise ExtrapolationUnstable(
             f"estimates {means[0]:.6g} and {means[1]:.6g} disagree beyond tolerance"
         )
     # first-order Richardson in eps, applied per sample for an honest stderr
-    e1, e2 = eps_pair
+    e1, e2 = FACE_EPS
     vals = (e1 * per_eps[1] - e2 * per_eps[0]) / (e1 - e2)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0

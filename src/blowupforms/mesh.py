@@ -6,13 +6,20 @@ Per-cell orientation signs relative to ascending order either come from the
 mesh document or are solved by propagation across interior facets; the
 propagation always decides whether the mesh is orientable.
 
-Local degrees of freedom are indexed by (cell, flag); gluing rules impose
-exact linear constraints on them.  The general continuity rule follows the
-face-by-face prescription: for every interior face K and every flag F on
-V_K with one block fewer than usual, the orientation-signed sum over
-incident cells of the DOF of F extended by the opposite vertices must
-vanish.  For codimension one this reduces to identification across the two
-neighbors; boundary faces are skipped and reported.
+The DOFs of a cell are the k-flags of {0..n}, in canonical order, relabelled
+onto the ascending cell: the DOF of cell ci and canonical flag j has index
+ci * f_k + j (f_k flags per cell), and the coboundary is the local one
+shifted by that arithmetic.  Gluing rules impose exact linear constraints on
+the DOFs.  The general continuity rule follows the face-by-face
+prescription: for every interior face K and every flag F on V_K with one
+block fewer than usual, the orientation-signed sum over incident cells of
+the DOF of F extended by the opposite vertices must vanish.  Those are the
+DOFs whose flag minus its last block (its head) is F, so grouping the DOFs
+by head gives the rows; boundary faces are skipped and reported.  For
+codimension one this is identification across the two neighbors.  Every
+row, under every rule, is solved for its pivot, its largest DOF index, which
+no other row touches: general rows touch disjoint DOF sets, and the 2D
+scalar variants impose stars {first: 1, other: -1}.
 """
 
 from __future__ import annotations
@@ -120,6 +127,8 @@ class Triangulation:
         facets = self.faces[self.dimension - 1]
         over = [f for f in facets if len(self.cofaces[f]) > 2]
         self.boundary_facets = {f for f in facets if len(self.cofaces[f]) == 1}
+        self._boundary_faces = {f for bf in self.boundary_facets
+                                for d in range(len(bf) + 1) for f in combinations(bf, d)}
         if over and manifold != "none":
             raise MeshError(f"facet {over[0]} borders {len(self.cofaces[over[0]])} cells; "
                             "pass manifold='none' to accept non-manifold input")
@@ -177,8 +186,8 @@ class Triangulation:
         return (orient if orientable else [1] * len(self.cells)), orientable
 
     def is_boundary_face(self, face: tuple[int, ...]) -> bool:
-        fs = set(face)
-        return any(fs <= set(bf) for bf in self.boundary_facets)
+        """True iff ``face`` lies in some boundary facet."""
+        return tuple(sorted(face)) in self._boundary_faces
 
     def __repr__(self):
         return (f"Triangulation(dim={self.dimension}, cells={len(self.cells)}, "
@@ -217,15 +226,13 @@ def load_mesh(source) -> Triangulation:
 
 
 def global_flags(tri: Triangulation, k: int) -> list[tuple[int, Flag]]:
-    """Per-cell flags with global vertex ids: the pre-gluing DOF index."""
-    out = []
-    for ci, cell in enumerate(tri.cells):
-        for F in enumerate_flags(cell, k):
-            out.append((ci, F))
-    return out
+    """Per-cell flags with global vertex ids: entry ci * f_k + j is canonical flag j
+    relabelled onto cell ci, an increasing map, so each cell's flags stay in order."""
+    local = enumerate_flags(range(tri.dimension + 1), k)
+    return [(ci, F.relabel(cell)) for ci, cell in enumerate(tri.cells) for F in local]
 
 
-# -- local complex, built once per dimension and transferred -----------------
+# -- local complex, built once per dimension ----------------------------------
 
 @lru_cache(maxsize=None)
 def _local_complex(n: int) -> BlowupComplex:
@@ -233,10 +240,6 @@ def _local_complex(n: int) -> BlowupComplex:
     # the module-level name is looked up per call, so a rebinding of
     # build_blowup_complex (a tracer, a test spy) is honoured
     return build_blowup_complex(tuple(range(n + 1)))
-
-
-def _transfer_flag(F: Flag, cell: tuple[int, ...]) -> Flag:
-    return Flag(tuple(tuple(cell[v] for v in b) for b in F.blocks))
 
 
 # -- assembly -----------------------------------------------------------------
@@ -257,41 +260,30 @@ class GlobalSpace:
         return len(self.dofs) - len(self.constraints)
 
     def basis(self) -> list[dict[int, int]]:
-        """Deterministic kernel basis: one vector per free DOF.
+        """Deterministic kernel basis: one vector per free DOF, in index order.
 
-        Constraint rows under the general rule touch disjoint DOF sets, so
-        each row is solved for its base-element DOF (the incident cell with
-        the smallest vertex tuple); variant rules use class indicators.
+        Each row is solved for its pivot p, its largest DOF index, which no
+        other row touches.  The vector of a free DOF is 1 there and sets the
+        pivot of every row it meets to -row[idx] * row[p] (every entry is
+        +-1, so dividing by row[p] is multiplying).
         """
-        if self.rule.is_general:
-            # cells are sorted, so min dof index = smallest cell tuple
-            pivot_of = {min(row) for row in self.constraints}
-            row_of = {idx: row for row in self.constraints for idx in row}
-            basis = []
-            for idx in range(len(self.dofs)):
-                if idx in pivot_of:
-                    continue
-                vec = {idx: 1}
-                row = row_of.get(idx)
-                if row is not None:
-                    base = min(row)
-                    # every entry is +-1, so dividing by row[base] is multiplying
-                    vec[base] = -row[idx] * row[base]
-                basis.append(vec)
-            return basis
-        # identification variants: constraints are stars over classes
-        parent = list(range(len(self.dofs)))
+        pivots = set()
+        meets: dict[int, list[tuple[dict[int, int], int]]] = {}
         for row in self.constraints:
-            idxs = sorted(row)
-            for other in idxs[1:]:
-                parent[_find(parent, other)] = _find(parent, idxs[0])
-        classes: dict[int, list[int]] = {}
+            p = max(row)
+            pivots.add(p)
+            for idx in row:
+                if idx != p:
+                    meets.setdefault(idx, []).append((row, p))
+        basis = []
         for idx in range(len(self.dofs)):
-            classes.setdefault(_find(parent, idx), []).append(idx)
-        return [
-            {idx: 1 for idx in members}
-            for _, members in sorted(classes.items())
-        ]
+            if idx in pivots:
+                continue
+            vec = {idx: 1}
+            for row, p in meets.get(idx, ()):
+                vec[p] = -row[idx] * row[p]
+            basis.append(vec)
+        return basis
 
 
 def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
@@ -302,27 +294,24 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
     if not 0 <= k <= n:
         raise MeshError(f"k={k} out of range for dimension {n}")
     dofs = global_flags(tri, k)
-    index = {df: i for i, df in enumerate(dofs)}
     rows: list[dict[int, int]] = []
     skipped = 0
 
     if rule.is_general:
-        blocks_needed = n - k
-        if blocks_needed >= 1:
-            for d in range(blocks_needed - 1, n):
-                for K in tri.faces[d]:
-                    if tri.is_boundary_face(K):
-                        skipped += 1
-                        continue
-                    for F in enumerate_flags(K, (d + 1) - blocks_needed):
-                        row: dict[int, int] = {}
-                        for ci in tri.cofaces[K]:
-                            cell = tri.cells[ci]
-                            tail = _opposite(K, cell)
-                            FT = Flag(F.blocks + (tail,))
-                            sign = tri.orientation[ci] * perm_sign(K + tail)
-                            row[index[(ci, FT)]] = sign
-                        rows.append(row)
+        # k = n flags have one block, an empty head: no face to glue across
+        if k < n:
+            groups: dict[tuple, dict[int, int]] = {}
+            boundary = set()
+            for i, (ci, F) in enumerate(dofs):
+                tail = F.blocks[-1]
+                K = _opposite(tail, tri.cells[ci])
+                if tri.is_boundary_face(K):
+                    boundary.add(K)
+                    continue
+                groups.setdefault(F.blocks[:-1], {})[i] = (
+                    tri.orientation[ci] * perm_sign(K + tail))
+            rows = list(groups.values())
+            skipped = len(boundary)
     else:
         if n != 2 or k != 0:
             raise MeshError(f"rule {rule.variant!r} applies to scalar DOFs on 2D meshes only")
@@ -356,13 +345,13 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
 
 def _global_coboundary(tri: Triangulation, k: int) -> list[dict[int, int]]:
     """Block-diagonal coboundary on pre-gluing DOFs, one column per k-DOF in
-    ``global_flags`` order (transfer to a cell keeps the order of flags)."""
+    ``global_flags`` order: local column c of cell ci, with row r moved to
+    ci * f_{k+1} + r."""
     cx = _local_complex(tri.dimension)
-    row_index = {df: i for i, df in enumerate(global_flags(tri, k + 1))}
+    m = len(cx.cells[k + 1])
     return [
-        {row_index[(ci, _transfer_flag(cx.cells[k + 1][r], cell))]: sign
-         for r, sign in col.items()}
-        for ci, cell in enumerate(tri.cells)
+        {ci * m + r: sign for r, sign in col.items()}
+        for ci in range(len(tri.cells))
         for col in cx.coboundary[k]
     ]
 
@@ -399,10 +388,16 @@ def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
     for k, sp in enumerate(spaces[:n]):
         D = _global_coboundary(tri, k)
         images = [linalg.combine(D, b) for b in sp.basis()]
-        # the image must satisfy the degree-(k+1) constraints exactly
-        if k + 1 < len(spaces) and any(linalg.apply(spaces[k + 1].constraints, img)
-                                       for img in images):
-            report["dd_zero"] = False
+        # the image must satisfy the degree-(k+1) constraints exactly; held
+        # as columns, one per DOF, they are read only where an image is nonzero
+        if k + 1 < len(spaces):
+            nxt = spaces[k + 1]
+            columns: list[dict[int, int]] = [{} for _ in nxt.dofs]
+            for r, row in enumerate(nxt.constraints):
+                for idx, x in row.items():
+                    columns[idx][r] = x
+            if any(linalg.combine(columns, img) for img in images):
+                report["dd_zero"] = False
         ranks.append(linalg.rank(images))
     report["betti_blowup"] = linalg.betti(report["dims"], ranks)
     want = list(simplicial)

@@ -144,7 +144,7 @@ def test_permutation_equivariance_n2(perm):
         for F in enumerate_flags((0, 1, 2), k):
             psi = basis_element(F).form
             for probe in enumerate_flags((0, 1, 2), k):
-                lhs = dof_evaluate(probe.permuted(perm), psi.relabel(perm))
+                lhs = dof_evaluate(probe.relabel(perm), psi.relabel(perm))
                 rhs = dof_evaluate(probe, psi)
                 assert lhs == _block_orientation_sign(probe, perm) * rhs
 

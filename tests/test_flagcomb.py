@@ -106,7 +106,7 @@ def test_vertex_set_validation():
         vertex_set((-1, 2))
 
 
-# -- coarsen / refines / permute -------------------------------------------------
+# -- coarsen / refines / relabel -------------------------------------------------
 
 def test_coarsen_merges_adjacent_blocks():
     assert Flag.parse("0|1|2").coarsen(1) == Flag.parse("0,1|2")
@@ -146,13 +146,24 @@ def test_refines_is_a_partial_order(data):
 
 def test_permute_examples():
     swap02 = {0: 2, 1: 1, 2: 0}
-    assert Flag.parse("0,1|2").permuted(swap02) == Flag.parse("1,2|0")
+    assert Flag.parse("0,1|2").relabel(swap02) == Flag.parse("1,2|0")
     F = Flag.parse("0|1,2")
-    assert F.permuted({0: 0, 1: 1, 2: 2}) == F
+    assert F.relabel({0: 0, 1: 1, 2: 2}) == F
     cyc = {0: 1, 1: 2, 2: 0}
-    assert F.permuted(cyc) == Flag.parse("1|0,2")
+    assert F.relabel(cyc) == Flag.parse("1|0,2")
+    # a non-injective map fails, within a block and across blocks
     with pytest.raises(ValueError):
-        F.permuted({0: 0, 1: 1, 2: 5})
+        F.relabel({0: 0, 1: 1, 2: 1})
+    with pytest.raises(ValueError):
+        F.relabel({0: 0, 1: 0, 2: 2})
+
+
+def test_relabel_onto_a_cell():
+    # an injective map into other labels, given as the cell's vertex tuple
+    assert Flag.parse("0|1,2").relabel((3, 5, 8)) == Flag.parse("3|5,8")
+    assert Flag.parse("2|0,1").relabel({0: 9, 1: 4, 2: 6}) == Flag.parse("6|4,9")
+    with pytest.raises(ValueError):
+        Flag.parse("0|1,2").relabel((3, 5, 3))
 
 
 def test_flag_text_round_trip():

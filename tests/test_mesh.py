@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from blowupforms.flagcomb import Flag
+from blowupforms.flagcomb import enumerate_flags
 from blowupforms.mesh import (
     GLUING_VARIANTS,
     GluingRule,
@@ -16,6 +16,9 @@ from blowupforms.mesh import (
     simplicial_cohomology,
     write_samples,
 )
+
+MOBIUS_STRIP = {"dimension": 2, "cells": [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]]}
+NONMANIFOLD_FAN = {"dimension": 2, "cells": [[0, 1, 2], [0, 1, 3], [0, 1, 4]], "manifold": "none"}
 
 
 # -- loading and validation -----------------------------------------------------
@@ -44,12 +47,22 @@ def test_torus_is_closed_with_zero_euler_characteristic():
 
 
 def test_supplied_orientation_does_not_make_mobius_strip_orientable():
-    strip = {"dimension": 2, "cells": [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]]}
-    assert load_mesh(strip).orientable is False
-    signed = load_mesh({**strip, "orientation": [1, -1, 1, -1, 1]})
+    assert load_mesh(MOBIUS_STRIP).orientable is False
+    signed = load_mesh({**MOBIUS_STRIP, "orientation": [1, -1, 1, -1, 1]})
     assert signed.orientable is False
     assert signed.orientation == [1, -1, 1, -1, 1]
-    assert global_cohomology({**strip, "orientation": [1] * 5}, "general")["orientable"] is False
+    assert global_cohomology({**MOBIUS_STRIP, "orientation": [1] * 5}, "general")["orientable"] is False
+
+
+def test_boundary_faces_agree_with_the_facet_scan():
+    # the precomputed subface set against the definition: a face lies in a boundary facet
+    for source in list(SAMPLE_MESHES) + [MOBIUS_STRIP]:
+        tri = load_mesh(source)
+        for faces in tri.faces.values():
+            for K in faces:
+                scan = any(set(K) <= set(bf) for bf in tri.boundary_facets)
+                assert tri.is_boundary_face(K) == scan, (source, K)
+                assert tri.is_boundary_face(K[::-1]) == scan
 
 
 def test_duplicate_cells_rejected():
@@ -96,6 +109,42 @@ def test_global_flag_counts():
     assert len(global_flags(load_mesh("triangle"), 0)) == 6
     assert len(global_flags(load_mesh("triangle-pair"), 0)) == 12
     assert len(global_flags(load_mesh("tetrahedron"), 1)) == 36
+
+
+def _all_spaces():
+    """Every assembled space: each bundled mesh, each degree, each rule that
+    applies (the named variants take 2D scalars only)."""
+    spaces = []
+    for name in SAMPLE_MESHES:
+        tri = load_mesh(name)
+        for k in range(tri.dimension + 1):
+            spaces.append(assemble(tri, k, "general-continuity"))
+            if tri.dimension == 2 and k == 0:
+                spaces += [assemble(tri, k, v) for v in GLUING_VARIANTS
+                           if not GluingRule(v).is_general]
+    assert len(spaces) == 45
+    for doc in (MOBIUS_STRIP, NONMANIFOLD_FAN):
+        tri = load_mesh(doc)
+        spaces += [assemble(tri, 0, rule)
+                   for rule in ("general", "edge-identified", "vertex-identified")]
+        spaces += [assemble(tri, k, "general") for k in (1, 2)]
+    return spaces
+
+
+def test_dof_numbering_and_row_pivots():
+    # DOF ci * f_k + j is canonical flag j carried onto cell ci, and every
+    # constraint row's largest index appears in no other row
+    for sp in _all_spaces():
+        tri, k = sp.triangulation, sp.k
+        local = enumerate_flags(range(tri.dimension + 1), k)
+        m = len(local)
+        assert len(sp.dofs) == len(tri.cells) * m
+        for ci, cell in enumerate(tri.cells):
+            assert [F for _, F in sp.dofs[ci * m:(ci + 1) * m]] == enumerate_flags(cell, k)
+            for j, F in enumerate(local):
+                assert sp.dofs[ci * m + j] == (ci, F.relabel(dict(enumerate(cell))))
+        for row in sp.constraints:
+            assert sum(max(row) in other for other in sp.constraints) == 1, (tri, k, sp.rule)
 
 
 # -- gluing variants ------------------------------------------------------------------
@@ -158,18 +207,8 @@ def test_sum_zero_count_around_interior_vertex():
 
 
 def test_basis_annihilates_constraints():
-    # every assembled space: each bundled mesh, each degree, each rule that
-    # applies (the named variants take 2D scalars only); entries stay int
-    spaces = []
-    for name in SAMPLE_MESHES:
-        tri = load_mesh(name)
-        for k in range(tri.dimension + 1):
-            spaces.append(assemble(tri, k, "general-continuity"))
-            if tri.dimension == 2 and k == 0:
-                spaces += [assemble(tri, k, v) for v in GLUING_VARIANTS
-                           if not GluingRule(v).is_general]
-    assert len(spaces) == 45
-    for sp in spaces:
+    # on every assembled space; entries stay int
+    for sp in _all_spaces():
         basis = sp.basis()
         for vec in basis:
             for row in sp.constraints:
@@ -270,8 +309,7 @@ def test_nonmanifold_verbatim_mode():
     # constraints applied verbatim, report marked non-manifold
     # a codimension-one face with three cofaces gets a single verbatim
     # sum-zero row, which does not force constancy across the three pages
-    doc = {"dimension": 2, "cells": [[0, 1, 2], [0, 1, 3], [0, 1, 4]], "manifold": "none"}
-    rep = global_cohomology(doc, "general")
+    rep = global_cohomology(NONMANIFOLD_FAN, "general")
     assert rep["nonmanifold"] is True
     assert rep["dd_zero"] is True
     assert rep["betti_blowup"][0] == 2
