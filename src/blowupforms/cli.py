@@ -28,7 +28,7 @@ from itertools import combinations, product
 
 from . import __version__
 from .blowcx import MAX_VERTICES, betti_numbers, build_blowup_complex
-from .dof import dof_evaluate, is_identity
+from .dof import dof_evaluate, first_mismatch
 from .flagcomb import Flag, enumerate_flags
 from .hiord import (
     enumerate_experiments,
@@ -54,7 +54,7 @@ from .shadow import (
     shadow_basis,
     whitney_containment,
 )
-from .symexpr import form_latex, form_to_json, rational_fn_latex, rational_fn_to_json
+from .symexpr import RationalFn, form_latex, form_to_json, rational_fn_latex, rational_fn_to_json
 
 SCHEMA = "blowup-report/1"
 
@@ -135,13 +135,18 @@ def _cmd_dof_matrix(args):
         flags = enumerate_flags(V, k)
         basis = shadow_basis(V, k)
         rows = [tuple(dof_evaluate(F, elem.form) for elem in basis) for F in budget.take(flags)]
+        bad = first_mismatch(rows)
         entry = {
             "k": k,
             "size": len(flags),
             "rows_computed": len(rows),
             "flags": [str(F) for F in flags],
-            "identity": is_identity(rows),
+            "identity": bad is None,
         }
+        if bad is not None:
+            i, j, x = bad
+            entry["first_mismatch"] = {"row": str(flags[i]), "column": str(basis[j].flag),
+                                       "value": str(x)}
         if args.matrices:
             entry["entries"] = [[str(x) for x in row] for row in rows]
         matrices.append(entry)
@@ -262,35 +267,37 @@ def _cmd_mc_verify(args):
 
     budget = Budget(args.budget_seconds)
     rng = np.random.Generator(np.random.Philox(args.seed))
-    pairs = []
-    if args.target in ("pF", "all"):
-        for nv in range(2, args.n + 2):
-            V = tuple(range(nv))
-            for k in range(nv):
+
+    def pairs():
+        # each case with its exact probability, built once as the budget reaches it
+        if args.target in ("pF", "all"):
+            for nv in range(2, args.n + 2):
+                V = tuple(range(nv))
+                for k in range(nv):
+                    for F in enumerate_flags(V, k):
+                        yield "pF", F, poisson_probability(F)
+        if args.target in ("higher", "all"):
+            for nv in range(2, min(args.n, 2) + 2):
+                V = tuple(range(nv))
+                for r in range(1, args.r + 1):
+                    for c in enumerate_experiments(V, r):
+                        yield "higher", c, c.probability
+        if args.target == "dof":
+            V = tuple(range(args.n + 1))
+            for k in range(args.n + 1):
                 for F in enumerate_flags(V, k):
-                    pairs.append(("pF", F))
-    if args.target in ("higher", "all"):
-        for nv in range(2, min(args.n, 2) + 2):
-            V = tuple(range(nv))
-            for r in range(1, args.r + 1):
-                for c in enumerate_experiments(V, r):
-                    pairs.append(("higher", c))
-    if args.target == "dof":
-        V = tuple(range(args.n + 1))
-        for k in range(args.n + 1):
-            for F in enumerate_flags(V, k):
-                pairs.append(("dof", F))
+                    yield "dof", F, None
 
     checked, escalated, failures = 0, 0, []
     details = []
-    for kind, obj in budget.take(pairs):
+    for kind, obj, exact in budget.take(pairs()):
         for trial in range(args.rates):
             if kind == "dof":
                 res = _mc_dof_case(obj, args, trial)
             else:
                 V = obj.vertices if kind == "pF" else obj.flag.vertices
                 rates = random_rates(rng, V)
-                res = _mc_prob_case(kind, obj, rates, args, trial)
+                res = _mc_prob_case(kind, obj, exact, rates, args, trial)
             checked += 1
             if res["escalated"]:
                 escalated += 1
@@ -312,13 +319,10 @@ def _cmd_mc_verify(args):
     return inputs, results, not failures and within_escalation_budget(escalated, checked)
 
 
-def _mc_prob_case(kind: str, obj, rates: dict[int, Fraction], args, trial: int) -> dict:
-    if kind == "pF":
-        exact = float(poisson_probability(obj).evaluate(rates))
-        label = str(obj)
-    else:
-        exact = float(obj.probability.evaluate(rates))
-        label = obj.sequence.compact()
+def _mc_prob_case(kind: str, obj, probability: RationalFn, rates: dict[int, Fraction], args,
+                  trial: int) -> dict:
+    exact = float(probability.evaluate(rates))
+    label = str(obj) if kind == "pF" else obj.sequence.compact()
     seed = (args.seed, trial, *label.encode())
 
     def run(samples: int, attempt: int):

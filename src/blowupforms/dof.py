@@ -161,6 +161,12 @@ def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
     return total
 
 
+def first_mismatch(rows) -> tuple[int, int, object] | None:
+    """The first entry ``(i, j, value)`` of a DOF/basis pairing off the identity, or None."""
+    return next(((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
+                 if x != (1 if i == j else 0)), None)
+
+
 def is_identity(rows) -> bool:
     """Whether row i of a DOF/basis pairing is the i-th unit vector, for every row given."""
-    return all(x == (1 if i == j else 0) for i, row in enumerate(rows) for j, x in enumerate(row))
+    return first_mismatch(rows) is None

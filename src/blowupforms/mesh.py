@@ -2,9 +2,11 @@
 
 A triangulation is combinatorial only (no coordinates): cells are ascending
 vertex tuples and every face of every cell carries the ascending orientation.
-Per-cell orientation signs relative to ascending order either come from the
-mesh document or are solved by propagation across interior facets; the
-propagation always decides whether the mesh is orientable.
+Signs are local: ``Triangulation.orient_star`` orients the cells around a face
+K by walking across the facets that contain K, over the whole mesh to decide
+orientability and over each vertex star to find 2D pinch points.  Per-cell
+orientation signs, supplied or solved, only seed the walks and are a gauge:
+on a connected star another seed only rescales the row.
 
 The DOFs of a cell are the k-flags of {0..n}, in canonical order, relabelled
 onto the ascending cell: the DOF of cell ci and canonical flag j has index
@@ -12,14 +14,15 @@ ci * f_k + j (f_k flags per cell), and the coboundary is the local one
 shifted by that arithmetic.  Gluing rules impose exact linear constraints on
 the DOFs.  The general continuity rule follows the face-by-face
 prescription: for every interior face K and every flag F on V_K with one
-block fewer than usual, the orientation-signed sum over incident cells of
-the DOF of F extended by the opposite vertices must vanish.  Those are the
-DOFs whose flag minus its last block (its head) is F, so grouping the DOFs
-by head gives the rows; boundary faces are skipped and reported.  For
-codimension one this is identification across the two neighbors.  Every
-row, under every rule, is solved for its pivot, its largest DOF index, which
-no other row touches: general rows touch disjoint DOF sets, and the 2D
-scalar variants impose stars {first: 1, other: -1}.
+block fewer than usual, the sum over incident cells of the DOF of F extended
+by the opposite vertices, signed by the orientation of star(K), must vanish;
+so the rule needs no global orientation.  Those are the DOFs whose flag
+minus its last block (its head) is F, so grouping the DOFs by head gives
+the rows; boundary faces are skipped and reported.  For codimension one
+this is identification across the two neighbors.  Every row, under every
+rule, is solved for its pivot, its largest DOF index, which no other row
+touches: general rows touch disjoint DOF sets, and the 2D scalar variants
+impose stars {first: 1, other: -1}.
 """
 
 from __future__ import annotations
@@ -72,14 +75,6 @@ def _opposite(face: tuple[int, ...], cell: tuple[int, ...]) -> tuple[int, ...]:
 def _nonneg_int(x) -> bool:
     """A non-negative JSON integer; ``True`` and ``1.0`` are not."""
     return type(x) is int and x >= 0
-
-
-def _find(parent, x):
-    """Union-find root of ``x`` with path halving; ``parent`` is a list or dict."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 class Triangulation:
@@ -135,55 +130,57 @@ class Triangulation:
         if manifold == "closed" and self.boundary_facets:
             raise MeshError("mesh declared closed but has boundary facets")
         self.nonmanifold = bool(over)
+        # each cell's facets f, with the sign of f followed by the opposite vertex
+        self._facet_signs = [{f: perm_sign(f + _opposite(f, c)) for f in combinations(c, dimension)}
+                            for c in self.cells]
+        ones = [1] * len(self.cells)
         if manifold != "none" and self.dimension == 2:
-            self._check_vertex_links()
+            for v in self.vertices:
+                if self.orient_star((v,), ones)[1] > 1:
+                    raise MeshError(f"vertex {v} has a disconnected link (pinch point)")
 
         if orientation is not None and (
                 not isinstance(orientation, (list, tuple)) or len(orientation) != len(self.cells)
                 or not all(type(s) is int and s in (1, -1) for s in orientation)):
             raise MeshError("orientation must list +-1 per cell")
         # supplied signs only orient the cells; orientability is read off the mesh
-        orient, self.orientable = self._solve_orientation()
-        self.orientation = orient if orientation is None else list(orientation)
+        signs, _, conflict = self.orient_star((), ones)
+        self.orientable = not conflict
+        solved = [signs[ci] for ci in range(len(self.cells))] if self.orientable else ones
+        self.orientation = solved if orientation is None else list(orientation)
 
     # -- structure ------------------------------------------------------------
 
-    def _check_vertex_links(self):
-        for v in self.vertices:
-            stars = self.cofaces[(v,)]
-            parent = {ci: ci for ci in stars}
-            for f, cis in self.cofaces.items():
-                if len(f) == 2 and v in f:
-                    for a, b in zip(cis, cis[1:]):
-                        parent[_find(parent, a)] = _find(parent, b)
-            roots = {_find(parent, ci) for ci in stars}
-            if len(roots) > 1:
-                raise MeshError(f"vertex {v} has a disconnected link (pinch point)")
+    def orient_star(self, K: tuple[int, ...], seed) -> tuple[dict[int, int], int, bool]:
+        """Orient the cells of star(K) (all cells for K = ()) across the facets containing K.
 
-    def _solve_orientation(self) -> tuple[list[int], bool]:
-        """Propagate consistent orientations across interior facets."""
-        orient = [0] * len(self.cells)
-        orientable = True
-        for start in range(len(self.cells)):
-            if orient[start]:
+        Neighbours induce opposite orientations on their common facet; the first cell
+        of each component takes its sign from ``seed``.  Returns each cell's sign, the
+        number of components, and whether a cell was reached with both signs.
+        """
+        star = self.cofaces[K] if K else range(len(self.cells))
+        inside = set(K)
+        sign: dict[int, int] = {}
+        components, conflict = 0, False
+        for start in star:
+            if start in sign:
                 continue
-            orient[start] = 1
-            queue = [start]
-            while queue:
-                ci = queue.pop()
-                c = self.cells[ci]
-                for f in combinations(c, self.dimension):
+            components += 1
+            sign[start] = seed[start]
+            stack = [start]
+            while stack:
+                ci = stack.pop()
+                for f, s in self._facet_signs[ci].items():
+                    if not inside.issubset(f):
+                        continue
                     for cj in self.cofaces[f]:
-                        if cj == ci:
-                            continue
-                        want = (-orient[ci] * perm_sign(f + _opposite(f, c))
-                                * perm_sign(f + _opposite(f, self.cells[cj])))
-                        if orient[cj] == 0:
-                            orient[cj] = want
-                            queue.append(cj)
-                        elif orient[cj] != want:
-                            orientable = False
-        return (orient if orientable else [1] * len(self.cells)), orientable
+                        want = -sign[ci] * s * self._facet_signs[cj][f]
+                        if cj not in sign:
+                            sign[cj] = want
+                            stack.append(cj)
+                        elif cj != ci and sign[cj] != want:
+                            conflict = True
+        return sign, components, conflict
 
     def is_boundary_face(self, face: tuple[int, ...]) -> bool:
         """True iff ``face`` lies in some boundary facet."""
@@ -302,14 +299,16 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
         if k < n:
             groups: dict[tuple, dict[int, int]] = {}
             boundary = set()
+            stars: dict[tuple[int, ...], dict[int, int]] = {}
             for i, (ci, F) in enumerate(dofs):
                 tail = F.blocks[-1]
                 K = _opposite(tail, tri.cells[ci])
                 if tri.is_boundary_face(K):
                     boundary.add(K)
                     continue
-                groups.setdefault(F.blocks[:-1], {})[i] = (
-                    tri.orientation[ci] * perm_sign(K + tail))
+                if K not in stars:
+                    stars[K] = tri.orient_star(K, tri.orientation)[0]
+                groups.setdefault(F.blocks[:-1], {})[i] = stars[K][ci] * perm_sign(K + tail)
             rows = list(groups.values())
             skipped = len(boundary)
     else:

@@ -1,12 +1,20 @@
+from functools import lru_cache
+
 import pytest
 
 from blowupforms.blowcx import betti_numbers, build_blowup_complex
-from blowupforms.flagcomb import Flag
+from blowupforms.flagcomb import Flag, perm_sign
+
+
+@lru_cache(maxsize=None)
+def _complex(nv):
+    """The complex of {0..nv-1}, built once for every read-only test."""
+    return build_blowup_complex(tuple(range(nv)))
 
 
 @pytest.mark.parametrize("nv,fvec", [(2, (2, 1)), (3, (6, 6, 1)), (4, (24, 36, 14, 1))])
 def test_f_vectors(nv, fvec):
-    cx = build_blowup_complex(tuple(range(nv)))
+    cx = _complex(nv)
     assert cx.f_vector == fvec
 
 
@@ -30,12 +38,12 @@ def test_euler_characteristic_is_one(nv):
 
 @pytest.mark.parametrize("nv,betti", [(2, (1, 0)), (3, (1, 0, 0)), (4, (1, 0, 0, 0))])
 def test_betti_numbers(nv, betti):
-    cx = build_blowup_complex(tuple(range(nv)))
+    cx = _complex(nv)
     assert betti_numbers(cx) == betti
 
 
 def test_coboundary_support_is_the_coarsening_relation():
-    cx = build_blowup_complex((0, 1, 2, 3))
+    cx = _complex(4)
     for k in range(3):
         rows = cx.cells[k + 1]
         assert len(cx.coboundary[k]) == len(cx.cells[k])
@@ -46,13 +54,28 @@ def test_coboundary_support_is_the_coarsening_relation():
             assert {rows[r] for r in col} == merges
 
 
+@pytest.mark.parametrize("nv", [2, 3, 4])
+def test_closed_form_sign_rule_reproduces_every_column(nv):
+    # merging A = V_{j-1} with B = V_j has sign
+    # perm_sign(A + B) * (-1)^(sum_{i<j-1} (|V_i| - 1) + |A|)
+    cx = _complex(nv)
+    for k in range(nv - 1):
+        index = {F: i for i, F in enumerate(cx.cells[k + 1])}
+        for F, col in zip(cx.cells[k], cx.coboundary[k]):
+            B = F.blocks
+            rule = {index[F.coarsen(j)]: perm_sign(B[j - 1] + B[j])
+                    * (-1) ** (sum(len(b) - 1 for b in B[:j - 1]) + len(B[j - 1]))
+                    for j in range(1, len(B))}
+            assert col == rule, F
+
+
 def _dense(cx, k):
     """d_k as dense rows over cells[k + 1], read off the stored columns."""
     return [[col.get(r, 0) for col in cx.coboundary[k]] for r in range(len(cx.cells[k + 1]))]
 
 
 def test_coboundary_squares_to_zero():
-    cx = build_blowup_complex((0, 1, 2, 3))
+    cx = _complex(4)
     for k in range(2):
         A, B = _dense(cx, k + 1), _dense(cx, k)
         for i in range(len(A)):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from blowupforms.cli import run
+from blowupforms.cli import _out_of_range, build_parser, run
 
 
 def run_json(capsys, argv):
@@ -40,6 +41,40 @@ def test_dof_matrix_assert_identity(capsys):
     code, report = run_json(capsys, ["dof-matrix", "--n", "2", "--assert-identity"])
     assert code == 0
     assert report["results"]["identity_all"] is True
+    assert not any("first_mismatch" in m for m in report["results"]["matrices"])
+
+
+def test_dof_matrix_names_the_first_mismatch(monkeypatch, capsys):
+    # every basis form doubled: the first diagonal entry reads 2
+    import blowupforms.cli as cli
+
+    real = cli.shadow_basis
+
+    def doubled(V, k):
+        return [dataclasses.replace(e, form=e.form * 2) for e in real(V, k)]
+
+    monkeypatch.setattr(cli, "shadow_basis", doubled)
+    code, report = run_json(capsys, ["dof-matrix", "--n", "1", "--assert-identity"])
+    assert code == 1
+    assert [m["first_mismatch"] for m in report["results"]["matrices"]] == [
+        {"row": "0|1", "column": "0|1", "value": "2"},
+        {"row": "0,1", "column": "0,1", "value": "2"},
+    ]
+
+
+def test_readme_cli_lines_parse():
+    # every `blowup ...` line in a README code block, optional [...] groups
+    # included, parses and passes the range checks; nothing is run
+    argvs, fenced = [], False
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("blowup "):
+            argvs.append(line.split("#")[0].replace("[", " ").replace("]", " ").split()[1:])
+    assert len(argvs) >= 10
+    for argv in argvs:
+        args = build_parser().parse_args(argv)
+        assert _out_of_range(args) is None, argv
 
 
 def test_d_check(capsys):
@@ -88,6 +123,17 @@ def test_cohomology_global(capsys):
     assert res["betti_simplicial"] == [1, 2, 1]
     assert res["dd_zero"] is True
     assert res["match"] is True
+
+
+def test_cohomology_global_on_a_mobius_strip_file(tmp_path, capsys):
+    path = tmp_path / "mobius.json"
+    path.write_text(json.dumps({"dimension": 2, "cells": [
+        [0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]]}))
+    code, report = run_json(capsys, ["cohomology", "global", "--mesh", str(path)])
+    assert code == 0
+    res = report["results"]
+    assert res["orientable"] is False
+    assert res["betti_blowup"] == res["betti_simplicial"] == [1, 1, 0]
 
 
 def test_higher_order(capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -19,6 +20,23 @@ from blowupforms.mesh import (
 
 MOBIUS_STRIP = {"dimension": 2, "cells": [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]]}
 NONMANIFOLD_FAN = {"dimension": 2, "cells": [[0, 1, 2], [0, 1, 3], [0, 1, 4]], "manifold": "none"}
+# the 6-vertex real projective plane (the hemi-icosahedron)
+RP2 = {"dimension": 2, "manifold": "closed", "cells": [
+    [1, 2, 4], [1, 2, 6], [1, 3, 5], [1, 3, 6], [1, 4, 5],
+    [2, 3, 4], [2, 3, 5], [2, 5, 6], [3, 4, 6], [4, 5, 6]]}
+
+
+def _klein_bottle(m: int) -> dict:
+    """An m x m grid whose columns wrap straight and whose rows wrap with a flip."""
+    def v(i, j):
+        return (i % m) * m + (j if i < m else -j) % m
+
+    cells = []
+    for i in range(m):
+        for j in range(m):
+            cells += [[v(i, j), v(i + 1, j), v(i + 1, j + 1)],
+                      [v(i, j), v(i, j + 1), v(i + 1, j + 1)]]
+    return {"dimension": 2, "cells": cells, "manifold": "closed"}
 
 
 # -- loading and validation -----------------------------------------------------
@@ -123,7 +141,7 @@ def _all_spaces():
                 spaces += [assemble(tri, k, v) for v in GLUING_VARIANTS
                            if not GluingRule(v).is_general]
     assert len(spaces) == 45
-    for doc in (MOBIUS_STRIP, NONMANIFOLD_FAN):
+    for doc in (MOBIUS_STRIP, NONMANIFOLD_FAN, RP2):
         tri = load_mesh(doc)
         spaces += [assemble(tri, 0, rule)
                    for rule in ("general", "edge-identified", "vertex-identified")]
@@ -244,6 +262,49 @@ def test_general_rule_closed_surfaces_match_simplicial():
         rep = global_cohomology(name, "general")
         assert rep["dd_zero"]
         assert rep["betti_blowup"] == rep["betti_simplicial"]
+
+
+@pytest.mark.parametrize("doc,betti", [
+    (MOBIUS_STRIP, [1, 1, 0]),
+    (RP2, [1, 0, 0]),
+    (_klein_bottle(4), [1, 1, 0]),
+])
+def test_general_rule_non_orientable_surfaces_match_simplicial(doc, betti):
+    # each row takes its signs from the star of its own face, which is
+    # orientable even where the whole mesh is not
+    rep = global_cohomology(doc, "general")
+    assert rep["orientable"] is False
+    assert rep["dd_zero"] and rep["match"]
+    assert rep["betti_blowup"] == rep["betti_simplicial"] == betti
+
+
+def test_supplied_orientation_is_a_gauge():
+    # random signs re-seed every star walk and change no reported number
+    rng = random.Random(13)
+    cases = [(doc, "general") for doc in ("triangle-pair", "fan-disk", "torus-7", "octahedron",
+                                          "tet-pair", MOBIUS_STRIP, NONMANIFOLD_FAN, RP2)]
+    cases += [(doc, "edge-identified") for doc in ("torus-7", MOBIUS_STRIP)]
+    for source, rule in cases:
+        doc = SAMPLE_MESHES[source] if isinstance(source, str) else source
+        want = global_cohomology(doc, rule)
+        for _ in range(2):
+            signs = [rng.choice((1, -1)) for _ in doc["cells"]]
+            assert global_cohomology({**doc, "orientation": signs}, rule) == want, (source, rule)
+
+
+def test_orient_star_components_and_conflicts():
+    mobius = load_mesh(MOBIUS_STRIP)
+    signs, components, conflict = mobius.orient_star((), mobius.orientation)
+    assert sorted(signs) == list(range(5)) and components == 1 and conflict
+    for v in mobius.vertices:
+        _, components, conflict = mobius.orient_star((v,), mobius.orientation)
+        assert components == 1 and not conflict
+    torus = load_mesh("torus-7")
+    assert torus.orient_star((), [1] * 14) == ({ci: s for ci, s in enumerate(torus.orientation)},
+                                                1, False)
+    bowtie = Triangulation(2, [[0, 1, 2], [0, 3, 4]], manifold="none")
+    assert bowtie.orient_star((0,), [1, -1]) == ({0: 1, 1: -1}, 2, False)
+    assert bowtie.orient_star((), [1, 1])[1:] == (2, False)
 
 
 def test_h0_counts_components_under_both_rules():

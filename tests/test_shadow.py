@@ -1,8 +1,10 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from blowupforms.flagcomb import Flag, enumerate_flags
+from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
 from blowupforms.shadow import (
     basis_element,
     d_decomposition,
@@ -192,6 +194,32 @@ def test_dd_zero_symbolically(nv):
         for F in enumerate_flags(V, k):
             dd = basis_element(F).form.exterior_derivative().exterior_derivative()
             assert dd.is_zero()
+
+
+# -- relabelling ---------------------------------------------------------------------
+
+def _epsilon(F, sigma):
+    """The orientation sign of sigma on F: perm_sign of sigma's image of each block."""
+    return math.prod(perm_sign(sigma[v] for v in b) for b in F.blocks)
+
+
+@pytest.mark.parametrize("nv", [2, 3, 4])
+def test_relabelling_laws(nv):
+    # p_F is transported without sign; psi_F and the d coefficients carry the
+    # parity of sigma on each block, the ascending-order gauge of a block.
+    # Every sigma in S_{n+1} permutes the flags on {0..n}, so each value is
+    # computed once per flag and the laws are checked by lookup.
+    flags = [F for k in range(nv) for F in enumerate_flags(range(nv), k)]
+    known = {F: (poisson_probability(F), basis_element(F).form,
+                 {Fj: c for c, Fj in d_decomposition(F)}) for F in flags}
+    for sigma in map(dict, map(enumerate, itertools.permutations(range(nv)))):
+        for F, (p, psi, dec) in known.items():
+            p_image, psi_image, dec_image = known[F.relabel(sigma)]
+            eps = _epsilon(F, sigma)
+            assert p_image == p.relabel(sigma), (F, sigma)
+            assert psi_image == psi.relabel(sigma) * eps, (F, sigma)
+            assert dec_image == {Fj.relabel(sigma): c * eps * _epsilon(Fj, sigma)
+                                 for Fj, c in dec.items()}, (F, sigma)
 
 
 # -- containment and dimension reduction --------------------------------------------
