@@ -37,15 +37,6 @@ from .hiord import (
     pr_containment,
     r1_reduction_check,
 )
-from .mcoracle import (
-    RNG_ALGORITHM,
-    SimulationConfig,
-    check_concordance,
-    estimate_higher,
-    estimate_pF,
-    random_rates,
-    within_escalation_budget,
-)
 from .mesh import MeshError, global_cohomology, write_samples
 from .shadow import (
     basis_element,
@@ -263,10 +254,12 @@ def _cmd_higher_order(args):
 
 
 def _cmd_mc_verify(args):
-    import numpy as np
+    # mcoracle, and with it numpy, loads only on this path; its names are read at
+    # call time, so a wrapper set on the module after import still sees every call
+    from . import mcoracle
 
     budget = Budget(args.budget_seconds)
-    rng = np.random.Generator(np.random.Philox(args.seed))
+    rng = mcoracle.generator(args.seed)
 
     def pairs():
         # each case with its exact probability, built once as the budget reaches it
@@ -296,7 +289,7 @@ def _cmd_mc_verify(args):
                 res = _mc_dof_case(obj, args, trial)
             else:
                 V = obj.vertices if kind == "pF" else obj.flag.vertices
-                rates = random_rates(rng, V)
+                rates = mcoracle.random_rates(rng, V)
                 res = _mc_prob_case(kind, obj, exact, rates, args, trial)
             checked += 1
             if res["escalated"]:
@@ -306,7 +299,7 @@ def _cmd_mc_verify(args):
             if args.verbose_cases:
                 details.append(res)
     results = {
-        "rng": RNG_ALGORITHM,
+        "rng": mcoracle.RNG_ALGORITHM,
         "cases": checked,
         "escalated": escalated,
         "failures": failures,
@@ -316,23 +309,25 @@ def _cmd_mc_verify(args):
         results["details"] = details
     inputs = {"target": args.target, "n": args.n, "r": args.r,
               "samples": args.samples, "seed": args.seed, "rates": args.rates}
-    return inputs, results, not failures and within_escalation_budget(escalated, checked)
+    return inputs, results, not failures and mcoracle.within_escalation_budget(escalated, checked)
 
 
 def _mc_prob_case(kind: str, obj, probability: RationalFn, rates: dict[int, Fraction], args,
                   trial: int) -> dict:
+    from . import mcoracle
+
     exact = float(probability.evaluate(rates))
     label = str(obj) if kind == "pF" else obj.sequence.compact()
     seed = (args.seed, trial, *label.encode())
 
     def run(samples: int, attempt: int):
         # the 10x re-run keeps the case's seed, so attempt goes unused
-        cfg = SimulationConfig(rates=rates, samples=samples, seed=seed)
+        cfg = mcoracle.SimulationConfig(rates=rates, samples=samples, seed=seed)
         if kind == "pF":
-            return estimate_pF(obj, cfg)
-        return estimate_higher(obj.sequence, cfg)
+            return mcoracle.estimate_pF(obj, cfg)
+        return mcoracle.estimate_higher(obj.sequence, cfg)
 
-    est, escalated, ok = check_concordance(run, exact, args.samples)
+    est, escalated, ok = mcoracle.check_concordance(run, exact, args.samples)
     return {
         "kind": kind, "case": label, "rates": {str(v): str(r) for v, r in rates.items()},
         "exact": exact, "estimate": est.mean, "stderr": est.stderr,
@@ -341,14 +336,14 @@ def _mc_prob_case(kind: str, obj, probability: RationalFn, rates: dict[int, Frac
 
 
 def _mc_dof_case(flag: Flag, args, trial: int) -> dict:
-    from .mcoracle import estimate_face_integral
+    from . import mcoracle
 
     elem = basis_element(flag)
     exact = 1.0
-    cfg = SimulationConfig(rates={0: Fraction(1)},
-                           samples=max(1000, args.samples // 10),
-                           seed=(args.seed, trial, *str(flag).encode()))
-    est = estimate_face_integral(flag, elem.form, cfg)
+    cfg = mcoracle.SimulationConfig(rates={0: Fraction(1)},
+                                    samples=max(1000, args.samples // 10),
+                                    seed=(args.seed, trial, *str(flag).encode()))
+    est = mcoracle.estimate_face_integral(flag, elem.form, cfg)
     tol = max(3 * est.stderr, 1e-2)
     ok = abs(est.mean - exact) <= tol
     return {

@@ -4,9 +4,10 @@ Simulates the Poisson ensembles directly in 64-bit floats, firewalled from
 the exact core: exact rationals cross the boundary only as float rates and
 expected values.  Each law gets one draw: a Gamma variate per block for a
 flag probability, a multinomial count vector per round for an arrival
-sequence.  The generator is numpy's counter-based Philox; the CLI seeds each
-case with (seed, trial, *label bytes), so every estimate is reproducible
-from (seed, samples) and the case label, in any process.
+sequence.  This is the one module of the package that imports numpy, and
+``generator`` the one place that builds its counter-based Philox generator.
+The CLI seeds each case with (seed, trial, *label bytes), so every estimate
+is reproducible from (seed, samples) and the case label, in any process.
 
 The concordance rule shared by the CLI and the acceptance suite also lives
 here: an estimate agrees with its exact value within 3 standard errors; a
@@ -24,13 +25,18 @@ import numpy as np
 
 from .flagcomb import ArrivalSequence, Flag, perm_sign
 from .shadow import flag_omega
-from .symexpr import RationalFn, RationalForm
+from .symexpr import RationalForm
 
 RNG_ALGORITHM = "numpy.random.Philox"
 # the two ladder parameters of a face integral, and the relative tolerance
 # within which their estimates must agree (beyond sampling noise)
 FACE_EPS = (1e-3, 1e-4)
 FACE_RTOL = 1e-2
+
+
+def generator(seed) -> np.random.Generator:
+    """The oracle's one random generator: Philox (``RNG_ALGORITHM``) under ``seed``."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
 class ExtrapolationUnstable(ArithmeticError):
@@ -52,7 +58,7 @@ class SimulationConfig:
             raise ValueError("rates must be positive")
 
     def rng(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(self.seed))
+        return generator(self.seed)
 
 
 @dataclass(frozen=True)
@@ -114,22 +120,6 @@ def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
 # face integrals with small-epsilon extrapolation
 # ---------------------------------------------------------------------------
 
-def _fn_values(f: RationalFn, point: dict[int, np.ndarray]) -> np.ndarray:
-    n = next(iter(point.values())).shape[0]
-    num = np.zeros(n)
-    for mono, c in f.num.terms.items():
-        term = np.full(n, float(c))
-        for v, e in mono:
-            term = term * point[v] ** e
-        num = num + term
-    for S, e in f.den.items():
-        d = np.zeros(n)
-        for i in S:
-            d = d + point[i]
-        num = num / d ** e
-    return num
-
-
 def _form_values(form: RationalForm, point: dict[int, np.ndarray], vectors) -> np.ndarray:
     """Evaluate a k-form on a fixed tuple of lambda-space vectors, vectorized.
 
@@ -140,7 +130,7 @@ def _form_values(form: RationalForm, point: dict[int, np.ndarray], vectors) -> n
     total = np.zeros(n)
     for W, f in form.terms.items():
         sw = tuple(sorted(W))
-        coeff = _fn_values(f, point)
+        coeff = f.evaluate(point)
         det = np.zeros(n)
         for perm in permutations(range(k)):
             prod = np.full(n, float(perm_sign(perm)))

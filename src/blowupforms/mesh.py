@@ -129,15 +129,15 @@ class Triangulation:
                             "pass manifold='none' to accept non-manifold input")
         if manifold == "closed" and self.boundary_facets:
             raise MeshError("mesh declared closed but has boundary facets")
-        self.nonmanifold = bool(over)
         # each cell's facets f, with the sign of f followed by the opposite vertex
         self._facet_signs = [{f: perm_sign(f + _opposite(f, c)) for f in combinations(c, dimension)}
                             for c in self.cells]
         ones = [1] * len(self.cells)
-        if manifold != "none" and self.dimension == 2:
-            for v in self.vertices:
-                if self.orient_star((v,), ones)[1] > 1:
-                    raise MeshError(f"vertex {v} has a disconnected link (pinch point)")
+        pinched = [v for v in self.vertices
+                   if self.dimension == 2 and self.orient_star((v,), ones)[1] > 1]
+        if pinched and manifold != "none":
+            raise MeshError(f"vertex {pinched[0]} has a disconnected link (pinch point)")
+        self.nonmanifold = bool(over or pinched)
 
         if orientation is not None and (
                 not isinstance(orientation, (list, tuple)) or len(orientation) != len(self.cells)

@@ -383,9 +383,7 @@ class RationalFn:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFn(self.num * other, self.den)
-        if isinstance(other, Poly):
+        if isinstance(other, (int, Fraction, Poly)):
             return RationalFn(self.num * other, self.den)
         den = dict(self.den)
         for S, e in other.den.items():

@@ -8,7 +8,6 @@ also carries a wall-clock budget, asserted here.
 
 import time
 
-import numpy as np
 import pytest
 
 from reference_tables import table_n2, table_n3, table_r3_scalars
@@ -27,6 +26,7 @@ from blowupforms.mcoracle import (
     check_concordance,
     estimate_higher,
     estimate_pF,
+    generator,
     random_rates,
     within_escalation_budget,
 )
@@ -162,7 +162,7 @@ def test_criterion_7_higher_order_table():
 
 def test_criterion_8_monte_carlo_concordance():
     t0 = time.time()
-    rng = np.random.Generator(np.random.Philox(20260810))
+    rng = generator(20260810)
     samples = 100_000
     cases = 0
     escalated = 0

@@ -162,20 +162,43 @@ def test_mc_verify_results_do_not_depend_on_the_hash_seed():
     # case seeds come from (seed, trial, label bytes), so hash randomisation never reaches the draws
     argv = ["mc-verify", "--target", "pF", "--n", "1", "--samples", "20000",
             "--seed", "5", "--verbose-cases"]
-    src = str(Path(__file__).resolve().parents[1] / "src")
     results = []
     for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from blowupforms.cli import run; "
-             "sys.exit(run(sys.argv[1:]))", *argv],
-            env=env, capture_output=True, text=True, check=False,
-        )
+        proc = _fresh_python("import sys; from blowupforms.cli import run; "
+                             "sys.exit(run(sys.argv[1:]))", *argv, PYTHONHASHSEED=hash_seed)
         assert proc.returncode == 0, proc.stderr
         results.append(json.loads(proc.stdout)["results"])
     assert results[0] == results[1]
     assert results[0]["details"]
+
+
+def _fresh_python(code, *argv, **env):
+    """Run ``python -c code *argv`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, check=False)
+
+
+def test_only_mc_verify_loads_numpy():
+    # numpy is imported by mcoracle alone, which the exact commands never reach
+    code = """
+import contextlib, io, json, sys
+from blowupforms.cli import run
+loaded = {"import": "numpy" in sys.modules}
+for name, argv in (("local", ["cohomology", "local", "--n", "2"]),
+                   ("global", ["cohomology", "global", "--mesh", "triangle-pair"]),
+                   ("mc-verify", ["mc-verify", "--target", "pF", "--n", "1", "--samples", "100"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        run(argv)
+    loaded[name] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": False, "local": False, "global": False,
+                                       "mc-verify": True}
 
 
 def test_emit_samples(tmp_path, capsys):

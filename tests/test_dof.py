@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from blowupforms.dof import (
     is_identity,
     restrict_to_theta,
 )
-from blowupforms.flagcomb import Flag, enumerate_flags
+from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
 from blowupforms.shadow import basis_element, gram_matrix, omega_form, whitney_form
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
 
@@ -147,6 +148,32 @@ def test_permutation_equivariance_n2(perm):
                 lhs = dof_evaluate(probe.relabel(perm), psi.relabel(perm))
                 rhs = dof_evaluate(probe, psi)
                 assert lhs == _block_orientation_sign(probe, perm) * rhs
+
+
+@pytest.mark.parametrize("nv", [2, 3, 4])
+def test_dof_evaluate_relabelling_law(nv):
+    # dof_evaluate(F.relabel(sigma), w.relabel(sigma)) = eps(F, sigma) dof_evaluate(F, w) for
+    # every sigma in S_{n+1}, eps the parity of sigma on each block of F.  The forms
+    # lambda_v phi_W pair to 1/2, 1/3 and 1/4 as well as 0 and 1, and sigma carries each
+    # to +-lambda_{sigma(v)} phi_{sigma(W)}, so every value is computed once and the law
+    # is checked by lookup.
+    V = range(nv)
+    values = set()
+    for k in range(nv):
+        flags = list(enumerate_flags(V, k))
+        forms = {(v, W): whitney_form(W) * RationalFn.var(v)
+                 for W in combinations(V, k + 1) for v in V}
+        known = {(F, key): dof_evaluate(F, w) for F in flags for key, w in forms.items()}
+        values |= set(known.values())
+        for sigma in map(dict, map(enumerate, permutations(V))):
+            for (v, W), w in forms.items():
+                image = (sigma[v], tuple(sorted(sigma[u] for u in W)))
+                sign = perm_sign(sigma[u] for u in W)
+                assert w.relabel(sigma) == forms[image] * sign
+                for F in flags:
+                    assert sign * known[F.relabel(sigma), image] == (
+                        _block_orientation_sign(F, sigma) * known[F, (v, W)]), (F, v, W, sigma)
+    assert values - {0, 1, -1}
 
 
 @pytest.mark.parametrize("nv", [2, 3, 4])

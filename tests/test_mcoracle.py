@@ -16,6 +16,7 @@ from blowupforms.mcoracle import (
     estimate_face_integral,
     estimate_higher,
     estimate_pF,
+    generator,
     within_escalation_budget,
 )
 from blowupforms.shadow import basis_element, omega_form, poisson_probability
@@ -58,7 +59,7 @@ def test_full_flag_equal_rates_is_one_sixth():
 def sum_of_exponentials_pF(flag, rates, samples, seed):
     """Reference for estimate_pF: block j completes at the sum of |V_j|
     exponential gaps of its merged process of rate l_{V_j}."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = generator(seed)
     times = np.empty((samples, len(flag.blocks)))
     for j, block in enumerate(flag.blocks):
         rate = float(sum(rates[v] for v in block))
@@ -93,7 +94,7 @@ def test_clock_race_counts_are_multinomial(r):
     rates = (Fraction(1, 2), Fraction(1), Fraction(5, 2))
     total = sum(rates)
     samples = 100_000
-    counts = clock_race_counts(rates, r, samples, np.random.Generator(np.random.Philox(61 + r)))
+    counts = clock_race_counts(rates, r, samples, generator(61 + r))
     for k in product(range(r + 1), repeat=len(rates)):
         if sum(k) != r:
             continue

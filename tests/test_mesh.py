@@ -107,6 +107,21 @@ def test_pinched_vertex_link_rejected():
         Triangulation(2, cells)
 
 
+def test_accepted_pinch_vertex_is_reported_nonmanifold():
+    # two octahedra sharing only vertex 0: no facet borders three cells, but
+    # the star of vertex 0 falls into two components
+    octahedron = SAMPLE_MESHES["octahedron"]["cells"]
+    doc = {"dimension": 2, "manifold": "none",
+           "cells": octahedron + [[v + 5 if v else 0 for v in c] for c in octahedron]}
+    assert Triangulation(2, [[0, 1, 2], [0, 3, 4]], manifold="none").nonmanifold
+    assert not Triangulation(2, octahedron, manifold="none").nonmanifold
+    rep = global_cohomology(doc, "general")
+    assert rep["nonmanifold"] is True
+    assert rep["betti_blowup"] == [2, 0, 1]
+    assert rep["betti_simplicial"] == [1, 0, 2]
+    assert rep["match"] is False
+
+
 def test_load_from_file(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(SAMPLE_MESHES["triangle-pair"]))
