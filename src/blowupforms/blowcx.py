@@ -1,9 +1,9 @@
 """The blown-up simplex as a combinatorial cell complex.
 
-Cells in dimension k are the flags with k-complement block count; the
-coboundary is defined by transporting the symbolic exterior derivative
-through the DOF isomorphism, i.e. the signs come from the verified
-decomposition d(psi_F) = sum of signed psi over one-merge coarsenings.
+Cells in dimension k are the flags with k-complement block count.  The
+coboundary is d transported through the DOF isomorphism: ``decompose`` writes
+d(psi_F) as a verified signed sum of psi over one-merge coarsenings and checks
+d(d psi_F) = 0 on those sums, once, for this complex and for ``d-check``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .flagcomb import Flag, enumerate_flags, vertex_set
-from .shadow import d_decomposition
+from .shadow import DecompositionFailed, d_decomposition
 
 # the largest simplex, counted in vertices, whose complex is built
 MAX_VERTICES = 6
@@ -31,25 +31,44 @@ class BlowupComplex:
         return tuple(len(self.cells[k]) for k in range(n + 1))
 
 
+def decompose(flags) -> tuple[list[Flag], dict[Flag, dict[Flag, int]], dict[Flag, str]]:
+    """Decompose d(psi_F) for each flag, then check d(d psi_F) = 0 on the decompositions.
+
+    Returns the flags taken, ``{F: {F_j: c_j}}`` for each flag that decomposed,
+    and ``{F: reason}`` in flag order for each flag whose ``d_decomposition``
+    raised, or whose coarsenings all decomposed and d(d psi_F) = sum_j c_j
+    d(psi_{F_j}) is not zero: the psi of a degree are independent, so that is exact.
+    """
+    taken, columns, errors = [], {}, {}
+    for F in flags:  # one at a time, so a budget is checked before each flag
+        taken.append(F)
+        try:
+            columns[F] = {Fj: sign for sign, Fj in d_decomposition(F)}
+        except ArithmeticError as exc:  # DecompositionFailed and friends
+            errors[F] = str(exc)
+    for F, col in columns.items():
+        residual = linalg.combine(columns, col) if all(Fj in columns for Fj in col) else {}
+        if residual:
+            errors[F] = "dd != 0: " + ", ".join(f"{c} psi_{G}" for G, c in sorted(residual.items()))
+    return taken, columns, {F: errors[F] for F in taken if F in errors}
+
+
 def build_blowup_complex(V) -> BlowupComplex:
     """Cells, incidence, and coboundary columns for the blow-up of T_V.
 
-    Verifies that the composite of consecutive coboundaries vanishes.
+    Raises ``DecompositionFailed`` on the first flag that ``decompose`` fails.
     """
     V = vertex_set(V)
     if len(V) > MAX_VERTICES:
         raise ValueError(f"blow-up complexes are supported for |V| <= {MAX_VERTICES}")
     n = len(V) - 1
     cells = {k: enumerate_flags(V, k) for k in range(n + 1)}
-    coboundary: dict[int, list[dict[int, int]]] = {}
-    for k in range(n):
-        index = {F: i for i, F in enumerate(cells[k + 1])}
-        coboundary[k] = [
-            {index[Fj]: sign for sign, Fj in d_decomposition(F)} for F in cells[k]
-        ]
-    for k in range(n - 1):
-        if any(linalg.combine(coboundary[k + 1], col) for col in coboundary[k]):
-            raise ArithmeticError(f"coboundary composite nonzero at degree {k}")
+    _, columns, failures = decompose(F for k in range(n) for F in cells[k])
+    for F, reason in failures.items():
+        raise DecompositionFailed(f"d(psi_{F}): {reason}")
+    index = {F: i for flags in cells.values() for i, F in enumerate(flags)}
+    coboundary = {k: [{index[Fj]: sign for Fj, sign in columns[F].items()} for F in cells[k]]
+                  for k in range(n)}
     return BlowupComplex(simplex_vertices=V, cells=cells, coboundary=coboundary)
 
 

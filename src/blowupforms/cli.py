@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import __version__
-from .blowcx import MAX_VERTICES, betti_numbers, build_blowup_complex
+from .blowcx import MAX_VERTICES, betti_numbers, build_blowup_complex, decompose
 from .dof import dof_evaluate, first_mismatch
 from .flagcomb import Flag, enumerate_flags
 from .hiord import (
@@ -40,7 +40,6 @@ from .hiord import (
 from .mesh import MeshError, global_cohomology, write_samples
 from .shadow import (
     basis_element,
-    d_decomposition,
     poisson_probability,
     shadow_basis,
     whitney_containment,
@@ -148,24 +147,13 @@ def _cmd_dof_matrix(args):
     return {"n": args.n, "k": args.k}, results, ok or not args.assert_identity
 
 
-def _check_one_flag_d(F: Flag):
-    try:
-        d_decomposition(F)
-        dd = basis_element(F).form.exterior_derivative().exterior_derivative()
-        if not dd.is_zero():
-            return {"flag": str(F), "reason": "dd != 0"}
-    except ArithmeticError as exc:  # DecompositionFailed and friends
-        return {"flag": str(F), "reason": str(exc)}
-    return None
-
-
 def _cmd_d_check(args):
     V = tuple(range(args.n + 1))
     budget = Budget(args.budget_seconds)
     flags = [F for k in range(args.n + 1) for F in enumerate_flags(V, k)]
-    outcomes = [_check_one_flag_d(F) for F in budget.take(flags)]
-    failures = [res for res in outcomes if res is not None]
-    results = {"flags_checked": len(outcomes), "failures": failures, "partial": budget.partial}
+    taken, _, failed = decompose(budget.take(flags))
+    failures = [{"flag": str(F), "reason": reason} for F, reason in failed.items()]
+    results = {"flags_checked": len(taken), "failures": failures, "partial": budget.partial}
     return {"n": args.n}, results, not failures
 
 

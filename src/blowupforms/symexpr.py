@@ -648,14 +648,6 @@ class RationalForm:
         return " + ".join(bits)
 
 
-def wedge(a: RationalForm, b: RationalForm) -> RationalForm:
-    return a.wedge(b)
-
-
-def exterior_derivative(a: RationalForm) -> RationalForm:
-    return a.exterior_derivative()
-
-
 def flag_limit(x, flag: Flag, j: int):
     """One sequential degeneration step toward the blow-up face of ``flag``.
 

@@ -323,20 +323,18 @@ def test_internal_error_exits_1_with_report(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("target, exc, argv", [
-    ("d_decomposition", TypeError("bug"), ["d-check", "--n", "1"]),
-    ("whitney_containment", KeyError("bug"), ["whitney-check", "--n", "1"]),
-    ("pr_containment", KeyError("bug"),
+    ("blowcx.d_decomposition", TypeError("bug"), ["d-check", "--n", "1"]),
+    ("cli.whitney_containment", KeyError("bug"), ["whitney-check", "--n", "1"]),
+    ("cli.pr_containment", KeyError("bug"),
      ["higher-order", "--n", "1", "--r", "2", "--check", "containment"]),
 ], ids=["d_decomposition", "whitney_containment", "pr_containment"])
 def test_kernel_bug_is_an_internal_error_not_a_check_failure(monkeypatch, capsys, target, exc,
                                                              argv):
     # only an ArithmeticError from the exact core counts as a failed check
-    import blowupforms.cli as cli
-
     def broken(*args):
         raise exc
 
-    monkeypatch.setattr(cli, target, broken)
+    monkeypatch.setattr(f"blowupforms.{target}", broken)
     code, report = _error_exit(capsys, argv)
     assert code == 1
     assert report["error"]["type"] == type(exc).__name__
@@ -344,13 +342,13 @@ def test_kernel_bug_is_an_internal_error_not_a_check_failure(monkeypatch, capsys
 
 
 def test_decomposition_failure_is_a_check_failure(monkeypatch, capsys):
-    import blowupforms.cli as cli
+    from blowupforms import blowcx
     from blowupforms.shadow import DecompositionFailed
 
     def failed(F):
         raise DecompositionFailed(f"coefficient 2 for {F}")
 
-    monkeypatch.setattr(cli, "d_decomposition", failed)
+    monkeypatch.setattr(blowcx, "d_decomposition", failed)
     code, report = run_json(capsys, ["d-check", "--n", "1"])
     assert code == 1
     assert "error" not in report
@@ -359,6 +357,32 @@ def test_decomposition_failure_is_a_check_failure(monkeypatch, capsys):
         {"flag": "1|0", "reason": "coefficient 2 for 1|0"},
         {"flag": "0,1", "reason": "coefficient 2 for 0,1"},
     ]
+
+
+def test_sign_error_in_a_decomposition_fails_d_check(monkeypatch, capsys):
+    # d(d psi) = 0 is checked on the decompositions, so one flipped sign in
+    # d(psi_{0|1|2}) leaves 2 psi_{0,1,2} in d(d psi_{0|1|2})
+    from blowupforms import blowcx
+    from blowupforms.flagcomb import Flag
+
+    real = blowcx.d_decomposition
+    target = Flag.parse("0|1|2")
+
+    def flipped(F):
+        out = real(F)
+        if F == target:
+            (sign, G), *rest = out
+            return [(-sign, G)] + rest
+        return out
+
+    monkeypatch.setattr(blowcx, "d_decomposition", flipped)
+    code, report = run_json(capsys, ["d-check", "--n", "2"])
+    assert code == 1
+    assert report["results"]["flags_checked"] == 13
+    [failure] = report["results"]["failures"]
+    assert failure["flag"] == "0|1|2"
+    assert failure["reason"].startswith("dd != 0")
+    assert "2 psi_0,1,2" in failure["reason"]
 
 
 def test_budget_reports_partial(capsys):
@@ -372,17 +396,18 @@ def test_d_check_budget_is_checked_per_flag(monkeypatch, capsys):
     import types
 
     import blowupforms.cli as cli
+    from blowupforms import blowcx
 
     clock = [0.0]
-    real_check = cli._check_one_flag_d
+    real_decomposition = blowcx.d_decomposition
 
-    def slow_check(F):
+    def slow_decomposition(F):
         clock[0] += 1.0
-        return real_check(F)
+        return real_decomposition(F)
 
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(
         monotonic=lambda: clock[0], time=cli.time.time))
-    monkeypatch.setattr(cli, "_check_one_flag_d", slow_check)
+    monkeypatch.setattr(blowcx, "d_decomposition", slow_decomposition)
     code, report = run_json(capsys, ["d-check", "--n", "2", "--budget-seconds", "2.5"])
     assert code == 0
     assert report["results"]["flags_checked"] == 3
