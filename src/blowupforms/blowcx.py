@@ -3,7 +3,9 @@
 Cells in dimension k are the flags with k-complement block count.  The
 coboundary is d transported through the DOF isomorphism: ``decompose`` writes
 d(psi_F) as a verified signed sum of psi over one-merge coarsenings and checks
-d(d psi_F) = 0 on those sums, once, for this complex and for ``d-check``.
+d(d psi_F) = 0 on those sums, once, for this complex and for ``d-check``.  The
+symbolic decomposition runs on one standard flag per block-size composition;
+every other flag's column is carried over from it by relabelling.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .flagcomb import Flag, enumerate_flags, vertex_set
+from .flagcomb import Flag, enumerate_flags, perm_sign, standard_representative, vertex_set
 from .shadow import DecompositionFailed, d_decomposition
 
 # the largest simplex, counted in vertices, whose complex is built
@@ -34,18 +36,37 @@ class BlowupComplex:
 def decompose(flags) -> tuple[list[Flag], dict[Flag, dict[Flag, int]], dict[Flag, str]]:
     """Decompose d(psi_F) for each flag, then check d(d psi_F) = 0 on the decompositions.
 
+    ``shadow.d_decomposition``, with its full symbolic verification, runs once
+    per orbit: on the ``standard_representative`` R of the first flag taken
+    with R's block sizes.  Every flag F = R.relabel(sigma) of that orbit gets
+    R's column by transport: relabelling multiplies the coefficient of the
+    j-th merge by sigma's parity on the merged block, and sigma ascends on
+    each block of F, so c_j(F) = c_j(R) * perm_sign(V_{j-1} + V_j).  That law
+    is ``test_shadow.py::test_relabelling_laws``, and ``test_blowcx.py`` checks
+    the transported columns against a per-flag ``d_decomposition`` for n <= 3.
+
     Returns the flags taken, ``{F: {F_j: c_j}}`` for each flag that decomposed,
-    and ``{F: reason}`` in flag order for each flag whose ``d_decomposition``
-    raised, or whose coarsenings all decomposed and d(d psi_F) = sum_j c_j
-    d(psi_{F_j}) is not zero: the psi of a degree are independent, so that is exact.
+    and ``{F: reason}`` in flag order for each flag whose representative's
+    ``d_decomposition`` raised (the reason names R for the rest of the orbit),
+    or whose coarsenings all decomposed and d(d psi_F) = sum_j c_j d(psi_{F_j})
+    is not zero: the psi of a degree are independent, so that is exact.
     """
     taken, columns, errors = [], {}, {}
+    signs, failed = {}, {}  # per representative: [c_1, c_2, ...], or the reason it failed
     for F in flags:  # one at a time, so a budget is checked before each flag
         taken.append(F)
-        try:
-            columns[F] = {Fj: sign for sign, Fj in d_decomposition(F)}
-        except ArithmeticError as exc:  # DecompositionFailed and friends
-            errors[F] = str(exc)
+        R, _ = standard_representative(F)
+        if R not in signs and R not in failed:
+            try:
+                signs[R] = [c for c, _ in d_decomposition(R)]
+            except ArithmeticError as exc:  # DecompositionFailed and friends
+                failed[R] = str(exc)
+        if R in failed:
+            errors[F] = failed[R] if F == R else f"transported from {R}: {failed[R]}"
+            continue
+        B = F.blocks
+        columns[F] = {F.coarsen(j): c * perm_sign(B[j - 1] + B[j])
+                      for j, c in enumerate(signs[R], start=1)}
     for F, col in columns.items():
         residual = linalg.combine(columns, col) if all(Fj in columns for Fj in col) else {}
         if residual:

@@ -15,6 +15,17 @@ each flag (``d-check``) and each flag or candidate (``mc-verify``).
 
 Each ``_cmd_*`` function returns ``(inputs, results, passed)``; ``run``
 alone times the command, writes the report and chooses the exit code.
+
+``d-check`` and ``dof-matrix`` work once per orbit of flags under relabelling
+of the vertices.  ``d-check`` verifies ``d(psi_R)`` symbolically, coefficients
+and full identity, for one standard flag R per block-size composition
+(``blowcx.decompose``); every other flag gets R's column with the relabelling
+signs, and ``d(d psi_F) = 0`` is then checked on every flag's column.
+``dof-matrix`` evaluates one column ``dof_evaluate(H, psi_R)`` per
+composition and fills every entry from it (``shadow.gram_matrix``).  Tier-1
+checks the transport against the per-flag path: ``test_blowcx.py`` for the
+columns, ``test_dof.py`` for the pairing, and ``test_shadow.py`` and
+``test_dof.py`` for the relabelling laws under every permutation.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from itertools import combinations, product
 
 from . import __version__
 from .blowcx import MAX_VERTICES, betti_numbers, build_blowup_complex, decompose
-from .dof import dof_evaluate, first_mismatch
+from .dof import first_mismatch
 from .flagcomb import Flag, enumerate_flags
 from .hiord import (
     enumerate_experiments,
@@ -40,6 +51,7 @@ from .hiord import (
 from .mesh import MeshError, global_cohomology, write_samples
 from .shadow import (
     basis_element,
+    gram_matrix,
     poisson_probability,
     shadow_basis,
     whitney_containment,
@@ -123,8 +135,7 @@ def _cmd_dof_matrix(args):
     matrices = []
     for k in ks:
         flags = enumerate_flags(V, k)
-        basis = shadow_basis(V, k)
-        rows = [tuple(dof_evaluate(F, elem.form) for elem in basis) for F in budget.take(flags)]
+        rows = gram_matrix(V, k, budget.take(flags))
         bad = first_mismatch(rows)
         entry = {
             "k": k,
@@ -135,7 +146,7 @@ def _cmd_dof_matrix(args):
         }
         if bad is not None:
             i, j, x = bad
-            entry["first_mismatch"] = {"row": str(flags[i]), "column": str(basis[j].flag),
+            entry["first_mismatch"] = {"row": str(flags[i]), "column": str(flags[j]),
                                        "value": str(x)}
         if args.matrices:
             entry["entries"] = [[str(x) for x in row] for row in rows]
@@ -172,29 +183,32 @@ def _cmd_whitney_check(args):
 
 
 def _cmd_cohomology(args):
-    if args.mode == "local":
+    inputs = {"n": args.n} if args.mode == "local" else {"mesh": args.mesh, "rule": args.rule}
+    try:
+        if args.mode == "global":
+            rep = global_cohomology(args.mesh, args.rule)
+            return inputs, rep, rep["dd_zero"] and rep["match"]
         cx = build_blowup_complex(tuple(range(args.n + 1)))
-        betti = betti_numbers(cx)
-        expected = tuple([1] + [0] * args.n)
-        results = {
-            "f_vector": list(cx.f_vector),
-            "betti": list(betti),
+    except ArithmeticError as exc:  # DecompositionFailed from a local complex's build
+        return inputs, {"failure": str(exc)}, False
+    betti = betti_numbers(cx)
+    expected = tuple([1] + [0] * args.n)
+    results = {
+        "f_vector": list(cx.f_vector),
+        "betti": list(betti),
+    }
+    if args.matrices:
+        # dense rows over cells[k + 1], read off the stored columns
+        results["coboundary"] = {
+            str(k): [[str(col.get(r, 0)) for col in cols]
+                     for r in range(len(cx.cells[k + 1]))]
+            for k, cols in cx.coboundary.items()
         }
-        if args.matrices:
-            # dense rows over cells[k + 1], read off the stored columns
-            results["coboundary"] = {
-                str(k): [[str(col.get(r, 0)) for col in cols]
-                         for r in range(len(cx.cells[k + 1]))]
-                for k, cols in cx.coboundary.items()
-            }
-        if args.json_faces:
-            results["faces"] = {
-                str(k): [str(F) for F in cells] for k, cells in cx.cells.items()
-            }
-        return {"n": args.n}, results, betti == expected
-    # global
-    rep = global_cohomology(args.mesh, args.rule)
-    return {"mesh": args.mesh, "rule": args.rule}, rep, rep["dd_zero"] and rep["match"]
+    if args.json_faces:
+        results["faces"] = {
+            str(k): [str(F) for F in cells] for k, cells in cx.cells.items()
+        }
+    return inputs, results, betti == expected
 
 
 def _cmd_higher_order(args):

@@ -21,10 +21,6 @@ class NonPolynomialResidue(ArithmeticError):
     """The restricted integrand kept a denominator no block can absorb."""
 
 
-class UnisolvenceError(ArithmeticError):
-    """The DOF/basis pairing failed to be the identity matrix."""
-
-
 def integrate_monomial_simplex(W, exponents: dict[int, int]) -> Fraction:
     """Integral of a barycentric monomial against the normalized volume form.
 
@@ -166,7 +162,3 @@ def first_mismatch(rows) -> tuple[int, int, object] | None:
     return next(((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
                  if x != (1 if i == j else 0)), None)
 
-
-def is_identity(rows) -> bool:
-    """Whether row i of a DOF/basis pairing is the i-th unit vector, for every row given."""
-    return first_mismatch(rows) is None

@@ -13,6 +13,7 @@ layouts byte-for-byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -117,6 +118,14 @@ class Flag:
         """
         return Flag(tuple(tuple(mapping[v] for v in b) for b in self.blocks))
 
+    def relabel_sign(self, mapping) -> int:
+        """eps(F, sigma): the parity of ``mapping`` on each block, multiplied over blocks.
+
+        Blocks are kept ascending, so relabelling carries psi_F to
+        ``eps * psi_{F.relabel(mapping)}``; the DOF pairing and d follow suit.
+        """
+        return math.prod(perm_sign(mapping[v] for v in b) for b in self.blocks)
+
     # -- text forms ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -170,6 +179,24 @@ def enumerate_flags(V, k: int) -> list[Flag]:
     out = [Flag(p) for part in _set_partitions(vs, m) for p in permutations(part)]
     out.sort()
     return out
+
+
+def standard_representative(flag: Flag) -> tuple[Flag, dict[int, int]]:
+    """The standard flag R of F's orbit under relabelling, and sigma with R.relabel(sigma) == F.
+
+    R has F's block sizes, and its blocks are the consecutive runs of F's sorted
+    vertex set.  sigma maps each block of R onto the same-place block of F in
+    ascending order, so ``R.relabel_sign(sigma) == 1``.  Flags with the same
+    block sizes on one vertex set share R: one per composition of |V|.
+    """
+    V = flag.vertices
+    blocks, sigma, start = [], {}, 0
+    for b in flag.blocks:
+        run = V[start:start + len(b)]
+        blocks.append(run)
+        sigma.update(zip(run, b))
+        start += len(b)
+    return Flag(blocks), sigma
 
 
 def _set_partitions(elems: tuple[int, ...], m: int):

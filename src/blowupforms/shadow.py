@@ -17,15 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .dof import UnisolvenceError, dof_evaluate, is_identity
-from .flagcomb import Flag, enumerate_arrival_sequences, enumerate_flags, vertex_set
-from .symexpr import (
-    Poly,
-    RationalFn,
-    RationalForm,
-    flag_limit,
-    forms_equal_on_simplex,
+from .dof import dof_evaluate
+from .flagcomb import (
+    Flag,
+    enumerate_arrival_sequences,
+    enumerate_flags,
+    standard_representative,
+    vertex_set,
 )
+from .symexpr import Poly, RationalFn, RationalForm, forms_equal_on_simplex
 
 
 class DecompositionFailed(ArithmeticError):
@@ -105,23 +105,42 @@ def shadow_basis(V, k: int) -> list[ShadowBasisElement]:
     return [basis_element(F) for F in enumerate_flags(V, k)]
 
 
-def gram_matrix(V, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Evaluate every DOF (rows) against every basis form (columns) for fixed (V, k).
+def gram_matrix(V, k: int, rows=None) -> list[tuple[Fraction, ...]]:
+    """The DOF/basis pairing on V in degree k: entry (G, F) is dof_evaluate(G, psi_F).
 
-    Unisolvence makes this the identity; a failure raises UnisolvenceError
-    since it signals an implementation bug.
+    Rows are the flags in ``rows``, taken one at a time so that a budget can
+    stop between them (all flags by default); columns are all flags, both in
+    canonical order.  Unisolvence makes the full matrix the identity.
+
+    Each column flag is F = R.relabel(sigma) for its ``standard_representative``
+    R, and then psi_F = sigma . psi_R.  By the relabelling law of
+    ``dof_evaluate`` (``test_dof.py::test_dof_evaluate_relabelling_law``),
+    entry (G, F) = eps(H, sigma) * dof_evaluate(H, psi_R) with H the row flag
+    relabelled by sigma^-1.  So ``dof_evaluate`` runs once per (R, H), one
+    column per composition, and every entry is filled from those columns.
     """
-    basis = shadow_basis(V, k)
-    rows = tuple(
-        tuple(dof_evaluate(F_row, elem.form) for elem in basis) for F_row in enumerate_flags(V, k)
-    )
-    if not is_identity(rows):
-        raise UnisolvenceError(f"DOF pairing for |V|={len(vertex_set(V))}, k={k} is not the identity")
-    return rows
+    flags = enumerate_flags(V, k)
+    psi: dict[Flag, RationalForm] = {}
+    transports = []
+    for F in flags:
+        R, sigma = standard_representative(F)
+        if R not in psi:
+            psi[R] = basis_element(R).form
+        transports.append((R, sigma, {f: r for r, f in sigma.items()}))
+    columns: dict[tuple[Flag, Flag], Fraction] = {}
+
+    def entry(G, R, sigma, inverse):
+        H = G.relabel(inverse)
+        if (R, H) not in columns:
+            columns[R, H] = dof_evaluate(H, psi[R])
+        value = columns[R, H]
+        return H.relabel_sign(sigma) * value if value else value
+
+    return [tuple(entry(G, *t) for t in transports) for G in (flags if rows is None else rows)]
 
 
 def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:
-    """Write d(psi_F) as a signed sum of psi over one-merge coarsenings.
+    """Write d(psi_F) as a signed sum of psi over one-merge coarsenings, in merge order.
 
     The coefficients are solved for by applying the dual degrees of freedom,
     then the full identity is verified symbolically on the simplex; each
@@ -164,13 +183,3 @@ def whitney_containment(W, V) -> list[Flag]:
     if not forms_equal_on_simplex(total, whitney_form(W), V):
         raise IdentityFailed(f"sum of psi over {len(flags)} flags != phi_{W}")
     return flags
-
-
-def reduce_dimension(flag: Flag) -> tuple[Flag, bool]:
-    """Drop the last block; verify p_{F'} is the limit of p_F at that block."""
-    if len(flag.blocks) < 2:
-        raise ValueError("need at least two blocks to reduce")
-    reduced = Flag(flag.blocks[:-1])
-    limit = flag_limit(poisson_probability(flag), flag, len(flag.blocks) - 1)
-    verified = limit == poisson_probability(reduced)
-    return reduced, verified

@@ -666,10 +666,6 @@ def flag_limit(x, flag: Flag, j: int):
     raise TypeError(f"flag_limit expects RationalFn or RationalForm, got {type(x)!r}")
 
 
-def is_homogeneous(f: RationalFn, d: int) -> bool:
-    return f.is_homogeneous(d)
-
-
 # ---------------------------------------------------------------------------
 # equality on the simplex slice l_V = 1
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ from functools import lru_cache
 
 import pytest
 
-from blowupforms.blowcx import betti_numbers, build_blowup_complex
-from blowupforms.flagcomb import Flag, perm_sign
+from blowupforms import blowcx
+from blowupforms.blowcx import betti_numbers, build_blowup_complex, decompose
+from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
+from blowupforms.shadow import DecompositionFailed, d_decomposition
 
 
 @lru_cache(maxsize=None)
@@ -12,7 +14,8 @@ def _complex(nv):
     return build_blowup_complex(tuple(range(nv)))
 
 
-@pytest.mark.parametrize("nv,fvec", [(2, (2, 1)), (3, (6, 6, 1)), (4, (24, 36, 14, 1))])
+@pytest.mark.parametrize("nv,fvec", [(2, (2, 1)), (3, (6, 6, 1)), (4, (24, 36, 14, 1)),
+                                     (5, (120, 240, 150, 30, 1))])
 def test_f_vectors(nv, fvec):
     cx = _complex(nv)
     assert cx.f_vector == fvec
@@ -36,7 +39,8 @@ def test_euler_characteristic_is_one(nv):
     assert total == 1
 
 
-@pytest.mark.parametrize("nv,betti", [(2, (1, 0)), (3, (1, 0, 0)), (4, (1, 0, 0, 0))])
+@pytest.mark.parametrize("nv,betti", [(2, (1, 0)), (3, (1, 0, 0)), (4, (1, 0, 0, 0)),
+                                      (5, (1, 0, 0, 0, 0))])
 def test_betti_numbers(nv, betti):
     cx = _complex(nv)
     assert betti_numbers(cx) == betti
@@ -54,7 +58,7 @@ def test_coboundary_support_is_the_coarsening_relation():
             assert {rows[r] for r in col} == merges
 
 
-@pytest.mark.parametrize("nv", [2, 3, 4])
+@pytest.mark.parametrize("nv", [2, 3, 4, 5])
 def test_closed_form_sign_rule_reproduces_every_column(nv):
     # merging A = V_{j-1} with B = V_j has sign
     # perm_sign(A + B) * (-1)^(sum_{i<j-1} (|V_i| - 1) + |A|)
@@ -67,6 +71,39 @@ def test_closed_form_sign_rule_reproduces_every_column(nv):
                     * (-1) ** (sum(len(b) - 1 for b in B[:j - 1]) + len(B[j - 1]))
                     for j in range(1, len(B))}
             assert col == rule, F
+
+
+@pytest.mark.parametrize("nv", [2, 3, 4])
+def test_transported_columns_equal_a_decomposition_of_every_flag(nv):
+    # decompose runs d_decomposition on one flag per composition and relabels
+    # its column; the reference decomposes each flag itself
+    flags = [F for k in range(nv) for F in enumerate_flags(range(nv), k)]
+    taken, columns, failures = decompose(flags)
+    assert taken == flags and not failures
+    assert columns == {F: {Fj: c for c, Fj in d_decomposition(F)} for F in flags}
+
+
+def test_failed_representative_fails_its_whole_orbit(monkeypatch):
+    # 0|1,2 stands for every flag with block sizes (1, 2); each of them fails,
+    # and the reason of every other flag of the orbit names 0|1,2
+    real = blowcx.d_decomposition
+    target = Flag.parse("0|1,2")
+
+    def failing(F):
+        if F == target:
+            raise DecompositionFailed(f"coefficient 2 for {F}")
+        return real(F)
+
+    monkeypatch.setattr(blowcx, "d_decomposition", failing)
+    flags = [F for k in range(3) for F in enumerate_flags(range(3), k)]
+    taken, columns, failures = decompose(flags)
+    assert taken == flags
+    assert failures == {
+        Flag.parse("0|1,2"): "coefficient 2 for 0|1,2",
+        Flag.parse("1|0,2"): "transported from 0|1,2: coefficient 2 for 0|1,2",
+        Flag.parse("2|0,1"): "transported from 0|1,2: coefficient 2 for 0|1,2",
+    }
+    assert set(columns) == set(flags) - set(failures)
 
 
 def _dense(cx, k):

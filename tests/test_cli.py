@@ -46,14 +46,15 @@ def test_dof_matrix_assert_identity(capsys):
 
 def test_dof_matrix_names_the_first_mismatch(monkeypatch, capsys):
     # every basis form doubled: the first diagonal entry reads 2
-    import blowupforms.cli as cli
+    from blowupforms import shadow
 
-    real = cli.shadow_basis
+    real = shadow.basis_element
 
-    def doubled(V, k):
-        return [dataclasses.replace(e, form=e.form * 2) for e in real(V, k)]
+    def doubled(F):
+        e = real(F)
+        return dataclasses.replace(e, form=e.form * 2)
 
-    monkeypatch.setattr(cli, "shadow_basis", doubled)
+    monkeypatch.setattr(shadow, "basis_element", doubled)
     code, report = run_json(capsys, ["dof-matrix", "--n", "1", "--assert-identity"])
     assert code == 1
     assert [m["first_mismatch"] for m in report["results"]["matrices"]] == [
@@ -352,16 +353,18 @@ def test_decomposition_failure_is_a_check_failure(monkeypatch, capsys):
     code, report = run_json(capsys, ["d-check", "--n", "1"])
     assert code == 1
     assert "error" not in report
+    # 1|0 takes its column from the representative 0|1, so it fails with it
     assert report["results"]["failures"] == [
         {"flag": "0|1", "reason": "coefficient 2 for 0|1"},
-        {"flag": "1|0", "reason": "coefficient 2 for 1|0"},
+        {"flag": "1|0", "reason": "transported from 0|1: coefficient 2 for 0|1"},
         {"flag": "0,1", "reason": "coefficient 2 for 0,1"},
     ]
 
 
 def test_sign_error_in_a_decomposition_fails_d_check(monkeypatch, capsys):
     # d(d psi) = 0 is checked on the decompositions, so one flipped sign in
-    # d(psi_{0|1|2}) leaves 2 psi_{0,1,2} in d(d psi_{0|1|2})
+    # d(psi_{0|1|2}) leaves 2 psi_{0,1,2} in d(d psi_{0|1|2}); 0|1|2 stands for
+    # its whole orbit, so the flip reaches every flag with three blocks
     from blowupforms import blowcx
     from blowupforms.flagcomb import Flag
 
@@ -379,10 +382,43 @@ def test_sign_error_in_a_decomposition_fails_d_check(monkeypatch, capsys):
     code, report = run_json(capsys, ["d-check", "--n", "2"])
     assert code == 1
     assert report["results"]["flags_checked"] == 13
-    [failure] = report["results"]["failures"]
-    assert failure["flag"] == "0|1|2"
-    assert failure["reason"].startswith("dd != 0")
-    assert "2 psi_0,1,2" in failure["reason"]
+    failures = report["results"]["failures"]
+    assert [f["flag"] for f in failures] == ["0|1|2", "0|2|1", "1|0|2", "1|2|0", "2|0|1", "2|1|0"]
+    assert all(f["reason"].startswith("dd != 0") for f in failures)
+    assert "2 psi_0,1,2" in failures[0]["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "local", "--n", "2"],
+    ["cohomology", "global", "--mesh", "triangle-pair", "--rule", "general"],
+], ids=["local", "global"])
+def test_sign_error_in_a_decomposition_fails_cohomology(monkeypatch, capsys, argv):
+    # a failed d-structure check while building the local complex is a check
+    # failure, reported under the command's own name, not an internal error
+    from blowupforms import blowcx, mesh
+    from blowupforms.flagcomb import Flag
+
+    real = blowcx.d_decomposition
+    target = Flag.parse("0|1|2")
+
+    def flipped(F):
+        out = real(F)
+        if F == target:
+            (sign, G), *rest = out
+            return [(-sign, G)] + rest
+        return out
+
+    monkeypatch.setattr(blowcx, "d_decomposition", flipped)
+    mesh._local_complex.cache_clear()  # so the build runs under the patch
+    try:
+        code, report = run_json(capsys, argv)
+    finally:
+        mesh._local_complex.cache_clear()
+    assert code == 1
+    assert "error" not in report
+    assert report["command"] == f"cohomology-{argv[1]}"
+    assert report["pass"] is False
+    assert report["results"]["failure"] == "d(psi_0|1|2): dd != 0: 2 psi_0,1,2"
 
 
 def test_budget_reports_partial(capsys):
@@ -391,7 +427,7 @@ def test_budget_reports_partial(capsys):
 
 
 def test_d_check_budget_is_checked_per_flag(monkeypatch, capsys):
-    # a fake clock that advances 1 s per flag check: with a 2.5 s budget the
+    # a fake clock that advances 1 s per flag taken: with a 2.5 s budget the
     # fourth flag finds the budget spent
     import types
 
@@ -399,15 +435,15 @@ def test_d_check_budget_is_checked_per_flag(monkeypatch, capsys):
     from blowupforms import blowcx
 
     clock = [0.0]
-    real_decomposition = blowcx.d_decomposition
+    real_representative = blowcx.standard_representative
 
-    def slow_decomposition(F):
+    def slow_representative(F):
         clock[0] += 1.0
-        return real_decomposition(F)
+        return real_representative(F)
 
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(
         monotonic=lambda: clock[0], time=cli.time.time))
-    monkeypatch.setattr(blowcx, "d_decomposition", slow_decomposition)
+    monkeypatch.setattr(blowcx, "standard_representative", slow_representative)
     code, report = run_json(capsys, ["d-check", "--n", "2", "--budget-seconds", "2.5"])
     assert code == 0
     assert report["results"]["flags_checked"] == 3

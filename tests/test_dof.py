@@ -6,10 +6,9 @@ import pytest
 
 from blowupforms.dof import (
     NonPolynomialResidue,
-    UnisolvenceError,
     dof_evaluate,
+    first_mismatch,
     integrate_monomial_simplex,
-    is_identity,
     restrict_to_theta,
 )
 from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
@@ -181,25 +180,37 @@ def test_gram_matrix_identity(nv):
     V = tuple(range(nv))
     for k in range(nv):
         m = gram_matrix(V, k)
-        assert is_identity(m)
+        assert first_mismatch(m) is None
         assert all(len(row) == len(m) for row in m)
+
+
+@pytest.mark.parametrize("nv", [3, 4])
+def test_gram_matrix_equals_the_per_pair_pairing(nv):
+    # gram_matrix fills every entry from one column per composition by relabelling;
+    # the reference evaluates each (G, F) pair directly, for every row order given
+    V = tuple(range(nv))
+    for k in range(nv):
+        flags = enumerate_flags(V, k)
+        psi = [basis_element(F).form for F in flags]
+        reference = [tuple(dof_evaluate(G, w) for w in psi) for G in flags]
+        assert gram_matrix(V, k) == reference
+        assert gram_matrix(V, k, reversed(flags)) == reference[::-1]
 
 
 def test_gram_matrix_detects_non_identity(monkeypatch):
     # sabotaged basis (every form doubled) must trip the unisolvence check
+    import dataclasses
+
     import blowupforms.shadow as shadow_mod
 
-    orig = shadow_mod.shadow_basis
+    orig = shadow_mod.basis_element
 
-    def doubled(V, k):
-        return [
-            type(e)(flag=e.flag, form=e.form * 2, probability=e.probability, omega=e.omega)
-            for e in orig(V, k)
-        ]
+    def doubled(F):
+        e = orig(F)
+        return dataclasses.replace(e, form=e.form * 2)
 
-    monkeypatch.setattr(shadow_mod, "shadow_basis", doubled)
-    with pytest.raises(UnisolvenceError):
-        gram_matrix((0, 1), 0)
+    monkeypatch.setattr(shadow_mod, "basis_element", doubled)
+    assert first_mismatch(gram_matrix((0, 1), 0)) == (0, 0, 2)
 
 
 def test_divergent_limit_propagates():

@@ -10,6 +10,7 @@ from blowupforms.flagcomb import (
     enumerate_arrival_sequences,
     enumerate_flags,
     perm_sign,
+    standard_representative,
     vertex_set,
 )
 
@@ -164,6 +165,26 @@ def test_relabel_onto_a_cell():
     assert Flag.parse("2|0,1").relabel({0: 9, 1: 4, 2: 6}) == Flag.parse("6|4,9")
     with pytest.raises(ValueError):
         Flag.parse("0|1,2").relabel((3, 5, 3))
+
+
+@pytest.mark.parametrize("V", [(0, 1, 2, 3), (2, 5, 7, 9, 11)])
+def test_standard_representative(V):
+    # one R per composition of |V|, carried onto F with sign +1; the sign is
+    # checked against perm_sign of each block's image, read off independently
+    reps = set()
+    for k in range(len(V)):
+        for F in enumerate_flags(V, k):
+            R, sigma = standard_representative(F)
+            assert R.relabel(sigma) == F
+            assert R.block_sizes == F.block_sizes
+            assert R.vertices == V and sorted(sigma) == list(V)
+            assert R.relabel_sign(sigma) == 1
+            assert [v for b in R.blocks for v in b] == list(V)
+            reps.add(R)
+    assert len(reps) == 2 ** (len(V) - 1)
+    swap = {0: 1, 1: 0, 2: 2, 3: 3}
+    assert Flag.parse("0,1|2,3").relabel_sign(swap) == perm_sign((1, 0)) == -1
+    assert Flag.parse("0,2|1,3").relabel_sign(swap) == perm_sign((1, 2)) * perm_sign((0, 3)) == 1
 
 
 def test_flag_text_round_trip():

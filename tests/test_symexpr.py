@@ -13,7 +13,6 @@ from blowupforms.symexpr import (
     dilation_limit,
     flag_limit,
     forms_equal_on_simplex,
-    is_homogeneous,
     vanishes_on_slice,
 )
 
@@ -191,10 +190,10 @@ def test_rationalfn_evaluate_matches_sympy(f, values, integral):
 
 
 def test_pre_test_rejects_failing_divisions(monkeypatch):
-    """Nearly every failing division in a local complex build must be rejected
-    by the hyperplane value alone, before any long division."""
+    """Nearly every failing division in the d-structure of the 3-simplex must be
+    rejected by the hyperplane value alone, before any long division."""
     from blowupforms import symexpr
-    from blowupforms.blowcx import build_blowup_complex
+    from blowupforms.shadow import d_decomposition
 
     counts = {"failed": 0, "rejected": 0}
     value = symexpr._hyperplane_value
@@ -212,7 +211,9 @@ def test_pre_test_rejects_failing_divisions(monkeypatch):
 
     monkeypatch.setattr(symexpr, "_hyperplane_value", counting_value)
     monkeypatch.setattr(Poly, "divide_by_subset_sum", counting_divide)
-    build_blowup_complex((0, 1, 2, 3))
+    for k in range(4):
+        for F in enumerate_flags((0, 1, 2, 3), k):
+            d_decomposition(F)
     assert counts["failed"]  # 15 362 when every construction is uncached
     assert counts["rejected"] >= 0.99 * counts["failed"]
 
@@ -410,6 +411,10 @@ def test_limit_commutes_with_add_and_mul(f, g, S):
 
 
 # -- homogeneity and slice comparisons --------------------------------------------
+
+def is_homogeneous(f: RationalFn, d: int) -> bool:
+    return f.is_homogeneous(d)
+
 
 def test_is_homogeneous_examples():
     f = RationalFn(Poly.var(0) * Poly.var(1), {l(0, 1, 2): 1, l(1, 2): 1})
