@@ -3,9 +3,11 @@
 The functional attached to a flag F restricts a k-form to the product of
 block simplices Theta_F = prod_j T_{V_j}, takes the sequential dilation
 limits toward the corresponding blow-up face (last block first), and
-integrates exactly.  Orientation conventions: each block simplex carries
-the ascending-vertex orientation with the block-maximal coordinate
-eliminated, and Theta_F is oriented as the product in block order.
+integrates exactly.  The restriction drops the radial differentials d l_{V_j}
+with ``symexpr.reduce_mod_dlv``, the one tangential reduction, which
+equality on the simplex uses too.  Orientation conventions: each block
+simplex carries the ascending-vertex orientation with the block-maximal
+coordinate eliminated, and Theta_F is oriented as the product in block order.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .flagcomb import Flag, perm_sign, vertex_set
-from .symexpr import Poly, RationalFn, RationalForm, flag_limit
+from .symexpr import Poly, RationalFn, RationalForm, flag_limit, reduce_mod_dlv
 
 
 class NonPolynomialResidue(ArithmeticError):
@@ -56,12 +58,14 @@ def _eta_integral(block: tuple[int, ...], exponents: dict[int, int]) -> Fraction
 def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
     """Pull a k-form back to Theta_F and take the sequential limits.
 
-    Steps: (1) keep only components tangential to Theta by rewriting each
-    block-maximal dlambda modulo the block radius differential and dropping
-    radial directions, (2) rescale each surviving dlambda by its block
-    radius so coefficients are taken against dtheta, (3) apply the dilation
-    limits for j = n-k down to 1, (4) restrict each block to its simplex
-    (full-block subset sums drop; singleton-block variables pin to 1).
+    Steps: (1) keep only components tangential to Theta_F: ``reduce_mod_dlv``
+    rewrites each block-maximal dlambda modulo d l_B of its block B, and a
+    singleton block's dlambda, purely radial, drops; (2) take coefficients
+    against dtheta: modulo d l_B, dlambda_i = l_B dtheta_i for i in B, so the
+    coefficient of each dlambda_W is multiplied once by prod_{i in W} l_{B(i)};
+    (3) apply the dilation limits for j = n-k down to 1; (4) restrict each
+    block to its simplex (full-block subset sums drop; singleton-block
+    variables pin to 1).
 
     The returned form reuses the lambda indices as coordinates theta_i on
     Theta_F.  DivergentLimit propagates from step (3).
@@ -72,44 +76,13 @@ def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
     if foreign:
         raise ValueError(f"form uses variables {sorted(foreign)} outside the flag's vertex set")
     blocks = flag.blocks
-    # images of each dlambda under the tangential reduction
-    images: dict[int, list[tuple[int, int]]] = {}
-    radius: dict[int, frozenset] = {}
-    for b in blocks:
-        S = frozenset(b)
-        if len(b) == 1:
-            images[b[0]] = []  # pure radial direction
-            radius[b[0]] = S
-            continue
-        m = max(b)
-        images[m] = [(-1, i) for i in b if i != m]
-        for i in b:
-            radius[i] = S
-
+    radius = {i: Poly.subset_sum(b) for b in blocks for i in b}
     reduced: dict[frozenset, RationalFn] = {}
-    for W, f in form.terms.items():
-        sw = tuple(sorted(W))
-        choices: list[list[tuple[int, int]]] = []
-        for w in sw:
-            choices.append(images.get(w, [(1, w)]))
-        # multilinear expansion of the substituted wedge
-        stack = [(0, 1, ())]
-        while stack:
-            idx, sign, picked = stack.pop()
-            if idx == len(choices):
-                # picked never repeats a variable, so its sign is +-1
-                g = f * (sign * perm_sign(picked))
-                for i in sorted(picked):
-                    g = g * Poly.subset_sum(radius[i])
-                K = frozenset(picked)
-                s = reduced.get(K)
-                reduced[K] = g if s is None else s + g
-                continue
-            for csign, var in choices[idx]:
-                if var in picked:
-                    continue
-                stack.append((idx + 1, sign * csign, picked + (var,)))
-
+    for W, f in reduce_mod_dlv(form, blocks).terms.items():
+        scale = Poly.const(1)
+        for i in W:
+            scale = scale * radius[i]
+        reduced[W] = f * scale
     out = RationalForm(flag.k, reduced)
     for j in range(len(blocks) - 1, 0, -1):
         out = flag_limit(out, flag, j)

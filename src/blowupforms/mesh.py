@@ -4,9 +4,10 @@ A triangulation is combinatorial only (no coordinates): cells are ascending
 vertex tuples and every face of every cell carries the ascending orientation.
 Signs are local: ``Triangulation.orient_star`` orients the cells around a face
 K by walking across the facets that contain K, over the whole mesh to decide
-orientability and over each vertex star to find 2D pinch points.  Per-cell
-orientation signs, supplied or solved, only seed the walks and are a gauge:
-on a connected star another seed only rescales the row.
+orientability and over the star of every face of codimension at least two to
+find pinch points.  Per-cell orientation signs, supplied or solved, only seed
+the walks and are a gauge: on a connected star another seed only rescales the
+row.
 
 The DOFs of a cell are the k-flags of {0..n}, in canonical order, relabelled
 onto the ascending cell: the DOF of cell ci and canonical flag j has index
@@ -133,10 +134,14 @@ class Triangulation:
         self._facet_signs = [{f: perm_sign(f + _opposite(f, c)) for f in combinations(c, dimension)}
                             for c in self.cells]
         ones = [1] * len(self.cells)
-        pinched = [v for v in self.vertices
-                   if self.dimension == 2 and self.orient_star((v,), ones)[1] > 1]
+        # a face of codimension >= 2 whose star falls apart across its facets,
+        # the largest first: two tetrahedra on one edge name the edge
+        pinched = [K for d in reversed(range(self.dimension - 1)) for K in self.faces[d]
+                   if self.orient_star(K, ones)[1] > 1]
         if pinched and manifold != "none":
-            raise MeshError(f"vertex {pinched[0]} has a disconnected link (pinch point)")
+            K = pinched[0]
+            name = f"vertex {K[0]}" if len(K) == 1 else f"face {K}"
+            raise MeshError(f"{name} has a disconnected link (pinch point)")
         self.nonmanifold = bool(over or pinched)
 
         if orientation is not None and (

@@ -21,7 +21,7 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
 
 from .flagcomb import Flag, perm_sign
 
@@ -50,10 +50,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(d.items()))
 
 
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def _exact(c):
     """c as an int when it is integral, else as a non-integral Fraction."""
     if type(c) is int:
@@ -73,24 +69,20 @@ def _probe(v: int) -> int:
     return v * v + 3 * v + 7
 
 
-def _hyperplane_value(p: "Poly", S: frozenset) -> int:
-    """p at a fixed integer point of l_S = 0, times a positive integer.
+class _ProbePoint(dict):
+    """A point that gives every lambda_v not stored the value ``_probe(v)``."""
 
-    lambda_v takes the value ``_probe(v)``, except lambda_{min S}, which takes
-    minus the sum of the other members of S, so that l_S = 0 there.  Every
-    coefficient is brought to the common denominator of all of them, so the
-    sum stays in integers; only whether it is zero carries meaning.
-    """
+    def __missing__(self, v: int) -> int:
+        self[v] = _probe(v)
+        return self[v]
+
+
+@lru_cache(maxsize=None)
+def _hyperplane_point(S: frozenset) -> _ProbePoint:
+    """A fixed integer point of l_S = 0: lambda_v = ``_probe(v)``, except
+    lambda_{min S}, which takes minus the sum of the other probes in S."""
     v0 = min(S)
-    x0 = -sum(_probe(w) for w in S if w != v0)
-    den = lcm(*[c.denominator for c in p.terms.values()])
-    total = 0
-    for m, c in p.terms.items():
-        term = c.numerator * (den // c.denominator)
-        for v, e in m:
-            term *= (x0 if v == v0 else _probe(v)) ** e
-        total += term
-    return total
+    return _ProbePoint({v0: -sum(_probe(w) for w in S if w != v0)})
 
 
 class Poly:
@@ -189,12 +181,6 @@ class Poly:
     def variables(self) -> frozenset[int]:
         return frozenset(v for m in self.terms for v, _ in m)
 
-    def homogeneous_components(self) -> dict[int, "Poly"]:
-        comps: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            comps.setdefault(_mono_degree(m), {})[m] = c
-        return {d: Poly(t) for d, t in comps.items()}
-
     def derivative(self, v: int) -> "Poly":
         t: dict[Mono, int | Fraction] = {}
         for m, c in self.terms.items():
@@ -262,7 +248,7 @@ class Poly:
         S = frozenset(S)
         if self.is_zero():
             return Poly.zero()
-        if _hyperplane_value(self, S):
+        if self.evaluate(_hyperplane_point(S)):
             return None
         v = min(S)
         rest = S - {v}
@@ -442,16 +428,6 @@ class RationalFn:
             {frozenset(perm.get(i, i) for i in S): e for S, e in self.den.items()},
         )
 
-    def is_homogeneous(self, d: int) -> bool:
-        """True iff f(t*lambda) = t^d f(lambda) identically."""
-        if self.num.is_zero():
-            return True
-        comps = self.num.homogeneous_components()
-        if len(comps) != 1:
-            return False
-        (deg,) = comps
-        return deg - sum(self.den.values()) == d
-
     # -- display / serialization ----------------------------------------------
 
     def __repr__(self) -> str:
@@ -526,10 +502,6 @@ class RationalForm:
     @staticmethod
     def function(f: RationalFn) -> "RationalForm":
         return RationalForm(0, {frozenset(): f})
-
-    @staticmethod
-    def d_lambda(i: int) -> "RationalForm":
-        return RationalForm(1, {frozenset((i,)): RationalFn.one()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -679,7 +651,7 @@ def vanishes_on_slice(f: RationalFn, V) -> bool:
     """
     if f.num.is_zero():
         return True
-    comps = f.num.homogeneous_components()
+    comps = f.num.epsilon_split(f.num.variables())
     top = max(comps)
     lv = Poly.subset_sum(V)
     total = Poly.zero()
@@ -688,32 +660,36 @@ def vanishes_on_slice(f: RationalFn, V) -> bool:
     return total.is_zero()
 
 
-def reduce_mod_dlv(form: RationalForm, V) -> RationalForm:
-    """Rewrite modulo d(l_V): substitute dlambda_max -> -sum of the others.
+def reduce_mod_dlv(form: RationalForm, blocks) -> RationalForm:
+    """Rewrite modulo d(l_B) for each block B: dlambda_{max B} -> -sum of the others.
 
-    The result involves only the dlambda_i for i != max(V) and represents
-    the same form on vectors tangent to the slice l_V = 1.
+    The result involves no dlambda_{max B} and represents the same form on
+    vectors tangent to every slice l_B = const; a singleton block's dlambda
+    drops.  Moving the substituted dlambda_i from the slot of max B to its
+    own slot passes the members of W strictly between i and max B.  The
+    blocks are disjoint, so substituting block by block is substituting all
+    at once.
     """
-    V = tuple(sorted(V))
-    vmax = V[-1]
-    rest = V[:-1]
-    out: dict[frozenset, RationalFn] = {}
-    for W, f in form.terms.items():
-        if vmax not in W:
-            s = out.get(W)
-            out[W] = f if s is None else s + f
-            continue
-        W0 = tuple(sorted(W - {vmax}))  # vmax sits last in sorted W
-        for i in rest:
-            if i in W0:
+    terms = form.terms
+    for B in blocks:
+        *rest, vmax = sorted(B)
+        out: dict[frozenset, RationalFn] = {}
+        for W, f in terms.items():
+            if vmax not in W:
+                s = out.get(W)
+                out[W] = f if s is None else s + f
                 continue
-            bigger = sum(1 for w in W0 if w > i)
-            sign = -1 if (bigger + 1) % 2 else 1  # -1 from the substitution itself
-            key = frozenset(W0) | {i}
-            contrib = f * sign
-            s = out.get(key)
-            out[key] = contrib if s is None else s + contrib
-    return RationalForm(form.degree, out)
+            W0 = W - {vmax}
+            for i in rest:
+                if i in W0:
+                    continue
+                between = sum(1 for w in W0 if i < w < vmax)
+                key = W0 | {i}
+                contrib = f if between % 2 else -f  # -1 from the substitution itself
+                s = out.get(key)
+                out[key] = contrib if s is None else s + contrib
+        terms = out
+    return RationalForm(form.degree, terms)
 
 
 def forms_equal_on_simplex(a: RationalForm, b: RationalForm, V) -> bool:
@@ -722,7 +698,7 @@ def forms_equal_on_simplex(a: RationalForm, b: RationalForm, V) -> bool:
     Both sides are restricted to vectors tangent to the slice l_V = 1 and
     the coefficients are compared after rehomogenization.
     """
-    diff = reduce_mod_dlv(a - b, V)
+    diff = reduce_mod_dlv(a - b, [V])
     return all(vanishes_on_slice(f, V) for f in diff.terms.values())
 
 

@@ -277,6 +277,21 @@ def test_mesh_dimension_out_of_range_is_usage_error(tmp_path, capsys, doc, limit
     assert limit in report["error"]["message"]
 
 
+@pytest.mark.parametrize("cells, face", [
+    ([[0, 1, 2, 3], [0, 4, 5, 6]], "vertex 0"),
+    ([[0, 1, 2, 3], [0, 1, 4, 5]], "face (0, 1)"),
+])
+def test_3d_pinch_is_usage_error(tmp_path, capsys, cells, face):
+    # two tetrahedra sharing only a vertex, or only an edge
+    path = tmp_path / "pinch.json"
+    path.write_text(json.dumps({"dimension": 3, "cells": cells}))
+    code, report = _error_exit(
+        capsys, ["cohomology", "global", "--mesh", str(path), "--rule", "general"])
+    assert code == 2
+    assert report["error"]["type"] == "MeshError"
+    assert report["error"]["message"].startswith(f"{face} has a disconnected link")
+
+
 @pytest.mark.parametrize("argv", [
     ["basis", "--n", "-1"],
     ["basis", "--n", "2", "--k", "3"],

@@ -14,6 +14,7 @@ from blowupforms.dof import (
 from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
 from blowupforms.shadow import basis_element, gram_matrix, omega_form, whitney_form
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
+from form_helpers import d_lambda
 
 
 # -- independent quadrature oracle -------------------------------------------------
@@ -102,7 +103,7 @@ def test_nonpolynomial_residue_raised():
 
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError):
-        restrict_to_theta(RationalForm.d_lambda(0), Flag.parse("0|1|2"))
+        restrict_to_theta(d_lambda(0), Flag.parse("0|1|2"))
 
 
 # -- degree of freedom evaluation ----------------------------------------------------

@@ -11,6 +11,7 @@ from blowupforms.hiord import (
     r1_reduction_check,
 )
 from blowupforms.symexpr import Poly, RationalFn
+from form_helpers import is_homogeneous
 
 
 def l(*ids):
@@ -76,7 +77,7 @@ def test_probabilities_positive_at_barycenter(nv, r):
     for c in enumerate_experiments(tuple(range(nv)), r):
         val = c.probability.evaluate(point)
         assert 0 < val <= 1
-        assert c.probability.is_homogeneous(0)
+        assert is_homogeneous(c.probability, 0)
 
 
 @pytest.mark.parametrize("nv", [2, 3, 4])

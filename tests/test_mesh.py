@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -105,6 +106,25 @@ def test_pinched_vertex_link_rejected():
     cells = [[0, 1, 2], [0, 3, 4]]
     with pytest.raises(MeshError):
         Triangulation(2, cells)
+
+
+# two tetrahedra sharing only vertex 0, and two sharing only the edge 01: no
+# facet borders three cells, but the star of the shared face falls apart
+TET_PINCHES = [([[0, 1, 2, 3], [0, 4, 5, 6]], "vertex 0"),
+               ([[0, 1, 2, 3], [0, 1, 4, 5]], "face (0, 1)")]
+
+
+@pytest.mark.parametrize("cells, face", TET_PINCHES)
+def test_3d_pinch_rejected_unless_allowed(cells, face):
+    with pytest.raises(MeshError, match=rf"^{re.escape(face)} has a disconnected link"):
+        Triangulation(3, cells)
+    assert Triangulation(3, cells, manifold="none").nonmanifold
+
+
+def test_bundled_meshes_load_as_manifolds():
+    assert len(SAMPLE_MESHES) == 8
+    for name in SAMPLE_MESHES:
+        assert not load_mesh(name).nonmanifold, name
 
 
 def test_accepted_pinch_vertex_is_reported_nonmanifold():

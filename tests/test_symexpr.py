@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from blowupforms.flagcomb import Flag, enumerate_flags
+from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
 from blowupforms.symexpr import (
     DivergentLimit,
     Poly,
@@ -13,8 +15,10 @@ from blowupforms.symexpr import (
     dilation_limit,
     flag_limit,
     forms_equal_on_simplex,
+    reduce_mod_dlv,
     vanishes_on_slice,
 )
+from form_helpers import d_lambda, is_homogeneous
 
 try:
     import sympy
@@ -191,25 +195,21 @@ def test_rationalfn_evaluate_matches_sympy(f, values, integral):
 
 def test_pre_test_rejects_failing_divisions(monkeypatch):
     """Nearly every failing division in the d-structure of the 3-simplex must be
-    rejected by the hyperplane value alone, before any long division."""
+    rejected by the value at the hyperplane point alone, before any long division."""
     from blowupforms import symexpr
     from blowupforms.shadow import d_decomposition
 
     counts = {"failed": 0, "rejected": 0}
-    value = symexpr._hyperplane_value
     divide = Poly.divide_by_subset_sum
 
-    def counting_value(p, S):
-        out = value(p, S)
-        counts["rejected"] += bool(out)
-        return out
-
     def counting_divide(p, S):
+        point = symexpr._hyperplane_point(frozenset(S))
+        assert sum(point[v] for v in S) == 0  # the point lies on l_S = 0
+        counts["rejected"] += bool(p.evaluate(point))
         q = divide(p, S)
         counts["failed"] += q is None
         return q
 
-    monkeypatch.setattr(symexpr, "_hyperplane_value", counting_value)
     monkeypatch.setattr(Poly, "divide_by_subset_sum", counting_divide)
     for k in range(4):
         for F in enumerate_flags((0, 1, 2, 3), k):
@@ -247,7 +247,7 @@ def test_equality_cross_multiplied():
 # -- wedge -------------------------------------------------------------------------
 
 def test_wedge_examples():
-    d0, d1, d2 = (RationalForm.d_lambda(i) for i in range(3))
+    d0, d1, d2 = (d_lambda(i) for i in range(3))
     w = d0.wedge(d1)
     assert w.coefficient((0, 1)) == RationalFn.one()
     assert d1.wedge(d0).coefficient((0, 1)) == -RationalFn.one()
@@ -270,7 +270,7 @@ def test_wedge_graded_anticommutative_on_one_forms(f, g):
 
 def test_d_of_variable():
     df = RationalForm.function(RationalFn.var(0)).exterior_derivative()
-    assert df == RationalForm.d_lambda(0)
+    assert df == d_lambda(0)
 
 
 def test_quotient_rule_hand_example():
@@ -301,7 +301,7 @@ def test_leibniz_rule(f, g):
 # -- tautological contraction --------------------------------------------------------
 
 def test_contraction_examples():
-    d0, d1 = RationalForm.d_lambda(0), RationalForm.d_lambda(1)
+    d0, d1 = d_lambda(0), d_lambda(1)
     w = d0.wedge(d1)
     c = w.contract_tautological((0, 1))
     assert c.coefficient((1,)) == RationalFn.var(0)
@@ -412,10 +412,6 @@ def test_limit_commutes_with_add_and_mul(f, g, S):
 
 # -- homogeneity and slice comparisons --------------------------------------------
 
-def is_homogeneous(f: RationalFn, d: int) -> bool:
-    return f.is_homogeneous(d)
-
-
 def test_is_homogeneous_examples():
     f = RationalFn(Poly.var(0) * Poly.var(1), {l(0, 1, 2): 1, l(1, 2): 1})
     assert is_homogeneous(f, 0)
@@ -438,8 +434,45 @@ def test_forms_equal_on_simplex_uses_tangential_part():
     lv = RationalFn(Poly.subset_sum(V))
     dlv = RationalForm.function(lv).exterior_derivative()
     assert forms_equal_on_simplex(dlv, RationalForm.zero(1), V)
-    d0 = RationalForm.d_lambda(0)
+    d0 = d_lambda(0)
     assert not forms_equal_on_simplex(d0, RationalForm.zero(1), V)
+
+
+FLAGS_UP_TO_3 = [F for n in range(4) for k in range(n + 1)
+                 for F in enumerate_flags(range(n + 1), k)]
+
+
+def value_on_vectors(form: RationalForm, point, vectors) -> Fraction:
+    """The form at ``point`` on the tangent vectors ``vectors`` ({i: component})."""
+    total = Fraction(0)
+    for W, f in form.terms.items():
+        cols = sorted(W)
+        det = sum(perm_sign(p) * prod(vec.get(cols[c], 0) for vec, c in zip(vectors, p))
+                  for p in permutations(range(len(cols))))
+        total += f.evaluate(point) * det
+    return total
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_reduce_mod_dlv_keeps_every_tangent_value(data):
+    """An oracle for the multi-block reduction that does not substitute.  For every
+    flag F with n <= 3 and a k-form with every dlambda_W on {0..3}, the form and its
+    reduction take the same value on the tangent vectors e_i - e_{max B} of F's
+    blocks, and no dlambda_{max B} is left.  Blocks whose maximum lies below members
+    of W exercise the sign of the substitution."""
+    forms = {k: RationalForm(k, {frozenset(W): data.draw(rationals)
+                                 for W in combinations(range(4), k)})
+             for k in range(4)}
+    point = {v: data.draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 5)))
+             for v in range(4)}
+    for flag in FLAGS_UP_TO_3:
+        form = forms[flag.k]
+        reduced = reduce_mod_dlv(form, flag.blocks)
+        tops = {max(B) for B in flag.blocks}
+        assert not any(W & tops for W in reduced.terms), flag
+        tangent = [{i: 1, max(B): -1} for B in flag.blocks for i in B if i != max(B)]
+        assert value_on_vectors(reduced, point, tangent) == value_on_vectors(form, point, tangent), flag
 
 
 # -- serialization and display ---------------------------------------------------
