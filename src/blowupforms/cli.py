@@ -135,21 +135,21 @@ def _cmd_dof_matrix(args):
     matrices = []
     for k in ks:
         flags = enumerate_flags(V, k)
-        rows = gram_matrix(V, k, budget.take(flags))
-        bad = first_mismatch(rows)
-        entry = {
-            "k": k,
-            "size": len(flags),
-            "rows_computed": len(rows),
-            "flags": [str(F) for F in flags],
-            "identity": bad is None,
-        }
-        if bad is not None:
-            i, j, x = bad
-            entry["first_mismatch"] = {"row": str(flags[i]), "column": str(flags[j]),
-                                       "value": str(x)}
-        if args.matrices:
-            entry["entries"] = [[str(x) for x in row] for row in rows]
+        entry = {"k": k, "size": len(flags)}
+        try:
+            rows = gram_matrix(V, k, budget.take(flags))
+        except ArithmeticError as exc:  # DivergentLimit, NonPolynomialResidue
+            entry.update(flags=[str(F) for F in flags], identity=False, failure=str(exc))
+        else:
+            bad = first_mismatch(rows)
+            entry.update(rows_computed=len(rows), flags=[str(F) for F in flags],
+                         identity=bad is None)
+            if bad is not None:
+                i, j, x = bad
+                entry["first_mismatch"] = {"row": str(flags[i]), "column": str(flags[j]),
+                                           "value": str(x)}
+            if args.matrices:
+                entry["entries"] = [[str(x) for x in row] for row in rows]
         matrices.append(entry)
         if budget.partial:
             break

@@ -1,8 +1,9 @@
-"""Degrees of freedom: sequential flag limits plus exact integration.
+"""Degrees of freedom: one face limit plus exact integration.
 
 The functional attached to a flag F restricts a k-form to the product of
-block simplices Theta_F = prod_j T_{V_j}, takes the sequential dilation
-limits toward the corresponding blow-up face (last block first), and
+block simplices Theta_F = prod_j T_{V_j}, takes the limit toward the
+corresponding blow-up face with ``symexpr.face_limit`` (every block
+infinitesimal relative to the one before it, all steps in one pass), and
 integrates exactly.  The restriction drops the radial differentials d l_{V_j}
 with ``symexpr.reduce_mod_dlv``, the one tangential reduction, which
 equality on the simplex uses too.  Orientation conventions: each block
@@ -16,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .flagcomb import Flag, perm_sign, vertex_set
-from .symexpr import Poly, RationalFn, RationalForm, flag_limit, reduce_mod_dlv
+from .symexpr import Poly, RationalFn, RationalForm, face_limit, reduce_mod_dlv
 
 
 class NonPolynomialResidue(ArithmeticError):
@@ -56,16 +57,16 @@ def _eta_integral(block: tuple[int, ...], exponents: dict[int, int]) -> Fraction
 
 
 def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
-    """Pull a k-form back to Theta_F and take the sequential limits.
+    """Pull a k-form back to Theta_F and take its limit toward the face of F.
 
     Steps: (1) keep only components tangential to Theta_F: ``reduce_mod_dlv``
     rewrites each block-maximal dlambda modulo d l_B of its block B, and a
     singleton block's dlambda, purely radial, drops; (2) take coefficients
     against dtheta: modulo d l_B, dlambda_i = l_B dtheta_i for i in B, so the
     coefficient of each dlambda_W is multiplied once by prod_{i in W} l_{B(i)};
-    (3) apply the dilation limits for j = n-k down to 1; (4) restrict each
-    block to its simplex (full-block subset sums drop; singleton-block
-    variables pin to 1).
+    (3) take each coefficient's ``face_limit`` toward the face of F, skipping
+    the coefficients whose limit is zero; (4) restrict each block to its
+    simplex (full-block subset sums drop; singleton-block variables pin to 1).
 
     The returned form reuses the lambda indices as coordinates theta_i on
     Theta_F.  DivergentLimit propagates from step (3).
@@ -77,26 +78,21 @@ def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
         raise ValueError(f"form uses variables {sorted(foreign)} outside the flag's vertex set")
     blocks = flag.blocks
     radius = {i: Poly.subset_sum(b) for b in blocks for i in b}
-    reduced: dict[frozenset, RationalFn] = {}
+    full = {frozenset(b) for b in blocks}
+    out: dict[frozenset, RationalFn] = {}
     for W, f in reduce_mod_dlv(form, blocks).terms.items():
         scale = Poly.const(1)
         for i in W:
             scale = scale * radius[i]
-        reduced[W] = f * scale
-    out = RationalForm(flag.k, reduced)
-    for j in range(len(blocks) - 1, 0, -1):
-        out = flag_limit(out, flag, j)
-    # per-block simplex restriction
-    final: dict[frozenset, RationalFn] = {}
-    for W, f in out.terms.items():
-        den = {S: e for S, e in f.den.items() if S not in {frozenset(b) for b in blocks}}
-        g = RationalFn(f.num, den)
+        g = face_limit(f * scale, flag)
+        if g.is_zero():
+            continue
+        num = g.num
         for b in blocks:
             if len(b) == 1:
-                g = g.substitute_one(b[0])
-        if not g.is_zero():
-            final[W] = g
-    return RationalForm(flag.k, final)
+                num = num.substitute_one(b[0])
+        out[W] = RationalFn(num, {S: e for S, e in g.den.items() if S not in full})
+    return RationalForm(flag.k, out)
 
 
 def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import linalg
 from .flagcomb import ArrivalSequence, Flag, vertex_set
 from .shadow import IdentityFailed, shadow_basis
-from .symexpr import Poly, RationalFn, _den_scale, flag_limit
+from .symexpr import Poly, RationalFn, _den_scale, face_limit
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,10 @@ def pr_containment(V, r: int) -> bool:
 
 
 def face_vanishing_check(candidate: HigherBasisCandidate, face: Flag) -> bool:
-    """Sequential limit of the candidate's probability toward a blow-up face.
+    """Limit of the candidate's probability toward a blow-up face.
 
     Returns True when the check passes: the limit is identically zero
     exactly when the candidate's flag does not subdivide the face's flag.
     """
-    p = candidate.probability
-    for j in range(len(face.blocks) - 1, 0, -1):
-        p = flag_limit(p, face, j)
-    vanishes = p.is_zero()
+    vanishes = face_limit(candidate.probability, face).is_zero()
     return vanishes == (not candidate.flag.refines(face))

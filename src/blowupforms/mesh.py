@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -234,16 +233,6 @@ def global_flags(tri: Triangulation, k: int) -> list[tuple[int, Flag]]:
     return [(ci, F.relabel(cell)) for ci, cell in enumerate(tri.cells) for F in local]
 
 
-# -- local complex, built once per dimension ----------------------------------
-
-@lru_cache(maxsize=None)
-def _local_complex(n: int) -> BlowupComplex:
-    """The blow-up complex of the canonical simplex {0..n}."""
-    # the module-level name is looked up per call, so a rebinding of
-    # build_blowup_complex (a tracer, a test spy) is honoured
-    return build_blowup_complex(tuple(range(n + 1)))
-
-
 # -- assembly -----------------------------------------------------------------
 
 @dataclass
@@ -347,11 +336,10 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
     )
 
 
-def _global_coboundary(tri: Triangulation, k: int) -> list[dict[int, int]]:
+def _global_coboundary(tri: Triangulation, cx: BlowupComplex, k: int) -> list[dict[int, int]]:
     """Block-diagonal coboundary on pre-gluing DOFs, one column per k-DOF in
-    ``global_flags`` order: local column c of cell ci, with row r moved to
-    ci * f_{k+1} + r."""
-    cx = _local_complex(tri.dimension)
+    ``global_flags`` order: local column c of the complex ``cx`` of the cell
+    simplex, in cell ci, with row r moved to ci * f_{k+1} + r."""
     m = len(cx.cells[k + 1])
     return [
         {ci * m + r: sign for r, sign in col.items()}
@@ -388,9 +376,10 @@ def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
         "skipped_boundary_faces": spaces[0].skipped_boundary_faces,
         "dd_zero": True,
     }
+    cx = build_blowup_complex(tuple(range(n + 1)))
     ranks = []
     for k, sp in enumerate(spaces[:n]):
-        D = _global_coboundary(tri, k)
+        D = _global_coboundary(tri, cx, k)
         images = [linalg.combine(D, b) for b in sp.basis()]
         # the image must satisfy the degree-(k+1) constraints exactly; held
         # as columns, one per DOF, they are read only where an image is nonzero

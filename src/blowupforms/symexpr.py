@@ -10,7 +10,8 @@ Everything here is built from three layers:
 * ``RationalFn`` -- a polynomial numerator over a denominator that is a
   product of powers of subset sums ``l_S = sum_{i in S} lambda_i``.  This
   restricted class is closed under sums, products, partial derivatives and
-  dilation limits, which keeps equality tests and limits exact and cheap.
+  limits toward blow-up faces (``face_limit``), which keeps equality tests
+  and limits exact and cheap.
 * ``RationalForm`` -- differential k-forms whose coefficients are
   ``RationalFn``s, keyed by sorted index sets for the wedge monomials
   ``dlambda_{w_1} ^ ... ^ dlambda_{w_k}``.
@@ -27,7 +28,7 @@ from .flagcomb import Flag, perm_sign
 
 
 class DivergentLimit(ArithmeticError):
-    """A dilation limit diverges (denominator vanishes faster than numerator)."""
+    """A face limit diverges (denominator vanishes faster than numerator)."""
 
 
 # ---------------------------------------------------------------------------
@@ -440,35 +441,52 @@ class RationalFn:
         return f"({self.num!r}) / ({' '.join(dbits)})"
 
 
-def dilation_limit(f: RationalFn, scaled) -> RationalFn:
-    """Pointwise limit of f under lambda_i -> eps*lambda_i (i in scaled), eps -> 0+.
+def face_limit(f: RationalFn, flag: Flag) -> RationalFn:
+    """The limit of f toward the blow-up face of ``flag``, taken in one pass.
 
-    The scaled variables survive in the result as angular coordinates: the
-    limit is taken along paths with their mutual ratios fixed.  Raises
-    DivergentLimit when the denominator degenerates faster than the numerator.
+    The face is reached by a sequential degeneration: for j = m-1 down to 1
+    (m blocks), every variable in blocks j, j+1, ... is scaled by a common
+    eps -> 0+, so each block becomes infinitesimal relative to the one before
+    it.  The scaled variables survive as angular coordinates.  A variable
+    outside the flag counts as block 0, so it is never scaled.
+
+    Let lo(S) be the first block that S meets.  Then l_S has order 1 in every
+    step j <= lo(S), order 0 in the others, and tends to l_{S & V_lo(S)}.  The
+    numerator keeps its least-order part at each step; a step whose numerator
+    order exceeds the accumulated denominator order gives zero, and one with
+    a lower order raises DivergentLimit.
+
+    Nothing is cancelled between steps, and nothing needs to be.  A common
+    factor l_T of numerator and denominator has the same order and the same
+    least-order part (the truncation of l_T) on both sides in every step, so
+    it changes neither the order difference nor the limit: both are
+    properties of the function, not of how it is written.
     """
-    scaled = frozenset(scaled)
-    if f.num.is_zero():
-        return RationalFn.zero()
-    orders = f.num.epsilon_split(scaled)
-    a = min(orders)
-    b = 0
+    blocks = flag.blocks
+    if f.num.is_zero() or len(blocks) == 1:
+        return f
+    where = {v: j for j, b in enumerate(blocks) for v in b}
+    lo = {S: min(where.get(v, 0) for v in S) for S in f.den}
+    num = f.num
+    scaled = frozenset()
+    for j in range(len(blocks) - 1, 0, -1):
+        scaled |= frozenset(blocks[j])
+        orders = num.epsilon_split(scaled)
+        a = min(orders)
+        b = sum(e for S, e in f.den.items() if lo[S] >= j)
+        if a > b:
+            return RationalFn.zero()
+        if a < b:
+            raise DivergentLimit(
+                f"limit toward the face of {flag} diverges at step {j}: "
+                f"numerator order {a} < denominator order {b}"
+            )
+        num = orders[a]
     den: dict[frozenset, int] = {}
     for S, e in f.den.items():
-        if S <= scaled:
-            b += e
-            den[S] = den.get(S, 0) + e
-        else:
-            S2 = S - scaled  # straddling factors truncate; disjoint ones persist
-            den[S2] = den.get(S2, 0) + e
-    if a > b:
-        return RationalFn.zero()
-    if a < b:
-        raise DivergentLimit(
-            f"limit diverges: numerator order {a} < denominator order {b} "
-            f"under scaling of {sorted(scaled)}"
-        )
-    return RationalFn(orders[a], den)
+        S2 = frozenset(v for v in S if where.get(v, 0) == lo[S])
+        den[S2] = den.get(S2, 0) + e
+    return RationalFn(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +604,6 @@ class RationalForm:
                 out[key] = contrib if s is None else s + contrib
         return RationalForm(self.degree - 1, out)
 
-    def dilation_limit(self, scaled) -> "RationalForm":
-        return RationalForm(
-            self.degree, {W: dilation_limit(f, scaled) for W, f in self.terms.items()}
-        )
-
     def relabel(self, perm: dict[int, int]) -> "RationalForm":
         out: dict[frozenset, RationalFn] = {}
         for W, f in self.terms.items():
@@ -618,24 +631,6 @@ class RationalForm:
             wedge = "^".join(f"dx{w}" for w in sorted(W)) or "1"
             bits.append(f"[{f!r}] {wedge}")
         return " + ".join(bits)
-
-
-def flag_limit(x, flag: Flag, j: int):
-    """One sequential degeneration step toward the blow-up face of ``flag``.
-
-    Scales every variable in blocks j, j+1, ..., by a common factor and takes
-    the exact limit as the factor tends to zero.  Applying steps for
-    j = n-k down to 1 realizes the full multi-scale degeneration in which
-    each block becomes infinitesimal relative to its predecessor.
-    """
-    if j < 1 or j >= len(flag.blocks):
-        raise ValueError(f"limit step {j} out of range for {flag}")
-    scaled = frozenset(v for b in flag.blocks[j:] for v in b)
-    if isinstance(x, RationalFn):
-        return dilation_limit(x, scaled)
-    if isinstance(x, RationalForm):
-        return x.dilation_limit(scaled)
-    raise TypeError(f"flag_limit expects RationalFn or RationalForm, got {type(x)!r}")
 
 
 # ---------------------------------------------------------------------------

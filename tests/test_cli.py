@@ -63,6 +63,36 @@ def test_dof_matrix_names_the_first_mismatch(monkeypatch, capsys):
     ]
 
 
+def test_dof_matrix_arithmetic_error_is_a_check_failure(monkeypatch, capsys):
+    # an exact-core ArithmeticError while pairing one degree fails that degree's
+    # identity check, with the message that names the flag; it is no internal error
+    from blowupforms import shadow
+    from blowupforms.flagcomb import Flag
+    from blowupforms.symexpr import DivergentLimit
+
+    real = shadow.dof_evaluate
+    target = Flag.parse("0|1,2")
+
+    def diverging(flag, form):
+        if flag == target:
+            raise DivergentLimit(f"limit toward the face of {flag} diverges at step 1")
+        return real(flag, form)
+
+    monkeypatch.setattr(shadow, "dof_evaluate", diverging)
+    code, report = run_json(capsys, ["dof-matrix", "--n", "2", "--assert-identity"])
+    assert code == 1
+    assert "error" not in report
+    assert report["pass"] is False
+    matrices = report["results"]["matrices"]
+    assert [m["identity"] for m in matrices] == [True, False, True]
+    assert matrices[1]["failure"] == "limit toward the face of 0|1,2 diverges at step 1"
+    assert report["results"]["identity_all"] is False
+    # without --assert-identity a non-identity matrix does not fail the command
+    code, report = run_json(capsys, ["dof-matrix", "--n", "2"])
+    assert code == 0
+    assert report["pass"] is True
+
+
 def test_readme_cli_lines_parse():
     # every `blowup ...` line in a README code block, optional [...] groups
     # included, parses and passes the range checks; nothing is run
@@ -410,7 +440,7 @@ def test_sign_error_in_a_decomposition_fails_d_check(monkeypatch, capsys):
 def test_sign_error_in_a_decomposition_fails_cohomology(monkeypatch, capsys, argv):
     # a failed d-structure check while building the local complex is a check
     # failure, reported under the command's own name, not an internal error
-    from blowupforms import blowcx, mesh
+    from blowupforms import blowcx
     from blowupforms.flagcomb import Flag
 
     real = blowcx.d_decomposition
@@ -424,11 +454,7 @@ def test_sign_error_in_a_decomposition_fails_cohomology(monkeypatch, capsys, arg
         return out
 
     monkeypatch.setattr(blowcx, "d_decomposition", flipped)
-    mesh._local_complex.cache_clear()  # so the build runs under the patch
-    try:
-        code, report = run_json(capsys, argv)
-    finally:
-        mesh._local_complex.cache_clear()
+    code, report = run_json(capsys, argv)
     assert code == 1
     assert "error" not in report
     assert report["command"] == f"cohomology-{argv[1]}"

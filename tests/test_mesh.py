@@ -377,7 +377,6 @@ def test_local_complex_built_once_per_dimension(monkeypatch):
         return real(V)
 
     monkeypatch.setattr(mesh, "build_blowup_complex", spy)
-    mesh._local_complex.cache_clear()
     rep = global_cohomology("tet-pair", "general")
     assert rep["betti_blowup"] == [1, 0, 0, 0]
     assert calls == [(0, 1, 2, 3)]
@@ -388,14 +387,14 @@ def test_sign_error_in_local_coboundary_fails_dd_zero(monkeypatch):
 
     from blowupforms import mesh
 
-    cx = mesh._local_complex(2)
+    cx = mesh.build_blowup_complex((0, 1, 2))
     col = dict(cx.coboundary[0][0])
     first = next(iter(col))
     col[first] = -col[first]
     cob = dict(cx.coboundary)
     cob[0] = [col] + cob[0][1:]
     broken = dataclasses.replace(cx, coboundary=cob)
-    monkeypatch.setattr(mesh, "_local_complex", lambda n: broken)
+    monkeypatch.setattr(mesh, "build_blowup_complex", lambda V: broken)
     rep = global_cohomology("triangle-pair", "general")
     assert rep["dd_zero"] is False
 

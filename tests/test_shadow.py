@@ -18,7 +18,7 @@ from blowupforms.symexpr import (
     Poly,
     RationalFn,
     RationalForm,
-    flag_limit,
+    face_limit,
     forms_equal_on_simplex,
 )
 from form_helpers import d_lambda, is_homogeneous
@@ -251,11 +251,14 @@ def test_containment_all_subsets_n3():
 
 
 def reduce_dimension(flag: Flag) -> tuple[Flag, bool]:
-    """Drop the last block; verify p_{F'} is the limit of p_F at that block."""
+    """Drop the last block; verify p_{F'} is the limit of p_F at that block.
+
+    Scaling the last block alone is the face limit of the two-block flag
+    (the other vertices | the last block)."""
     if len(flag.blocks) < 2:
         raise ValueError("need at least two blocks to reduce")
     reduced = Flag(flag.blocks[:-1])
-    limit = flag_limit(poisson_probability(flag), flag, len(flag.blocks) - 1)
+    limit = face_limit(poisson_probability(flag), Flag((reduced.vertices, flag.blocks[-1])))
     verified = limit == poisson_probability(reduced)
     return reduced, verified
 
