@@ -56,7 +56,14 @@ from .shadow import (
     shadow_basis,
     whitney_containment,
 )
-from .symexpr import RationalFn, form_latex, form_to_json, rational_fn_latex, rational_fn_to_json
+from .symexpr import (
+    RationalFn,
+    RationalForm,
+    form_latex,
+    form_to_json,
+    rational_fn_latex,
+    rational_fn_to_json,
+)
 
 SCHEMA = "blowup-report/1"
 
@@ -264,7 +271,8 @@ def _cmd_mc_verify(args):
     rng = mcoracle.generator(args.seed)
 
     def pairs():
-        # each case with its exact probability, built once as the budget reaches it
+        # each case with its exact probability, or for a DOF the basis form whose
+        # DOF is 1; built once per case, as the budget reaches it, for every trial
         if args.target in ("pF", "all"):
             for nv in range(2, args.n + 2):
                 V = tuple(range(nv))
@@ -281,18 +289,18 @@ def _cmd_mc_verify(args):
             V = tuple(range(args.n + 1))
             for k in range(args.n + 1):
                 for F in enumerate_flags(V, k):
-                    yield "dof", F, None
+                    yield "dof", F, basis_element(F).form
 
     checked, escalated, failures = 0, 0, []
     details = []
-    for kind, obj, exact in budget.take(pairs()):
+    for kind, obj, ref in budget.take(pairs()):
         for trial in range(args.rates):
             if kind == "dof":
-                res = _mc_dof_case(obj, args, trial)
+                res = _mc_dof_case(obj, ref, args, trial)
             else:
                 V = obj.vertices if kind == "pF" else obj.flag.vertices
                 rates = mcoracle.random_rates(rng, V)
-                res = _mc_prob_case(kind, obj, exact, rates, args, trial)
+                res = _mc_prob_case(kind, obj, ref, rates, args, trial)
             checked += 1
             if res["escalated"]:
                 escalated += 1
@@ -337,15 +345,14 @@ def _mc_prob_case(kind: str, obj, probability: RationalFn, rates: dict[int, Frac
     }
 
 
-def _mc_dof_case(flag: Flag, args, trial: int) -> dict:
+def _mc_dof_case(flag: Flag, form: RationalForm, args, trial: int) -> dict:
     from . import mcoracle
 
-    elem = basis_element(flag)
     exact = 1.0
     cfg = mcoracle.SimulationConfig(rates={0: Fraction(1)},
                                     samples=max(1000, args.samples // 10),
                                     seed=(args.seed, trial, *str(flag).encode()))
-    est = mcoracle.estimate_face_integral(flag, elem.form, cfg)
+    est = mcoracle.estimate_face_integral(flag, form, cfg)
     tol = max(3 * est.stderr, 1e-2)
     ok = abs(est.mean - exact) <= tol
     return {

@@ -189,6 +189,24 @@ def test_mc_verify_small(capsys):
     assert report["results"]["rng"] == "numpy.random.Philox"
 
 
+
+def test_mc_verify_dof_builds_each_basis_element_once(monkeypatch, capsys):
+    # the --rates trials of a flag share one basis element
+    import blowupforms.cli as cli
+    from blowupforms.shadow import basis_element
+
+    built = []
+
+    def counted(flag):
+        built.append(flag)
+        return basis_element(flag)
+
+    monkeypatch.setattr(cli, "basis_element", counted)
+    code, report = run_json(capsys, ["mc-verify", "--target", "dof", "--n", "1",
+                                     "--samples", "2000", "--rates", "3"])
+    assert code == 0 and report["results"]["cases"] == 9
+    assert sorted(map(str, built)) == ["0,1", "0|1", "1|0"]
+
 def test_mc_verify_results_do_not_depend_on_the_hash_seed():
     # case seeds come from (seed, trial, label bytes), so hash randomisation never reaches the draws
     argv = ["mc-verify", "--target", "pF", "--n", "1", "--samples", "20000",

@@ -17,6 +17,7 @@ from blowupforms.mcoracle import (
     estimate_higher,
     estimate_pF,
     generator,
+    random_rates,
     within_escalation_budget,
 )
 from blowupforms.shadow import basis_element, omega_form, poisson_probability
@@ -130,6 +131,81 @@ def test_impossible_sequence_estimates_zero():
     est = estimate_higher(bad, cfg)
     assert est.mean == 0.0
 
+
+# -- the 1-D estimators against their (samples x columns) matrix form -------------
+
+def matrix_indicator(hits):
+    n = hits.shape[0]
+    mean = float(hits.mean())
+    return Estimate(mean=mean, stderr=float(np.sqrt(mean * (1.0 - mean) / n)), samples=n)
+
+
+def matrix_estimate_pF(flag, cfg):
+    """estimate_pF with all completion times in one (samples x blocks) matrix,
+    the order tested along axis 1."""
+    rng = cfg.rng()
+    n = cfg.samples
+    times = np.empty((n, len(flag.blocks)))
+    for j, block in enumerate(flag.blocks):
+        rate = float(sum(cfg.rates[v] for v in block))
+        times[:, j] = rng.standard_gamma(len(block), size=n) / rate
+    return matrix_indicator(np.all(times[:, :-1] <= times[:, 1:], axis=1))
+
+
+def matrix_estimate_higher(seq, cfg):
+    """estimate_higher with each round's counts matched as a whole row along axis 1."""
+    rng = cfg.rng()
+    n = cfg.samples
+    alive = np.ones(n, dtype=bool)
+    active = sorted(cfg.rates)
+    for rnd, silenced in zip(seq.rounds, seq.silenced):
+        target = {v: c for v, c in rnd if c}
+        if not set(target) <= set(active):
+            return Estimate(mean=0.0, stderr=0.0, samples=n)
+        rates = np.array([float(cfg.rates[v]) for v in active])
+        counts = rng.multinomial(seq.r, rates / rates.sum(), size=n)
+        want = np.array([target.get(v, 0) for v in active])
+        alive &= np.all(counts == want[None, :], axis=1)
+        active = [v for v in active if v not in set(silenced)]
+    return matrix_indicator(alive)
+
+
+def silenced_source_sequence():
+    # round two draws again from source 0, which round one silenced
+    seq = ArrivalSequence.__new__(ArrivalSequence)
+    object.__setattr__(seq, "r", 2)
+    object.__setattr__(seq, "rounds", (((0, 2), (1, 0), (2, 0)), ((0, 1), (1, 1))))
+    object.__setattr__(seq, "silenced", ((0,), (0, 1)))
+    return seq
+
+
+@pytest.mark.parametrize("seed", [7, 20240801])
+@pytest.mark.parametrize("samples", [1, 500])
+def test_pF_matches_matrix_form(seed, samples):
+    # same draws, same booleans: the estimates agree exactly, not within a tolerance
+    rng = generator(seed)
+    flags = [F for nv in (2, 3, 4) for k in range(nv)
+             for F in enumerate_flags(tuple(range(nv)), k)]
+    assert len(flags) == 91 and any(len(F.blocks) == 1 for F in flags)
+    for i, F in enumerate(flags):
+        cfg = SimulationConfig(rates=random_rates(rng, F.vertices), samples=samples,
+                               seed=(seed, i))
+        assert estimate_pF(F, cfg) == matrix_estimate_pF(F, cfg), (F, cfg)
+
+
+@pytest.mark.parametrize("seed", [7, 20240801])
+@pytest.mark.parametrize("samples", [1, 500])
+def test_higher_matches_matrix_form(seed, samples):
+    rng = generator(seed)
+    cases = [(c.sequence, c.flag.vertices) for nv in (2, 3) for r in (1, 2, 3)
+             for c in enumerate_experiments(tuple(range(nv)), r)]
+    assert len(cases) == 46
+    cases.append((silenced_source_sequence(), (0, 1, 2)))
+    for i, (seq, V) in enumerate(cases):
+        cfg = SimulationConfig(rates=random_rates(rng, V), samples=samples, seed=(seed, i))
+        est = estimate_higher(seq, cfg)
+        assert est == matrix_estimate_higher(seq, cfg), (seq, cfg)
+    assert est.mean == 0.0  # the silenced-source sequence
 
 def test_face_integral_duality():
     cfg = SimulationConfig(rates={0: Fraction(1)}, samples=4000, seed=17)
