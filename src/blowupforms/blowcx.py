@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .flagcomb import Flag, enumerate_flags, perm_sign, standard_representative, vertex_set
+from .flagcomb import Flag, enumerate_flags, push_forward, standard_representative, vertex_set
 from .shadow import DecompositionFailed, d_decomposition
 
 # the largest simplex, counted in vertices, whose complex is built
@@ -39,11 +39,8 @@ def decompose(flags) -> tuple[list[Flag], dict[Flag, dict[Flag, int]], dict[Flag
     ``shadow.d_decomposition``, with its full symbolic verification, runs once
     per orbit: on the ``standard_representative`` R of the first flag taken
     with R's block sizes.  Every flag F = R.relabel(sigma) of that orbit gets
-    R's column by transport: relabelling multiplies the coefficient of the
-    j-th merge by sigma's parity on the merged block, and sigma ascends on
-    each block of F, so c_j(F) = c_j(R) * perm_sign(V_{j-1} + V_j).  That law
-    is ``test_shadow.py::test_relabelling_laws``, and ``test_blowcx.py`` checks
-    the transported columns against a per-flag ``d_decomposition`` for n <= 3.
+    R's column ``{R_j: c_j}`` through ``push_forward``; ``test_blowcx.py`` checks
+    the carried columns against a per-flag ``d_decomposition`` for n <= 3.
 
     Returns the flags taken, ``{F: {F_j: c_j}}`` for each flag that decomposed,
     and ``{F: reason}`` in flag order for each flag whose representative's
@@ -52,21 +49,19 @@ def decompose(flags) -> tuple[list[Flag], dict[Flag, dict[Flag, int]], dict[Flag
     is not zero: the psi of a degree are independent, so that is exact.
     """
     taken, columns, errors = [], {}, {}
-    signs, failed = {}, {}  # per representative: [c_1, c_2, ...], or the reason it failed
+    reps, failed = {}, {}  # per representative: {R_j: c_j}, or the reason it failed
     for F in flags:  # one at a time, so a budget is checked before each flag
         taken.append(F)
-        R, _ = standard_representative(F)
-        if R not in signs and R not in failed:
+        R, sigma = standard_representative(F)
+        if R not in reps and R not in failed:
             try:
-                signs[R] = [c for c, _ in d_decomposition(R)]
+                reps[R] = {Rj: c for c, Rj in d_decomposition(R)}
             except ArithmeticError as exc:  # DecompositionFailed and friends
                 failed[R] = str(exc)
         if R in failed:
             errors[F] = failed[R] if F == R else f"transported from {R}: {failed[R]}"
             continue
-        B = F.blocks
-        columns[F] = {F.coarsen(j): c * perm_sign(B[j - 1] + B[j])
-                      for j, c in enumerate(signs[R], start=1)}
+        columns[F] = push_forward(reps[R], sigma)
     for F, col in columns.items():
         residual = linalg.combine(columns, col) if all(Fj in columns for Fj in col) else {}
         if residual:

@@ -17,15 +17,12 @@ Each ``_cmd_*`` function returns ``(inputs, results, passed)``; ``run``
 alone times the command, writes the report and chooses the exit code.
 
 ``d-check`` and ``dof-matrix`` work once per orbit of flags under relabelling
-of the vertices.  ``d-check`` verifies ``d(psi_R)`` symbolically, coefficients
-and full identity, for one standard flag R per block-size composition
-(``blowcx.decompose``); every other flag gets R's column with the relabelling
-signs, and ``d(d psi_F) = 0`` is then checked on every flag's column.
-``dof-matrix`` evaluates one column ``dof_evaluate(H, psi_R)`` per
-composition and fills every entry from it (``shadow.gram_matrix``).  Tier-1
-checks the transport against the per-flag path: ``test_blowcx.py`` for the
-columns, ``test_dof.py`` for the pairing, and ``test_shadow.py`` and
-``test_dof.py`` for the relabelling laws under every permutation.
+of the vertices: one standard flag R per block-size composition gets the
+symbolic work, ``d(psi_R)`` verified in full (``blowcx.decompose``) or the
+column ``dof_evaluate(H, psi_R)`` (``shadow.gram_matrix``), and
+``flagcomb.push_forward`` carries R's column to every other flag of its orbit.
+``d(d psi_F) = 0`` is then checked on every flag's column.  ``test_blowcx.py``
+and ``test_dof.py`` check the carried columns against the per-flag path.
 """
 
 from __future__ import annotations

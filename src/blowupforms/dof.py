@@ -104,18 +104,14 @@ def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
     """
     restricted = restrict_to_theta(form, flag)
     blocks = flag.blocks
-    sizes = {frozenset(b): len(b) - 1 for b in blocks}
     total = Fraction(0)
     for W, f in restricted.terms.items():
         if f.den:
             raise NonPolynomialResidue(
                 f"restriction to {flag} left denominator factors {sorted(map(sorted, f.den))}"
             )
-        # only terms of pure multidegree (n_j dtheta's per block) integrate
-        per_block = [tuple(sorted(W & frozenset(b))) for b in blocks]
-        if any(len(p) != sizes[frozenset(b)] for p, b in zip(per_block, blocks)):
-            continue
-        target = tuple(v for p in per_block for v in p)
+        # no dlambda_{max B} is left, so |W & B| <= |B| - 1 with sum |W| = k: equality per block
+        target = tuple(v for b in blocks for v in sorted(W & frozenset(b)))
         sign = perm_sign(target)  # reorders ascending W into block order
         for mono, coeff in f.num.terms.items():
             exps = dict(mono)

@@ -199,6 +199,18 @@ def standard_representative(flag: Flag) -> tuple[Flag, dict[int, int]]:
     return Flag(blocks), sigma
 
 
+def push_forward(column: dict, sigma) -> dict:
+    """The column ``{X: c}`` of a flag R, carried to the flag R.relabel(sigma).
+
+    The transport law: psi_X |-> eps(X, sigma) psi_{X.relabel(sigma)}, eps being
+    ``Flag.relabel_sign``, and likewise for the DOF of X.  It carries both the
+    coarsening coefficients of d(psi_R) and the DOF values of psi_R when
+    eps(R, sigma) = 1, as from ``standard_representative``.  The relabelling-law
+    tests of ``test_shadow.py`` and ``test_dof.py`` check it for every sigma.
+    """
+    return {X.relabel(sigma): X.relabel_sign(sigma) * c for X, c in column.items()}
+
+
 def _set_partitions(elems: tuple[int, ...], m: int):
     """Unordered partitions of elems into exactly m blocks (blocks sorted)."""
     if m == 1:

@@ -22,6 +22,7 @@ from .flagcomb import (
     Flag,
     enumerate_arrival_sequences,
     enumerate_flags,
+    push_forward,
     standard_representative,
     vertex_set,
 )
@@ -112,31 +113,23 @@ def gram_matrix(V, k: int, rows=None) -> list[tuple[Fraction, ...]]:
     stop between them (all flags by default); columns are all flags, both in
     canonical order.  Unisolvence makes the full matrix the identity.
 
-    Each column flag is F = R.relabel(sigma) for its ``standard_representative``
-    R, and then psi_F = sigma . psi_R.  By the relabelling law of
-    ``dof_evaluate`` (``test_dof.py::test_dof_evaluate_relabelling_law``),
-    entry (G, F) = eps(H, sigma) * dof_evaluate(H, psi_R) with H the row flag
-    relabelled by sigma^-1.  So ``dof_evaluate`` runs once per (R, H), one
-    column per composition, and every entry is filled from those columns.
+    The first row taken fills every column: the nonzero values
+    dof_evaluate(H, psi_R) once per ``standard_representative`` R, carried by
+    ``push_forward`` to each F = R.relabel(sigma).  No row taken, no pairing.
     """
     flags = enumerate_flags(V, k)
-    psi: dict[Flag, RationalForm] = {}
-    transports = []
-    for F in flags:
-        R, sigma = standard_representative(F)
-        if R not in psi:
-            psi[R] = basis_element(R).form
-        transports.append((R, sigma, {f: r for r, f in sigma.items()}))
-    columns: dict[tuple[Flag, Flag], Fraction] = {}
-
-    def entry(G, R, sigma, inverse):
-        H = G.relabel(inverse)
-        if (R, H) not in columns:
-            columns[R, H] = dof_evaluate(H, psi[R])
-        value = columns[R, H]
-        return H.relabel_sign(sigma) * value if value else value
-
-    return [tuple(entry(G, *t) for t in transports) for G in (flags if rows is None else rows)]
+    columns, out = [], []
+    for G in (flags if rows is None else rows):
+        if not columns:
+            nonzero = {}  # per representative R: {H: dof_evaluate(H, psi_R)}, zeros left out
+            for F in flags:
+                R, sigma = standard_representative(F)
+                if R not in nonzero:
+                    psi = basis_element(R).form
+                    nonzero[R] = {H: x for H in flags if (x := dof_evaluate(H, psi))}
+                columns.append(push_forward(nonzero[R], sigma))
+        out.append(tuple(col.get(G, 0) for col in columns))
+    return out
 
 
 def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:

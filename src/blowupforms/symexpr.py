@@ -223,12 +223,6 @@ class Poly:
                 t.pop(key, None)
         return Poly(t)
 
-    def relabel(self, perm: dict[int, int]) -> "Poly":
-        return Poly({
-            tuple(sorted((perm.get(v, v), e) for v, e in m)): c
-            for m, c in self.terms.items()
-        })
-
     def epsilon_split(self, scaled: frozenset[int]) -> dict[int, "Poly"]:
         """Group terms by their order in eps under lambda_i -> eps*lambda_i, i in scaled."""
         comps: dict[int, dict] = {}
@@ -418,17 +412,6 @@ class RationalFn:
             val = Fraction(val, q) if type(val) is int and type(q) is int else val / q
         return val
 
-    def substitute_one(self, v: int) -> "RationalFn":
-        """Substitute lambda_v -> 1 (drops singleton denominator factors {v})."""
-        den = {S: e for S, e in self.den.items() if S != frozenset((v,))}
-        return RationalFn(self.num.substitute_one(v), den)
-
-    def relabel(self, perm: dict[int, int]) -> "RationalFn":
-        return RationalFn(
-            self.num.relabel(perm),
-            {frozenset(perm.get(i, i) for i in S): e for S, e in self.den.items()},
-        )
-
     # -- display / serialization ----------------------------------------------
 
     def __repr__(self) -> str:
@@ -603,16 +586,6 @@ class RationalForm:
                 s = out.get(key)
                 out[key] = contrib if s is None else s + contrib
         return RationalForm(self.degree - 1, out)
-
-    def relabel(self, perm: dict[int, int]) -> "RationalForm":
-        out: dict[frozenset, RationalFn] = {}
-        for W, f in self.terms.items():
-            sign = perm_sign(perm.get(w, w) for w in sorted(W))
-            key = frozenset(perm.get(w, w) for w in W)
-            contrib = f.relabel(perm) * sign
-            s = out.get(key)
-            out[key] = contrib if s is None else s + contrib
-        return RationalForm(self.degree, out)
 
     def variables(self) -> frozenset[int]:
         out = frozenset()

@@ -509,6 +509,42 @@ def test_d_check_budget_is_checked_per_flag(monkeypatch, capsys):
     assert report["results"]["partial"] is True
 
 
+def test_dof_matrix_budget_is_checked_per_row(monkeypatch, capsys):
+    # a fake clock that advances 1 s each time it is read: the budget reads it
+    # once at the start and once before each row, so with a 2.5 s budget the
+    # third row of the first degree finds the budget spent
+    import itertools
+    import types
+
+    import blowupforms.cli as cli
+    from blowupforms import shadow
+
+    calls = [0]
+    real_dof_evaluate = shadow.dof_evaluate
+
+    def counted(*args):
+        calls[0] += 1
+        return real_dof_evaluate(*args)
+
+    def fake_time():
+        return types.SimpleNamespace(monotonic=itertools.count().__next__, time=cli.time.time)
+
+    monkeypatch.setattr(shadow, "dof_evaluate", counted)
+    monkeypatch.setattr(cli, "time", fake_time())
+    code, report = run_json(capsys, ["dof-matrix", "--n", "2", "--budget-seconds", "2.5"])
+    assert code == 0
+    assert report["results"]["partial"] is True
+    assert [m["rows_computed"] for m in report["results"]["matrices"]] == [2]
+    assert calls[0] == 6  # the first row took the degree's one column: 6 DOFs of psi_0|1|2
+    # no row taken, no pairing: the columns are filled when the first row is taken
+    calls[0] = 0
+    monkeypatch.setattr(cli, "time", fake_time())
+    code, report = run_json(capsys, ["dof-matrix", "--n", "2", "--budget-seconds", "0"])
+    assert report["results"]["partial"] is True
+    assert [m["rows_computed"] for m in report["results"]["matrices"]] == [0]
+    assert calls[0] == 0
+
+
 def test_basis_eval_grid(capsys):
     code, report = run_json(capsys, ["basis", "--n", "1", "--k", "0", "--eval-grid", "2"])
     assert code == 0

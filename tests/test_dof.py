@@ -11,10 +11,10 @@ from blowupforms.dof import (
     integrate_monomial_simplex,
     restrict_to_theta,
 )
-from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
+from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign, push_forward
 from blowupforms.shadow import basis_element, gram_matrix, omega_form, whitney_form
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
-from form_helpers import d_lambda
+from form_helpers import d_lambda, relabel_form
 
 
 # -- independent quadrature oracle -------------------------------------------------
@@ -145,15 +145,15 @@ def test_permutation_equivariance_n2(perm):
         for F in enumerate_flags((0, 1, 2), k):
             psi = basis_element(F).form
             for probe in enumerate_flags((0, 1, 2), k):
-                lhs = dof_evaluate(probe.relabel(perm), psi.relabel(perm))
+                lhs = dof_evaluate(probe.relabel(perm), relabel_form(psi, perm))
                 rhs = dof_evaluate(probe, psi)
                 assert lhs == _block_orientation_sign(probe, perm) * rhs
 
 
 @pytest.mark.parametrize("nv", [2, 3, 4])
 def test_dof_evaluate_relabelling_law(nv):
-    # dof_evaluate(F.relabel(sigma), w.relabel(sigma)) = eps(F, sigma) dof_evaluate(F, w) for
-    # every sigma in S_{n+1}, eps the parity of sigma on each block of F.  The forms
+    # dof_evaluate(F.relabel(sigma), relabel_form(w, sigma)) = eps(F, sigma) dof_evaluate(F, w)
+    # for every sigma in S_{n+1}, eps the parity of sigma on each block of F.  The forms
     # lambda_v phi_W pair to 1/2, 1/3 and 1/4 as well as 0 and 1, and sigma carries each
     # to +-lambda_{sigma(v)} phi_{sigma(W)}, so every value is computed once and the law
     # is checked by lookup.
@@ -169,10 +169,13 @@ def test_dof_evaluate_relabelling_law(nv):
             for (v, W), w in forms.items():
                 image = (sigma[v], tuple(sorted(sigma[u] for u in W)))
                 sign = perm_sign(sigma[u] for u in W)
-                assert w.relabel(sigma) == forms[image] * sign
+                assert relabel_form(w, sigma) == forms[image] * sign
                 for F in flags:
                     assert sign * known[F.relabel(sigma), image] == (
                         _block_orientation_sign(F, sigma) * known[F, (v, W)]), (F, v, W, sigma)
+                # push_forward carries the DOF column of w to that of its relabelled image
+                assert push_forward({F: known[F, (v, W)] for F in flags}, sigma) == {
+                    G: sign * known[G, image] for G in flags}, (v, W, sigma)
     assert values - {0, 1, -1}
 
 
@@ -187,8 +190,9 @@ def test_gram_matrix_identity(nv):
 
 @pytest.mark.parametrize("nv", [3, 4])
 def test_gram_matrix_equals_the_per_pair_pairing(nv):
-    # gram_matrix fills every entry from one column per composition by relabelling;
-    # the reference evaluates each (G, F) pair directly, for every row order given
+    # gram_matrix fills every column from one column per composition at the first
+    # row taken; the reference evaluates each (G, F) pair directly, for every row
+    # set given: all rows, reversed, a strict subset, and the last row alone
     V = tuple(range(nv))
     for k in range(nv):
         flags = enumerate_flags(V, k)
@@ -196,6 +200,8 @@ def test_gram_matrix_equals_the_per_pair_pairing(nv):
         reference = [tuple(dof_evaluate(G, w) for w in psi) for G in flags]
         assert gram_matrix(V, k) == reference
         assert gram_matrix(V, k, reversed(flags)) == reference[::-1]
+        assert gram_matrix(V, k, flags[1::3]) == reference[1::3]
+        assert gram_matrix(V, k, flags[-1:]) == reference[-1:]
 
 
 def test_gram_matrix_detects_non_identity(monkeypatch):

@@ -21,7 +21,7 @@ from blowupforms.symexpr import (
     face_limit,
     forms_equal_on_simplex,
 )
-from form_helpers import d_lambda, is_homogeneous
+from form_helpers import d_lambda, is_homogeneous, relabel_fn, relabel_form
 
 
 def l(*ids):
@@ -217,8 +217,8 @@ def test_relabelling_laws(nv):
         for F, (p, psi, dec) in known.items():
             p_image, psi_image, dec_image = known[F.relabel(sigma)]
             eps = _epsilon(F, sigma)
-            assert p_image == p.relabel(sigma), (F, sigma)
-            assert psi_image == psi.relabel(sigma) * eps, (F, sigma)
+            assert p_image == relabel_fn(p, sigma), (F, sigma)
+            assert psi_image == relabel_form(psi, sigma) * eps, (F, sigma)
             assert dec_image == {Fj.relabel(sigma): c * eps * _epsilon(Fj, sigma)
                                  for Fj, c in dec.items()}, (F, sigma)
 

@@ -17,7 +17,7 @@ from blowupforms.symexpr import (
     reduce_mod_dlv,
     vanishes_on_slice,
 )
-from form_helpers import d_lambda, is_homogeneous
+from form_helpers import d_lambda, is_homogeneous, substitute_one
 
 try:
     import sympy
@@ -344,7 +344,7 @@ def test_flag_limit_vertex_values():
     for text, expect_zero in (("2|0|1", True), ("2|1|0", True), ("1|2|0", False)):
         g = face_limit(f, Flag.parse(text))
         assert g.is_zero() == expect_zero
-    g = face_limit(f, Flag.parse("1|2|0")).substitute_one(1)
+    g = substitute_one(face_limit(f, Flag.parse("1|2|0")), 1)
     assert g == RationalFn.one()
 
 
