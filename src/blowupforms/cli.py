@@ -314,9 +314,24 @@ def _cmd_mc_verify(args):
     }
     if args.verbose_cases:
         results["details"] = details
+        results["z_summary"] = _z_summary(details)
     inputs = {"target": args.target, "n": args.n, "r": args.r,
               "samples": args.samples, "seed": args.seed, "rates": args.rates}
     return inputs, results, not failures and mcoracle.within_escalation_budget(escalated, checked)
+
+
+def _z_summary(details: list[dict]) -> dict:
+    """z = (estimate - exact) / stderr over the probability cases with stderr > 0.
+
+    A DOF case's stderr is about 1e-18, its epsilon-extrapolation bias far
+    larger, so its z says nothing about sampling and is left out.
+    """
+    zs = [(d["estimate"] - d["exact"]) / d["stderr"] for d in details
+          if d["kind"] != "dof" and d["stderr"] > 0]
+    return {"cases": len(zs),
+            "max_abs_z": max((abs(z) for z in zs), default=None),
+            "mean_z": sum(zs) / len(zs) if zs else None,
+            "above_2sigma": sum(abs(z) > 2 for z in zs)}
 
 
 def _mc_prob_case(kind: str, obj, probability: RationalFn, rates: dict[int, Fraction], args,
@@ -328,8 +343,10 @@ def _mc_prob_case(kind: str, obj, probability: RationalFn, rates: dict[int, Frac
     seed = (args.seed, trial, *label.encode())
 
     def run(samples: int, attempt: int):
-        # the 10x re-run keeps the case's seed, so attempt goes unused
-        cfg = mcoracle.SimulationConfig(rates=rates, samples=samples, seed=seed)
+        # the 10x re-run draws from a stream of its own: its seed ends in 256, which
+        # no label byte reaches, so it shares no draw with the run that missed
+        cfg = mcoracle.SimulationConfig(rates=rates, samples=samples,
+                                        seed=(*seed, 256) if attempt else seed)
         if kind == "pF":
             return mcoracle.estimate_pF(obj, cfg)
         return mcoracle.estimate_higher(obj.sequence, cfg)

@@ -2,14 +2,17 @@
 
 Simulates the Poisson ensembles directly in 64-bit floats, firewalled from
 the exact core: exact rationals cross the boundary only as float rates and
-expected values.  Each law gets one draw: a Gamma variate per block for a
-flag probability, a multinomial count vector per round for an arrival
-sequence.  Samples live in one 1-D array per block or round, and the tests
-on them are combined with ``&=``: never build a samples x blocks matrix and
-reduce it along axis 1, since on 100 000 rows of 2-3 columns ``np.all(...,
-axis=1)`` costs about ten times the column chain.  This is the one module of
-the package that imports numpy, and ``generator`` the one place that builds
-its counter-based Philox generator.
+expected values.  Draws are made only for the samples that can still count:
+a flag's first block is a Gamma variate for every sample and each later
+block one only for the samples whose completion times are still in flag
+order; an arrival sequence's round is a chain of conditional binomials, one
+source at a time, drawn only for the samples whose counts still match.  The
+samples are i.i.d., so a sample's index carries no information and the
+estimate needs only the number that survive.  Never build a samples x
+columns matrix and reduce it along axis 1: on 100 000 rows of 2-3 columns
+``np.all(..., axis=1)`` costs about ten times a chain of 1-D tests.  This is
+the one module of the package that imports numpy, and ``generator`` the one
+place that builds its counter-based Philox generator.
 The CLI seeds each case with (seed, trial, *label bytes), so every estimate
 is reproducible from (seed, samples) and the case label, in any process.
 
@@ -72,30 +75,35 @@ class Estimate:
     samples: int
 
 
-def _indicator_estimate(hits: np.ndarray) -> Estimate:
-    n = hits.shape[0]
-    mean = float(hits.mean())
-    stderr = float(np.sqrt(mean * (1.0 - mean) / n))
-    return Estimate(mean=mean, stderr=stderr, samples=n)
+def _hit_estimate(hits: int, n: int) -> Estimate:
+    """The binomial estimate of a probability from ``hits`` successes in ``n`` samples."""
+    mean = hits / n
+    return Estimate(mean=mean, stderr=float(np.sqrt(mean * (1.0 - mean) / n)), samples=n)
 
 
 def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
     """Estimate the probability that blocks complete in flag order.
 
     Block j completes at the |V_j|-th arrival of its merged process of rate
-    l_{V_j}, a Gamma(|V_j|) variate over l_{V_j}: one Gamma draw per block.
+    l_{V_j}, a Gamma(|V_j|) variate over l_{V_j}.  The first block is drawn
+    for every sample, each later block only for the samples whose times are
+    still in order, and the hits are the samples left after the last block.
     Ties count as satisfied.
     """
     rng = cfg.rng()
-    n = cfg.samples
-    hits = np.ones(n, dtype=bool)
-    prev = 0.0  # completion times are nonnegative, so the first test always holds
+    prev = None
     for block in flag.blocks:
         rate = float(sum(cfg.rates[v] for v in block))
-        t = rng.standard_gamma(len(block), size=n) / rate
-        hits &= prev <= t
+        size = cfg.samples if prev is None else prev.size
+        t = rng.standard_gamma(len(block), size=size) / rate
+        if prev is not None:
+            in_order = prev <= t
+            # release the old times before compacting, so that at most two
+            # time arrays and one mask are live at once
+            del prev
+            t = t[in_order]
         prev = t
-    return _indicator_estimate(hits)
+    return _hit_estimate(prev.size, cfg.samples)
 
 
 def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
@@ -103,25 +111,33 @@ def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
 
     Each round, the sources of the first r arrivals of the active streams
     are independent draws with odds lambda_i / l_A (competing exponentials),
-    so their counts are one Multinomial(r, lambda_A / l_A) draw, matched
-    round by round.  Sequences whose rounds reference already-silenced
-    sources get estimate 0.
+    so their counts are Multinomial(r, lambda_A / l_A).  A multinomial is a
+    chain of conditional binomials (Devroye 1986): in sorted order, source v
+    gets Binomial(left, lambda_v / mass) of the ``left`` arrivals not yet
+    assigned, where ``mass`` is the rate of v and the sources after it.  Each
+    link is drawn only for the samples whose counts have matched so far, and
+    only their number is carried on.  The last source takes the remainder,
+    which equals its target, since both the counts and the target sum to r.
+    Sequences whose rounds reference already-silenced sources get estimate 0.
     """
     rng = cfg.rng()
     n = cfg.samples
-    alive = np.ones(n, dtype=bool)
+    alive = n
     active = sorted(cfg.rates)
     for rnd, silenced in zip(seq.rounds, seq.silenced):
         target = {v: c for v, c in rnd if c}
         if not set(target) <= set(active):
             return Estimate(mean=0.0, stderr=0.0, samples=n)
-        rates = np.array([float(cfg.rates[v]) for v in active])
-        counts = rng.multinomial(seq.r, rates / rates.sum(), size=n)
-        for col, v in enumerate(active):
-            alive &= counts[:, col] == target.get(v, 0)
+        left, mass = seq.r, sum(cfg.rates[v] for v in active)
+        for v in active[:-1]:
+            want = target.get(v, 0)
+            p = float(cfg.rates[v] / mass)
+            alive = int(np.count_nonzero(rng.binomial(left, p, size=alive) == want))
+            left -= want
+            mass -= cfg.rates[v]
         silenced = set(silenced)
         active = [v for v in active if v not in silenced]
-    return _indicator_estimate(alive)
+    return _hit_estimate(alive, n)
 
 
 # ---------------------------------------------------------------------------

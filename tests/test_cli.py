@@ -207,6 +207,46 @@ def test_mc_verify_dof_builds_each_basis_element_once(monkeypatch, capsys):
     assert code == 0 and report["results"]["cases"] == 9
     assert sorted(map(str, built)) == ["0,1", "0|1", "1|0"]
 
+def test_mc_verify_rerun_draws_from_a_fresh_stream(monkeypatch, capsys):
+    # force a miss on every first run; the 10x re-run must not replay its draws
+    import blowupforms.mcoracle as mcoracle
+
+    seeds = []
+    estimate_pF = mcoracle.estimate_pF
+
+    def missing(flag, cfg):
+        seeds.append(cfg.seed)
+        est = estimate_pF(flag, cfg)
+        return est if len(seeds) % 2 == 0 else dataclasses.replace(est, mean=est.mean + 1)
+
+    monkeypatch.setattr(mcoracle, "estimate_pF", missing)
+    _, report = run_json(capsys, ["mc-verify", "--target", "pF", "--n", "1", "--samples", "100",
+                                  "--rates", "1", "--seed", "4", "--verbose-cases"])
+    assert report["results"]["escalated"] == report["results"]["cases"] == 3
+    assert len(seeds) == 6
+    for case, first, rerun in zip(report["results"]["details"], seeds[::2], seeds[1::2]):
+        assert first == (4, 0, *case["case"].encode())
+        draws = set(mcoracle.generator(rerun).random(10_000).tolist())
+        assert draws.isdisjoint(mcoracle.generator(first).random(1000).tolist()), (first, rerun)
+
+
+def test_mc_verify_z_summary_is_opt_in(capsys):
+    argv = ["mc-verify", "--target", "all", "--n", "1", "--samples", "2000", "--seed", "9"]
+    _, plain = run_json(capsys, argv)
+    assert "z_summary" not in plain["results"]
+    _, verbose = run_json(capsys, argv + ["--verbose-cases"])
+    details = verbose["results"]["details"]
+    zs = [(d["estimate"] - d["exact"]) / d["stderr"] for d in details if d["stderr"] > 0]
+    assert 0 < len(zs) < len(details)  # one-block flags have stderr 0
+    assert verbose["results"]["z_summary"] == {
+        "cases": len(zs), "max_abs_z": max(map(abs, zs)), "mean_z": sum(zs) / len(zs),
+        "above_2sigma": sum(abs(z) > 2 for z in zs)}
+    _, dof = run_json(capsys, ["mc-verify", "--target", "dof", "--n", "1", "--samples", "2000",
+                               "--verbose-cases"])
+    assert dof["results"]["z_summary"] == {"cases": 0, "max_abs_z": None, "mean_z": None,
+                                           "above_2sigma": 0}
+
+
 def test_mc_verify_results_do_not_depend_on_the_hash_seed():
     # case seeds come from (seed, trial, label bytes), so hash randomisation never reaches the draws
     argv = ["mc-verify", "--target", "pF", "--n", "1", "--samples", "20000",

@@ -1,6 +1,7 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_impossible_sequence_estimates_zero():
     assert est.mean == 0.0
 
 
-# -- the 1-D estimators against their (samples x columns) matrix form -------------
+# -- the survivor-only estimators against their (samples x columns) matrix form ----
 
 def matrix_indicator(hits):
     n = hits.shape[0]
@@ -141,8 +142,8 @@ def matrix_indicator(hits):
 
 
 def matrix_estimate_pF(flag, cfg):
-    """estimate_pF with all completion times in one (samples x blocks) matrix,
-    the order tested along axis 1."""
+    """estimate_pF with every block drawn for every sample, all completion times
+    in one (samples x blocks) matrix, the order tested along axis 1."""
     rng = cfg.rng()
     n = cfg.samples
     times = np.empty((n, len(flag.blocks)))
@@ -153,7 +154,8 @@ def matrix_estimate_pF(flag, cfg):
 
 
 def matrix_estimate_higher(seq, cfg):
-    """estimate_higher with each round's counts matched as a whole row along axis 1."""
+    """estimate_higher with one multinomial count row per sample and round,
+    matched as a whole row along axis 1."""
     rng = cfg.rng()
     n = cfg.samples
     alive = np.ones(n, dtype=bool)
@@ -179,33 +181,121 @@ def silenced_source_sequence():
     return seq
 
 
+ALL_FLAGS = [F for nv in (2, 3, 4) for k in range(nv) for F in enumerate_flags(tuple(range(nv)), k)]
+ALL_SEQUENCES = [(c.sequence, c.flag.vertices) for nv in (2, 3) for r in (1, 2, 3)
+                 for c in enumerate_experiments(tuple(range(nv)), r)]
+
+
 @pytest.mark.parametrize("seed", [7, 20240801])
 @pytest.mark.parametrize("samples", [1, 500])
 def test_pF_matches_matrix_form(seed, samples):
-    # same draws, same booleans: the estimates agree exactly, not within a tolerance
+    # with at most two blocks every block is drawn for every sample, as in the
+    # matrix form: same draws, same booleans, so the estimates agree exactly
     rng = generator(seed)
-    flags = [F for nv in (2, 3, 4) for k in range(nv)
-             for F in enumerate_flags(tuple(range(nv)), k)]
-    assert len(flags) == 91 and any(len(F.blocks) == 1 for F in flags)
+    flags = [F for F in ALL_FLAGS if len(F.blocks) <= 2]
+    assert len(ALL_FLAGS) == 91 and {len(F.blocks) for F in flags} == {1, 2}
     for i, F in enumerate(flags):
         cfg = SimulationConfig(rates=random_rates(rng, F.vertices), samples=samples,
                                seed=(seed, i))
         assert estimate_pF(F, cfg) == matrix_estimate_pF(F, cfg), (F, cfg)
 
 
+class RecordingBinomials:
+    """A generator whose binomial draws all equal the next count of ``script``,
+    recording each draw's (trials, p) so the law of the chain can be checked."""
+
+    def __init__(self, script):
+        self.script = iter(script)
+        self.calls = []
+
+    def binomial(self, trials, p, size):
+        k = next(self.script)
+        self.calls.append((trials, p, k))
+        return np.full(size, k)
+
+
+def multinomial_pmf(seq, rates):
+    """The exact probability of ``seq``: per round, the Multinomial(r, lambda_A / l_A)
+    pmf at the round's counts, A the sources not yet silenced."""
+    p = Fraction(1)
+    active = set(rates)
+    for rnd, silenced in zip(seq.rounds, seq.silenced):
+        mass = sum(rates[v] for v in active)
+        p *= Fraction(factorial(seq.r), prod(factorial(c) for _, c in rnd))
+        p *= prod((rates[v] / mass) ** c for v, c in rnd)
+        active -= set(silenced)
+    return p
+
+
 @pytest.mark.parametrize("seed", [7, 20240801])
-@pytest.mark.parametrize("samples", [1, 500])
-def test_higher_matches_matrix_form(seed, samples):
+def test_higher_chain_is_the_multinomial(seed):
+    # fed each round's target counts, the binomial chain's pmfs multiply to the
+    # multinomial pmf of the whole sequence
     rng = generator(seed)
-    cases = [(c.sequence, c.flag.vertices) for nv in (2, 3) for r in (1, 2, 3)
-             for c in enumerate_experiments(tuple(range(nv)), r)]
-    assert len(cases) == 46
-    cases.append((silenced_source_sequence(), (0, 1, 2)))
-    for i, (seq, V) in enumerate(cases):
-        cfg = SimulationConfig(rates=random_rates(rng, V), samples=samples, seed=(seed, i))
-        est = estimate_higher(seq, cfg)
-        assert est == matrix_estimate_higher(seq, cfg), (seq, cfg)
-    assert est.mean == 0.0  # the silenced-source sequence
+    assert len(ALL_SEQUENCES) == 46
+    for i, (seq, V) in enumerate(ALL_SEQUENCES):
+        rates = random_rates(rng, V)
+        counts = []
+        active = sorted(rates)
+        for rnd, silenced in zip(seq.rounds, seq.silenced):
+            counts += [dict(rnd).get(v, 0) for v in active[:-1]]
+            active = [v for v in active if v not in silenced]
+        fake = RecordingBinomials(counts)
+        cfg = SimulationConfig(rates=rates, samples=10, seed=(seed, i))
+        object.__setattr__(cfg, "rng", lambda fake=fake: fake)
+        assert estimate_higher(seq, cfg) == Estimate(mean=1.0, stderr=0.0, samples=10)
+        chain = prod(comb(trials, k) * p ** k * (1 - p) ** (trials - k)
+                     for trials, p, k in fake.calls)
+        exact = float(multinomial_pmf(seq, rates))
+        assert len(fake.calls) == len(counts)
+        assert chain == pytest.approx(exact, rel=1e-12, abs=0), (seq, rates)
+    # a round that names a silenced source estimates 0 without a draw
+    fake = RecordingBinomials([2, 0])
+    cfg = SimulationConfig(rates=EQUAL3, samples=10, seed=0)
+    object.__setattr__(cfg, "rng", lambda: fake)
+    assert estimate_higher(silenced_source_sequence(), cfg).mean == 0.0
+    assert len(fake.calls) == 2  # round one's two links only
+
+
+@pytest.mark.parametrize("seed", [7, 20240801])
+def test_estimators_match_matrix_forms_in_law(seed):
+    # different draws, the same law: each survivor-only estimate lies within
+    # 4 combined standard errors of its matrix form's at 20 000 samples
+    rng = generator(seed)
+    samples = 20_000
+    cases = [(estimate_pF, matrix_estimate_pF, F, F.vertices) for F in ALL_FLAGS]
+    cases += [(estimate_higher, matrix_estimate_higher, seq, V) for seq, V in ALL_SEQUENCES]
+    cases.append((estimate_higher, matrix_estimate_higher, silenced_source_sequence(), (0, 1, 2)))
+    for i, (estimate, matrix_form, obj, V) in enumerate(cases):
+        rates = random_rates(rng, V)
+        a = estimate(obj, SimulationConfig(rates=rates, samples=samples, seed=(seed, i)))
+        b = matrix_form(obj, SimulationConfig(rates=rates, samples=samples,
+                                              seed=(seed, i, 1)))
+        assert a.samples == b.samples == samples
+        assert abs(a.mean - b.mean) <= 4 * (a.stderr ** 2 + b.stderr ** 2) ** 0.5, (obj, rates)
+    assert a.mean == b.mean == 0.0  # the silenced-source sequence
+
+
+@pytest.mark.parametrize("estimate, obj", [
+    (estimate_pF, Flag.parse("0|1|2")),
+    (estimate_higher, ArrivalSequence(r=3, rounds=(((2, 3),), ((0, 3), (1, 0)), ((1, 3),)),
+                                      silenced=((2,), (0,), (1,)))),
+])
+def test_estimate_peak_memory(estimate, obj):
+    # at most two float arrays and a mask of the samples are live at once
+    samples = 200_000
+    # a first generator imports numpy's seeding modules; keep that out of the peak
+    estimate(obj, SimulationConfig(rates=EQUAL3, samples=1, seed=13))
+    cfg = SimulationConfig(rates=EQUAL3, samples=samples, seed=13)
+    tracemalloc.start()
+    try:
+        est = estimate(obj, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.samples == samples and 0 < est.mean < 1
+    assert peak <= 2.5 * 8 * samples, peak / (8 * samples)
+
 
 def test_face_integral_duality():
     cfg = SimulationConfig(rates={0: Fraction(1)}, samples=4000, seed=17)
