@@ -3,16 +3,16 @@
 Simulates the Poisson ensembles directly in 64-bit floats, firewalled from
 the exact core: exact rationals cross the boundary only as float rates and
 expected values.  Draws are made only for the samples that can still count:
-a flag's first block is a Gamma variate for every sample and each later
-block one only for the samples whose completion times are still in flag
-order; an arrival sequence's round is a chain of conditional binomials, one
-source at a time, drawn only for the samples whose counts still match.  The
-samples are i.i.d., so a sample's index carries no information and the
-estimate needs only the number that survive.  Never build a samples x
-columns matrix and reduce it along axis 1: on 100 000 rows of 2-3 columns
-``np.all(..., axis=1)`` costs about ten times a chain of 1-D tests.  This is
-the one module of the package that imports numpy, and ``generator`` the one
-place that builds its counter-based Philox generator.
+a flag's first block completes at a sum of exponential gaps for every sample
+and each later block only for the samples whose completion times are still
+in flag order; an arrival sequence's round is a chain of conditional
+binomials, one source at a time, drawn only for the samples whose counts
+still match.  The samples are i.i.d., so a sample's index carries no
+information and the estimate needs only the number that survive.  Never
+build a samples x columns matrix and reduce it along axis 1: on 100 000 rows
+of 2-3 columns ``np.all(..., axis=1)`` costs about ten times a chain of 1-D
+tests.  This is the one module of the package that imports numpy, and
+``generator`` the one place that builds its SFC64 generator.
 The CLI seeds each case with (seed, trial, *label bytes), so every estimate
 is reproducible from (seed, samples) and the case label, in any process.
 
@@ -34,7 +34,7 @@ from .flagcomb import ArrivalSequence, Flag, perm_sign
 from .shadow import flag_omega
 from .symexpr import RationalForm
 
-RNG_ALGORITHM = "numpy.random.Philox"
+RNG_ALGORITHM = "numpy.random.SFC64"
 # the two ladder parameters of a face integral, and the relative tolerance
 # within which their estimates must agree (beyond sampling noise)
 FACE_EPS = (1e-3, 1e-4)
@@ -42,8 +42,13 @@ FACE_RTOL = 1e-2
 
 
 def generator(seed) -> np.random.Generator:
-    """The oracle's one random generator: Philox (``RNG_ALGORITHM``) under ``seed``."""
-    return np.random.Generator(np.random.Philox(seed))
+    """The oracle's one random generator: SFC64 (``RNG_ALGORITHM``) under ``seed``.
+
+    Every case seeds its own generator, so the streams need no skip-ahead and
+    a small-state generator serves; SFC64 draws exponentials, Gammas and
+    binomials faster than the counter-based Philox.
+    """
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 class ExtrapolationUnstable(ArithmeticError):
@@ -85,25 +90,40 @@ def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
     """Estimate the probability that blocks complete in flag order.
 
     Block j completes at the |V_j|-th arrival of its merged process of rate
-    l_{V_j}, a Gamma(|V_j|) variate over l_{V_j}.  The first block is drawn
-    for every sample, each later block only for the samples whose times are
-    still in order, and the hits are the samples left after the last block.
-    Ties count as satisfied.
+    l_{V_j}: the sum of |V_j| Exp(1) gaps over l_{V_j}, an Erlang, that is a
+    Gamma(|V_j|) variate over l_{V_j} (Devroye 1986, IX.3).  The first block
+    is drawn for every sample, each later block only for the samples whose
+    times are still in order, and the hits are the samples in order after
+    the last block, counted without compacting.  Ties count as satisfied.  A
+    single block is in order with probability 1 and draws nothing.
+
+    At most two float arrays and a mask of the samples are live at once,
+    except while a later block of two or more vertices sums its gaps: the
+    next gap is briefly a third float array.
     """
+    n = cfg.samples
+    if len(flag.blocks) == 1:
+        return _hit_estimate(n, n)
     rng = cfg.rng()
-    prev = None
-    for block in flag.blocks:
-        rate = float(sum(cfg.rates[v] for v in block))
-        size = cfg.samples if prev is None else prev.size
-        t = rng.standard_gamma(len(block), size=size) / rate
-        if prev is not None:
-            in_order = prev <= t
-            # release the old times before compacting, so that at most two
-            # time arrays and one mask are live at once
-            del prev
-            t = t[in_order]
-        prev = t
-    return _hit_estimate(prev.size, cfg.samples)
+
+    def completion_times(block, size: int) -> np.ndarray:
+        t = rng.standard_exponential(size)
+        for _ in range(len(block) - 1):
+            t += rng.standard_exponential(size)
+        t /= float(sum(cfg.rates[v] for v in block))
+        return t
+
+    first, *middle, last = flag.blocks
+    prev = completion_times(first, n)
+    for block in middle:
+        t = completion_times(block, prev.size)
+        in_order = prev <= t
+        # release the old times before compacting, so that at most two time
+        # arrays and one mask are live at once
+        del prev
+        prev = np.extract(in_order, t)
+    hits = np.count_nonzero(prev <= completion_times(last, prev.size))
+    return _hit_estimate(int(hits), n)
 
 
 def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
