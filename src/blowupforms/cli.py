@@ -449,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the smallest accepted value of each numeric option
-_LOWEST = {"n": 0, "k": 0, "r": 1, "samples": 1, "rates": 1, "eval_grid": 0, "seed": 0}
+_LOWEST = {"n": 0, "k": 0, "r": 1, "samples": 1, "rates": 1, "eval_grid": 0, "seed": 0,
+           "budget_seconds": 0}
 
 
 def _out_of_range(args) -> str | None:
@@ -460,7 +461,7 @@ def _out_of_range(args) -> str | None:
         lowest = {**_LOWEST, "n": 1}
     for name, low in lowest.items():
         value = getattr(args, name, None)
-        if value is not None and value < low:
+        if value is not None and not value >= low:  # NaN too
             return f"--{name.replace('_', '-')} must be at least {low}, got {value}"
     if getattr(args, "k", None) is not None and args.k > args.n:
         return f"--k must be at most --n ({args.n}), got {args.k}"

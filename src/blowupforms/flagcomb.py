@@ -54,14 +54,10 @@ class Flag:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        bs = tuple(vertex_set(b) for b in blocks)
-        if not bs:
-            raise ValueError("flag needs at least one block")
-        seen: set[int] = set()
-        for b in bs:
-            if seen.intersection(b):
-                raise ValueError(f"blocks must be disjoint, got {blocks!r}")
-            seen.update(b)
+        bs = tuple(tuple(sorted(b)) for b in blocks)
+        if not bs or not all(bs):
+            raise ValueError(f"flag needs one or more blocks, none empty, got {blocks!r}")
+        vertex_set([v for b in bs for v in b])  # valid ids, disjoint blocks
         object.__setattr__(self, "blocks", bs)
 
     def __setattr__(self, name, value):
@@ -228,37 +224,6 @@ def _set_partitions(elems: tuple[int, ...], m: int):
             yield part[:i] + (tuple(sorted((first,) + part[i])),) + part[i + 1:]
     for part in _set_partitions(rest, m - 1):
         yield ((first,),) + part
-
-
-def enumerate_arrival_sequences(flag: Flag) -> list[tuple[int, ...]]:
-    """All admissible interleavings of block-labeled particle receipts.
-
-    Block j contributes |V_j| particles of label j.  A word is admissible
-    when, for every j >= 1, the final particle of label j-1 precedes the
-    final particle of label j (blocks complete in flag order).  Words are
-    returned in lexicographic order.
-    """
-    counts = list(flag.block_sizes)
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: list[int]):
-        if not any(remaining):
-            out.append(tuple(prefix))
-            return
-        for j, c in enumerate(remaining):
-            if c == 0:
-                continue
-            # completing block j is only allowed once all earlier blocks are done
-            if c == 1 and any(remaining[i] for i in range(j)):
-                continue
-            remaining[j] -= 1
-            prefix.append(j)
-            rec(prefix, remaining)
-            prefix.pop()
-            remaining[j] += 1
-
-    rec([], counts)
-    return out
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Construction path: the classical Whitney form of a vertex set, its
 dilation-invariant homogenization, arrival-order probabilities computed by
-enumerating admissible particle interleavings, and the basis forms
+first-step recursion over the particles each block still needs, and the
+basis forms
 
     psi_F = p_F * omega_F,   omega_F = wedge_j omega_{V_j}  (block order).
 
@@ -15,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from .dof import dof_evaluate
 from .flagcomb import (
     Flag,
-    enumerate_arrival_sequences,
     enumerate_flags,
     push_forward,
     standard_representative,
@@ -59,24 +60,28 @@ def omega_form(W) -> RationalForm:
 def poisson_probability(flag: Flag) -> RationalFn:
     """Probability that the blocks complete in flag order.
 
-    Sums, over admissible interleavings of block-labeled particles, the
-    product of per-receipt odds: a particle of block j arrives next with
-    relative rate l_{V_j} out of the total rate of all not-yet-completed
-    blocks.  Completed blocks stop contributing to the denominator.
+    Block j completes at the |V_j|-th arrival of its merged process of rate
+    l_{V_j}, an Erlang race between the blocks.  First-step analysis on
+    ``left``, the particles each block still needs (Norris 1997, 1.3): the
+    next particle is block j's with odds l_{V_j} / l_A, A the union of the
+    blocks not yet complete, so p(left) = sum_j l_{V_j} p(left - e_j) / l_A
+    and p(0, ..., 0) = 1.  Block j may take a particle while it needs two or
+    more, or its last one once every earlier block is complete.
     """
     blocks = flag.blocks
-    total = RationalFn.zero()
-    for word in enumerate_arrival_sequences(flag):
-        remaining = list(flag.block_sizes)
-        num = Poly.const(1)
-        den: dict[frozenset, int] = {}
-        for label in word:
-            active = frozenset(v for j, b in enumerate(blocks) if remaining[j] for v in b)
-            num = num * Poly.subset_sum(blocks[label])
-            den[active] = den.get(active, 0) + 1
-            remaining[label] -= 1
-        total = total + RationalFn(num, den)
-    return total
+
+    @cache
+    def p(left: tuple[int, ...]) -> RationalFn:
+        if not any(left):
+            return RationalFn.one()
+        first = next(j for j, c in enumerate(left) if c)
+        total = RationalFn.zero()
+        for j, c in enumerate(left):
+            if c >= 2 or j == first:
+                total = total + p(left[:j] + (c - 1,) + left[j + 1:]) * Poly.subset_sum(blocks[j])
+        return total.over_subset_sum(v for b, c in zip(blocks, left) if c for v in b)
+
+    return p(flag.block_sizes)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Small constructors, predicates and transforms that only the tests need."""
 
-from blowupforms.flagcomb import perm_sign
+from blowupforms.flagcomb import Flag, perm_sign
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
 
 
@@ -53,3 +53,49 @@ def relabel_form(w: RationalForm, perm: dict[int, int]) -> RationalForm:
         s = out.get(key)
         out[key] = contrib if s is None else s + contrib
     return RationalForm(w.degree, out)
+
+
+def arrival_words(flag: Flag) -> list[tuple[int, ...]]:
+    """All admissible interleavings of block-labelled particle receipts, in lexicographic order.
+
+    Block j contributes |V_j| particles of label j.  A word is admissible
+    when, for every j >= 1, the final particle of label j-1 precedes the
+    final particle of label j (blocks complete in flag order).
+    """
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: list[int], remaining: list[int]):
+        if not any(remaining):
+            out.append(tuple(prefix))
+            return
+        for j, c in enumerate(remaining):
+            # completing block j is only allowed once all earlier blocks are done
+            if c == 0 or (c == 1 and any(remaining[:j])):
+                continue
+            remaining[j] -= 1
+            prefix.append(j)
+            rec(prefix, remaining)
+            prefix.pop()
+            remaining[j] += 1
+
+    rec([], list(flag.block_sizes))
+    return out
+
+
+def word_sum_probability(flag: Flag) -> RationalFn:
+    """p_F as a sum over ``arrival_words``: each word is a product of per-receipt
+    odds, a particle of block j arriving next with rate l_{V_j} out of the total
+    rate of the blocks not yet complete."""
+    blocks = flag.blocks
+    total = RationalFn.zero()
+    for word in arrival_words(flag):
+        remaining = list(flag.block_sizes)
+        num = Poly.const(1)
+        den: dict[frozenset, int] = {}
+        for label in word:
+            active = frozenset(v for j, b in enumerate(blocks) if remaining[j] for v in b)
+            num = num * Poly.subset_sum(blocks[label])
+            den[active] = den.get(active, 0) + 1
+            remaining[label] -= 1
+        total = total + RationalFn(num, den)
+    return total

@@ -402,6 +402,10 @@ def test_3d_pinch_is_usage_error(tmp_path, capsys, cells, face):
     ["cohomology", "local", "--n", "6"],
     ["cohomology", "local", "--n", "-1"],
     ["mc-verify", "--target", "pF", "--n", "1", "--seed", "-1"],
+    ["d-check", "--n", "2", "--budget-seconds", "-1"],
+    ["dof-matrix", "--n", "2", "--budget-seconds", "-0.5"],
+    ["dof-matrix", "--n", "2", "--budget-seconds", "nan"],
+    ["mc-verify", "--target", "pF", "--n", "1", "--budget-seconds", "-1"],
 ])
 def test_out_of_range_number_is_usage_error(capsys, argv):
     assert run(argv) == 2

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from blowupforms.flagcomb import (
     ArrivalSequence,
     Flag,
-    enumerate_arrival_sequences,
     enumerate_flags,
     perm_sign,
     standard_representative,
     vertex_set,
 )
+from form_helpers import arrival_words
 
 
 # -- independent oracles ------------------------------------------------------
@@ -107,6 +107,14 @@ def test_vertex_set_validation():
         vertex_set((-1, 2))
 
 
+@pytest.mark.parametrize("blocks", [
+    (), ((0,), ()), ((0, 1), (1, 2)), ((0, 0),), ((-1,), (2,)), ((0,), (True,)),
+])
+def test_bad_flag_is_value_error(blocks):
+    with pytest.raises(ValueError):
+        Flag(blocks)
+
+
 # -- coarsen / refines / relabel -------------------------------------------------
 
 def test_coarsen_merges_adjacent_blocks():
@@ -197,30 +205,30 @@ def test_flag_text_round_trip():
 # -- arrival words ----------------------------------------------------------------
 
 def test_arrival_words_worked_examples():
-    assert enumerate_arrival_sequences(Flag.parse("0|1|2,3")) == [
+    assert arrival_words(Flag.parse("0|1|2,3")) == [
         (0, 1, 2, 2), (0, 2, 1, 2), (2, 0, 1, 2)
     ]
-    assert enumerate_arrival_sequences(Flag.parse("0,1|2,3")) == [
+    assert arrival_words(Flag.parse("0,1|2,3")) == [
         (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1)
     ]
 
 
 def test_single_block_has_one_word():
-    assert enumerate_arrival_sequences(Flag.parse("0,1,2,3")) == [(0, 0, 0, 0)]
+    assert arrival_words(Flag.parse("0,1,2,3")) == [(0, 0, 0, 0)]
 
 
 def test_every_word_ends_with_last_block_label():
     for k in range(4):
         for F in enumerate_flags((0, 1, 2, 3), k):
             last = len(F.blocks) - 1
-            for word in enumerate_arrival_sequences(F):
+            for word in arrival_words(F):
                 assert word[-1] == last
 
 
 def test_words_respect_completion_order():
     for F in enumerate_flags((0, 1, 2, 3), 1):
         sizes = F.block_sizes
-        for word in enumerate_arrival_sequences(F):
+        for word in arrival_words(F):
             finals = {}
             for pos, label in enumerate(word):
                 finals[label] = pos

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
+from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign, standard_representative
 from blowupforms.shadow import (
     basis_element,
     d_decomposition,
@@ -21,7 +21,13 @@ from blowupforms.symexpr import (
     face_limit,
     forms_equal_on_simplex,
 )
-from form_helpers import d_lambda, is_homogeneous, relabel_fn, relabel_form
+from form_helpers import (
+    d_lambda,
+    is_homogeneous,
+    relabel_fn,
+    relabel_form,
+    word_sum_probability,
+)
 
 
 def l(*ids):
@@ -116,14 +122,33 @@ def test_probability_homogeneous_degree_zero_and_barycenter_in_unit_interval():
                 assert 0 < val <= 1
 
 
-def test_orderings_of_one_partition_sum_to_one():
-    from itertools import permutations
+def _set_partitions(nv):
+    """Every set partition of {0..nv-1}, as its blocks in ascending order."""
+    V = tuple(range(nv))
+    return sorted({tuple(sorted(F.blocks)) for k in range(nv) for F in enumerate_flags(V, k)})
 
-    partition = ((0, 1), (2,), (3,))
+
+@pytest.mark.parametrize("partition", _set_partitions(4) + _set_partitions(5),
+                         ids=lambda blocks: str(Flag(blocks)))
+def test_orderings_of_one_partition_sum_to_one(partition):
+    """Exactly one block order of a partition is the completion order."""
     total = RationalFn.zero()
-    for order in permutations(partition):
+    for order in itertools.permutations(partition):
         total = total + poisson_probability(Flag(order))
     assert total == RationalFn.one()
+
+
+@pytest.mark.parametrize("nv", range(1, 7))
+def test_probability_equals_the_sum_over_arrival_words(nv):
+    """The first-step recursion against the sum over admissible particle words,
+    on every flag of up to 4 vertices and every standard representative above."""
+    V = tuple(range(nv))
+    flags = [F for k in range(nv) for F in enumerate_flags(V, k)]
+    if nv > 4:
+        flags = sorted({standard_representative(F)[0] for F in flags})
+    for F in flags:
+        got, want = poisson_probability(F), word_sum_probability(F)
+        assert (got.num.terms, got.den) == (want.num.terms, want.den), F
 
 
 def test_equal_rate_full_flag_probability_is_one_over_factorial():
