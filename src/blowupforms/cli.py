@@ -369,10 +369,15 @@ def _mc_dof_case(flag: Flag, form: RationalForm, args, trial: int) -> dict:
     est = mcoracle.estimate_face_integral(flag, form, cfg)
     tol = max(3 * est.stderr, 1e-2)
     ok = abs(est.mean - exact) <= tol
-    return {
+    res = {
         "kind": "dof", "case": str(flag), "exact": exact,
         "estimate": est.mean, "stderr": est.stderr, "escalated": False, "pass": ok,
     }
+    if args.verbose_cases:
+        # the spread of the two epsilons' estimates before extrapolation: a
+        # loose bound on the extrapolated estimate's error, not that error
+        res["bias"] = est.bias
+    return res
 
 
 def _cmd_emit_samples(args):

@@ -2,17 +2,21 @@
 
 Simulates the Poisson ensembles directly in 64-bit floats, firewalled from
 the exact core: exact rationals cross the boundary only as float rates and
-expected values.  Draws are made only for the samples that can still count:
-a flag's first block completes at a sum of exponential gaps for every sample
-and each later block only for the samples whose completion times are still
-in flag order; an arrival sequence's round is a chain of conditional
-binomials, one source at a time, drawn only for the samples whose counts
-still match.  The samples are i.i.d., so a sample's index carries no
-information and the estimate needs only the number that survive.  Never
-build a samples x columns matrix and reduce it along axis 1: on 100 000 rows
-of 2-3 columns ``np.all(..., axis=1)`` costs about ten times a chain of 1-D
-tests.  This is the one module of the package that imports numpy, and
-``generator`` the one place that builds its SFC64 generator.
+expected values.  Draws are made only for what can still count.  A flag's
+first block completes at an Erlang time, -log of a product of uniforms
+(each drawn as 1 - u, in (0, 1], so the log is never of 0), for every
+sample, and each later block only for the samples whose completion times
+are still in flag order.  The samples run in chunks of ``CHUNK``, so a run
+holds the arrays of one chunk, not of all n samples.  An arrival sequence
+draws no array at all: its rounds are chains of conditional binomials, one
+link per source, and the samples whose counts still match after a link
+with success probability q are Binomial(alive, q), one scalar draw.  The
+samples are i.i.d., so a sample's index carries no information and the
+estimate needs only the number that survive.  Never build a samples x
+columns matrix and reduce it along axis 1: on 100 000 rows of 2-3 columns
+``np.all(..., axis=1)`` costs about ten times a chain of 1-D tests.  This
+is the one module of the package that imports numpy, and ``generator`` the
+one place that builds its SFC64 generator.
 The CLI seeds each case with (seed, trial, *label bytes), so every estimate
 is reproducible from (seed, samples) and the case label, in any process.
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import numpy as np
 
@@ -39,13 +44,15 @@ RNG_ALGORITHM = "numpy.random.SFC64"
 # within which their estimates must agree (beyond sampling noise)
 FACE_EPS = (1e-3, 1e-4)
 FACE_RTOL = 1e-2
+# samples per chunk of a flag race: the most any run holds in memory at once
+CHUNK = 1 << 16
 
 
 def generator(seed) -> np.random.Generator:
     """The oracle's one random generator: SFC64 (``RNG_ALGORITHM``) under ``seed``.
 
     Every case seeds its own generator, so the streams need no skip-ahead and
-    a small-state generator serves; SFC64 draws exponentials, Gammas and
+    a small-state generator serves; SFC64 draws uniforms, Gammas and
     binomials faster than the counter-based Philox.
     """
     return np.random.Generator(np.random.SFC64(seed))
@@ -80,6 +87,17 @@ class Estimate:
     samples: int
 
 
+@dataclass(frozen=True)
+class FaceEstimate(Estimate):
+    """A face integral's estimate with ``bias``, the spread between the
+    estimates at the two ``FACE_EPS`` before extrapolation.  It is not the
+    error of the extrapolated ``mean``, which is far smaller, but a loose
+    upper bound on it; on a DOF it is still far larger than the sampling
+    noise that ``stderr`` measures."""
+
+    bias: float
+
+
 def _hit_estimate(hits: int, n: int) -> Estimate:
     """The binomial estimate of a probability from ``hits`` successes in ``n`` samples."""
     mean = hits / n
@@ -90,40 +108,52 @@ def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
     """Estimate the probability that blocks complete in flag order.
 
     Block j completes at the |V_j|-th arrival of its merged process of rate
-    l_{V_j}: the sum of |V_j| Exp(1) gaps over l_{V_j}, an Erlang, that is a
-    Gamma(|V_j|) variate over l_{V_j} (Devroye 1986, IX.3).  The first block
-    is drawn for every sample, each later block only for the samples whose
-    times are still in order, and the hits are the samples in order after
-    the last block, counted without compacting.  Ties count as satisfied.  A
-    single block is in order with probability 1 and draws nothing.
+    l_{V_j}: an Erlang time, which is -log of a product of |V_j| uniforms
+    over l_{V_j} (Devroye 1986, IX.3).  Each uniform is drawn as 1 - u with
+    u in [0, 1), so the product lies in (0, 1] and its log is finite.  The
+    first block is drawn for every sample, each later block only for the
+    samples whose times are still in order, and the hits are the samples in
+    order after the last block, counted without compacting.  Ties count as
+    satisfied.  A single block is in order with probability 1 and draws
+    nothing.
 
-    At most two float arrays and a mask of the samples are live at once,
-    except while a later block of two or more vertices sums its gaps: the
-    next gap is briefly a third float array.
+    The samples run in chunks of ``CHUNK`` and the hits are summed across
+    chunks, so the memory held is that of one chunk, not of n samples: at
+    most two float arrays and a mask of a chunk are live at once, except
+    while a later block of two or more vertices multiplies its uniforms,
+    when the next factor is briefly a third float array.
     """
     n = cfg.samples
     if len(flag.blocks) == 1:
         return _hit_estimate(n, n)
     rng = cfg.rng()
+    first, *middle, last = [(len(block), float(sum(cfg.rates[v] for v in block)))
+                            for block in flag.blocks]
 
     def completion_times(block, size: int) -> np.ndarray:
-        t = rng.standard_exponential(size)
-        for _ in range(len(block) - 1):
-            t += rng.standard_exponential(size)
-        t /= float(sum(cfg.rates[v] for v in block))
+        vertices, rate = block
+        t = rng.random(size)
+        np.subtract(1.0, t, out=t)
+        for _ in range(vertices - 1):
+            u = rng.random(size)
+            t *= np.subtract(1.0, u, out=u)
+        np.log(t, out=t)
+        t /= -rate
         return t
 
-    first, *middle, last = flag.blocks
-    prev = completion_times(first, n)
-    for block in middle:
-        t = completion_times(block, prev.size)
-        in_order = prev <= t
-        # release the old times before compacting, so that at most two time
-        # arrays and one mask are live at once
-        del prev
-        prev = np.extract(in_order, t)
-    hits = np.count_nonzero(prev <= completion_times(last, prev.size))
-    return _hit_estimate(int(hits), n)
+    def chunk_hits(size: int) -> int:
+        prev = completion_times(first, size)
+        for block in middle:
+            t = completion_times(block, prev.size)
+            in_order = prev <= t
+            # release the old times before compacting, so that at most two
+            # time arrays and one mask are live at once
+            del prev
+            prev = np.extract(in_order, t)
+        return int(np.count_nonzero(prev <= completion_times(last, prev.size)))
+
+    hits = sum(chunk_hits(min(CHUNK, n - start)) for start in range(0, n, CHUNK))
+    return _hit_estimate(hits, n)
 
 
 def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
@@ -132,12 +162,17 @@ def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
     Each round, the sources of the first r arrivals of the active streams
     are independent draws with odds lambda_i / l_A (competing exponentials),
     so their counts are Multinomial(r, lambda_A / l_A).  A multinomial is a
-    chain of conditional binomials (Devroye 1986): in sorted order, source v
-    gets Binomial(left, lambda_v / mass) of the ``left`` arrivals not yet
-    assigned, where ``mass`` is the rate of v and the sources after it.  Each
-    link is drawn only for the samples whose counts have matched so far, and
-    only their number is carried on.  The last source takes the remainder,
-    which equals its target, since both the counts and the target sum to r.
+    chain of conditional binomials (Devroye 1986, ch. X): in sorted order,
+    source v gets Binomial(left, p) of the ``left`` arrivals not yet
+    assigned, p = lambda_v / mass, where ``mass`` is the rate of v and the
+    sources after it.  A sample matches the link with probability
+    q = comb(left, want) p^want (1 - p)^(left - want), independently of the
+    other samples, so of the ``alive`` samples that have matched so far a
+    Binomial(alive, q) number match this link too (binomial thinning), and
+    the hits are Binomial(n, prod q), the law of the per-sample chain.  So
+    each link is one scalar draw, and a link with nothing left to assign
+    (q = 1) draws nothing.  The last source takes the remainder, which
+    equals its target, since both the counts and the target sum to r.
     Sequences whose rounds reference already-silenced sources get estimate 0.
     """
     rng = cfg.rng()
@@ -150,9 +185,12 @@ def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
             return Estimate(mean=0.0, stderr=0.0, samples=n)
         left, mass = seq.r, sum(cfg.rates[v] for v in active)
         for v in active[:-1]:
+            if not left:
+                break
             want = target.get(v, 0)
             p = float(cfg.rates[v] / mass)
-            alive = int(np.count_nonzero(rng.binomial(left, p, size=alive) == want))
+            q = comb(left, want) * p ** want * (1.0 - p) ** (left - want)
+            alive = int(rng.binomial(alive, q))
             left -= want
             mass -= cfg.rates[v]
         silenced = set(silenced)
@@ -185,7 +223,7 @@ def _form_values(form: RationalForm, point: dict[int, np.ndarray], vectors) -> n
     return total
 
 
-def estimate_face_integral(flag: Flag, form: RationalForm, cfg: SimulationConfig) -> Estimate:
+def estimate_face_integral(flag: Flag, form: RationalForm, cfg: SimulationConfig) -> FaceEstimate:
     """Monte Carlo value of the degree of freedom attached to ``flag``.
 
     Samples Theta_F uniformly (per-block Dirichlet), embeds each sample at a
@@ -193,7 +231,8 @@ def estimate_face_integral(flag: Flag, form: RationalForm, cfg: SimulationConfig
     realizing the sequential limits), evaluates the form on a tangential
     frame, and divides by the reference volume form.  The two values of
     ``FACE_EPS`` are compared; relative disagreement beyond ``FACE_RTOL``
-    (plus sampling noise) raises ExtrapolationUnstable.
+    (plus sampling noise) raises ExtrapolationUnstable; their spread, taken
+    before the extrapolation, is returned as the estimate's ``bias``.
     """
     if form.degree != flag.k:
         raise ValueError("form degree must match the flag")
@@ -241,7 +280,7 @@ def estimate_face_integral(flag: Flag, form: RationalForm, cfg: SimulationConfig
     vals = (e1 * per_eps[1] - e2 * per_eps[0]) / (e1 - e2)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return Estimate(mean=mean, stderr=stderr, samples=n)
+    return FaceEstimate(mean=mean, stderr=stderr, samples=n, bias=spread)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,21 @@ def test_mc_verify_z_summary_is_opt_in(capsys):
                                            "above_2sigma": 0}
 
 
+def test_mc_verify_dof_bias_is_opt_in(capsys):
+    # --verbose-cases adds each DOF case's two-epsilon spread; the records are
+    # otherwise those of the default report, which has no bias
+    argv = ["mc-verify", "--target", "dof", "--n", "1", "--samples", "2000"]
+    _, verbose = run_json(capsys, argv + ["--verbose-cases"])
+    details = verbose["results"]["details"]
+    assert details and all(d["bias"] >= 0 for d in details)
+    assert any(d["bias"] > 0 for d in details)
+    _, plain = run_json(capsys, argv)
+    assert "details" not in plain["results"]
+    _, pF = run_json(capsys, ["mc-verify", "--target", "pF", "--n", "1", "--samples", "100",
+                              "--verbose-cases"])
+    assert not any("bias" in d for d in pF["results"]["details"])
+
+
 def test_mc_verify_results_do_not_depend_on_the_hash_seed():
     # case seeds come from (seed, trial, label bytes), so hash randomisation never reaches the draws
     argv = ["mc-verify", "--target", "pF", "--n", "1", "--samples", "20000",

@@ -1,8 +1,9 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import comb, factorial, prod
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from blowupforms.flagcomb import ArrivalSequence, Flag, enumerate_flags
 from blowupforms.hiord import enumerate_experiments
 from blowupforms.mcoracle import (
+    CHUNK,
     Estimate,
     ExtrapolationUnstable,
     SimulationConfig,
@@ -60,7 +62,7 @@ def test_full_flag_equal_rates_is_one_sixth():
 
 
 def test_gamma_sum_consistency():
-    # the estimator's sums of exponential gaps against numpy's Gamma sampler
+    # the estimator's products of uniforms against numpy's Gamma sampler
     F = Flag.parse("0|1,2|3")
     a = estimate_pF(F, SimulationConfig(rates=EQUAL4, samples=150_000, seed=21))
     b = matrix_estimate_pF(F, SimulationConfig(rates=EQUAL4, samples=150_000, seed=22),
@@ -132,13 +134,13 @@ def matrix_indicator(hits):
     return Estimate(mean=mean, stderr=float(np.sqrt(mean * (1.0 - mean) / n)), samples=n)
 
 
-def exponential_gap_times(rng, size, n):
-    """A block of ``size`` vertices completes at the sum of ``size`` Exp(1) gaps,
-    drawn and summed in estimate_pF's order."""
-    t = rng.standard_exponential(n)
+def uniform_product_times(rng, size, n):
+    """A block of ``size`` vertices completes at -log of a product of ``size``
+    uniforms, each drawn as 1 - u and multiplied in estimate_pF's order."""
+    t = 1.0 - rng.random(n)
     for _ in range(size - 1):
-        t += rng.standard_exponential(n)
-    return t
+        t *= 1.0 - rng.random(n)
+    return -np.log(t)
 
 
 def gamma_times(rng, size, n):
@@ -195,31 +197,30 @@ ALL_SEQUENCES = [(c.sequence, c.flag.vertices) for nv in (2, 3) for r in (1, 2, 
 @pytest.mark.parametrize("seed", [7, 20240801])
 @pytest.mark.parametrize("samples", [1, 500])
 def test_pF_matches_matrix_form(seed, samples):
-    # with at most two blocks every block is drawn for every sample, as in the
-    # matrix form with the same gaps: same draws, same booleans, so the
-    # estimates agree exactly (a single block draws nothing and estimates 1)
+    # with at most two blocks and fewer samples than a chunk, every block is
+    # drawn for every sample, as in the matrix form with the same uniforms:
+    # same draws, same booleans, so the estimates agree exactly (a single
+    # block draws nothing and estimates 1)
     rng = generator(seed)
     flags = [F for F in ALL_FLAGS if len(F.blocks) <= 2]
     assert len(ALL_FLAGS) == 91 and {len(F.blocks) for F in flags} == {1, 2}
     for i, F in enumerate(flags):
         cfg = SimulationConfig(rates=random_rates(rng, F.vertices), samples=samples,
                                seed=(seed, i))
-        assert estimate_pF(F, cfg) == matrix_estimate_pF(F, cfg, exponential_gap_times), \
+        assert estimate_pF(F, cfg) == matrix_estimate_pF(F, cfg, uniform_product_times), \
             (F, cfg)
 
 
 class RecordingBinomials:
-    """A generator whose binomial draws all equal the next count of ``script``,
-    recording each draw's (trials, p) so the law of the chain can be checked."""
+    """A generator whose scalar binomial draws keep every trial, recording each
+    draw's (trials, q) so the law of the thinning chain can be checked."""
 
-    def __init__(self, script):
-        self.script = iter(script)
+    def __init__(self):
         self.calls = []
 
-    def binomial(self, trials, p, size):
-        k = next(self.script)
-        self.calls.append((trials, p, k))
-        return np.full(size, k)
+    def binomial(self, trials, q):
+        self.calls.append((trials, q))
+        return trials
 
 
 def multinomial_pmf(seq, rates):
@@ -237,32 +238,29 @@ def multinomial_pmf(seq, rates):
 
 @pytest.mark.parametrize("seed", [7, 20240801])
 def test_higher_chain_is_the_multinomial(seed):
-    # fed each round's target counts, the binomial chain's pmfs multiply to the
-    # multinomial pmf of the whole sequence
+    # the survivors of each link are thinned with the probability q that one
+    # sample's conditional binomial hits its target count; the q multiply to
+    # the multinomial pmf of the whole sequence
     rng = generator(seed)
     assert len(ALL_SEQUENCES) == 46
     for i, (seq, V) in enumerate(ALL_SEQUENCES):
         rates = random_rates(rng, V)
-        counts = []
-        active = sorted(rates)
-        for rnd, silenced in zip(seq.rounds, seq.silenced):
-            counts += [dict(rnd).get(v, 0) for v in active[:-1]]
-            active = [v for v in active if v not in silenced]
-        fake = RecordingBinomials(counts)
+        fake = RecordingBinomials()
         cfg = SimulationConfig(rates=rates, samples=10, seed=(seed, i))
         object.__setattr__(cfg, "rng", lambda fake=fake: fake)
         assert estimate_higher(seq, cfg) == Estimate(mean=1.0, stderr=0.0, samples=10)
-        chain = prod(comb(trials, k) * p ** k * (1 - p) ** (trials - k)
-                     for trials, p, k in fake.calls)
+        # every sample is kept, and no link with nothing left to assign (q = 1) draws
+        assert all(trials == 10 and q < 1 for trials, q in fake.calls)
+        chain = prod(q for _, q in fake.calls)
         exact = float(multinomial_pmf(seq, rates))
-        assert len(fake.calls) == len(counts)
         assert chain == pytest.approx(exact, rel=1e-12, abs=0), (seq, rates)
     # a round that names a silenced source estimates 0 without a draw
-    fake = RecordingBinomials([2, 0])
+    fake = RecordingBinomials()
     cfg = SimulationConfig(rates=EQUAL3, samples=10, seed=0)
     object.__setattr__(cfg, "rng", lambda: fake)
     assert estimate_higher(silenced_source_sequence(), cfg).mean == 0.0
-    assert len(fake.calls) == 2  # round one's two links only
+    # round one only: source 0 takes both arrivals, after which no link draws
+    assert fake.calls == [(10, pytest.approx(1 / 9, rel=1e-12))]
 
 
 @pytest.mark.parametrize("seed", [7, 20240801])
@@ -270,7 +268,7 @@ def test_estimators_match_matrix_forms_in_law(seed):
     # different draws, the same law: each survivor-only estimate lies within
     # 4 combined standard errors of its matrix form's at 20 000 samples; the
     # flag's matrix form draws Gamma variates, so this also checks the
-    # estimator's sums of exponential gaps against numpy's Gamma sampler
+    # estimator's products of uniforms against numpy's Gamma sampler
     rng = generator(seed)
     samples = 20_000
     matrix_gamma_pF = partial(matrix_estimate_pF, block_times=gamma_times)
@@ -287,9 +285,9 @@ def test_estimators_match_matrix_forms_in_law(seed):
     assert a.mean == b.mean == 0.0  # the silenced-source sequence
 
 
-def peak_floats_per_sample(estimate, obj, rates, samples=200_000):
+def traced_peak(estimate, obj, rates, samples):
     """Run ``estimate`` on ``samples`` samples; return its peak traced memory in
-    float64 arrays of the samples."""
+    bytes, after checking that the estimate is a probability strictly inside (0, 1)."""
     # a first generator imports numpy's seeding modules; keep that out of the peak
     estimate(obj, SimulationConfig(rates=rates, samples=1, seed=13))
     cfg = SimulationConfig(rates=rates, samples=samples, seed=13)
@@ -300,13 +298,23 @@ def peak_floats_per_sample(estimate, obj, rates, samples=200_000):
     finally:
         tracemalloc.stop()
     assert est.samples == samples and 0 < est.mean < 1
-    return peak / (8 * samples)
+    return peak
+
+
+def peak_floats_per_sample(estimate, obj, rates, samples=200_000):
+    """The peak traced memory of ``estimate`` in float64 arrays of the samples
+    of one chunk: the samples run a chunk at a time, so a chunk's arrays, not
+    the whole run's, are what a bound on live arrays counts."""
+    return traced_peak(estimate, obj, rates, samples) / (8 * min(samples, CHUNK))
+
+
+HIGHER_222_000_111 = ArrivalSequence(r=3, rounds=(((2, 3),), ((0, 3), (1, 0)), ((1, 3),)),
+                                     silenced=((2,), (0,), (1,)))
 
 
 @pytest.mark.parametrize("estimate, obj", [
     (estimate_pF, Flag.parse("0|1|2")),
-    (estimate_higher, ArrivalSequence(r=3, rounds=(((2, 3),), ((0, 3), (1, 0)), ((1, 3),)),
-                                      silenced=((2,), (0,), (1,)))),
+    (estimate_higher, HIGHER_222_000_111),
 ])
 def test_estimate_peak_memory(estimate, obj):
     # at most two float arrays and a mask of the samples are live at once
@@ -315,10 +323,67 @@ def test_estimate_peak_memory(estimate, obj):
 
 
 def test_pF_peak_memory_while_summing_gaps():
-    # the middle block sums two gaps, so the second is briefly a third float
-    # array beside the first block's times and the running sum (measured: 3.00)
+    # the middle block multiplies two uniforms, so the second is briefly a third
+    # float array beside the first block's times and the running product
     peak = peak_floats_per_sample(estimate_pF, Flag.parse("0|1,2|3"), EQUAL4)
     assert peak <= 3.25, peak
+
+
+def test_pF_memory_is_one_chunk():
+    # the samples run in chunks, so ten chunks hold no more than one
+    F = Flag.parse("0|1,2|3")
+    one = traced_peak(estimate_pF, F, EQUAL4, CHUNK)
+    ten = traced_peak(estimate_pF, F, EQUAL4, 10 * CHUNK)
+    assert ten <= 1.1 * one, (one, ten)
+
+
+def test_higher_allocates_no_sample_array():
+    # one scalar binomial per link: a million samples allocate no array of them
+    peak = traced_peak(estimate_higher, HIGHER_222_000_111, EQUAL3, 1_000_000)
+    assert peak < 64 * 1024, peak
+
+
+class ZeroUniforms:
+    """A generator whose uniforms are all 0.0, recording each draw's size."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return np.zeros(size)
+
+
+def zero_uniform_estimate(flag, rates, samples):
+    fake = ZeroUniforms()
+    cfg = SimulationConfig(rates=rates, samples=samples, seed=0)
+    object.__setattr__(cfg, "rng", lambda: fake)
+    return estimate_pF(flag, cfg), fake.sizes
+
+
+def test_pF_log_of_a_zero_uniform_is_finite():
+    # a uniform of 0.0 enters the product as 1 - 0.0 = 1, so every block
+    # completes at time 0 with no log of 0: the times tie, which counts as in order
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        est, _ = zero_uniform_estimate(Flag.parse("0|1,2|3"), EQUAL4, 100)
+    assert est == Estimate(mean=1.0, stderr=0.0, samples=100)
+
+
+@pytest.mark.parametrize("samples", [CHUNK + 1, 2 * CHUNK + 7])
+def test_pF_chunks_cover_every_sample(samples):
+    F = Flag.parse("0|1|2")
+    # all-zero uniforms put every sample in order, so the estimate is exactly 1
+    # only if every sample of every chunk, the last partial one too, is counted
+    est, sizes = zero_uniform_estimate(F, EQUAL3, samples)
+    assert est == Estimate(mean=1.0, stderr=0.0, samples=samples)
+    assert max(sizes) == CHUNK and sum(sizes) == 3 * samples
+    # and in law, chunked draws agree with the Gamma matrix form
+    a = estimate_pF(F, SimulationConfig(rates=EQUAL3, samples=samples, seed=71))
+    b = matrix_estimate_pF(F, SimulationConfig(rates=EQUAL3, samples=samples, seed=72),
+                           gamma_times)
+    assert a.samples == b.samples == samples
+    assert abs(a.mean - b.mean) <= 4 * (a.stderr ** 2 + b.stderr ** 2) ** 0.5
 
 
 def test_face_integral_duality():
@@ -338,6 +403,7 @@ def test_face_integral_volume_form():
         F = Flag([W])
         est = estimate_face_integral(F, omega_form(W), cfg)
         assert abs(est.mean - 1.0) <= 1e-9
+        assert 0 <= est.bias <= 1e-9  # the same value at both epsilons
 
 
 def test_config_validation():
