@@ -437,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(fn=_cmd_higher_order)
 
     m = sub.add_parser("mc-verify", help="Monte Carlo concordance with exact values")
-    m.add_argument("--target", choices=["pF", "higher", "dof", "all"], required=True)
+    m.add_argument("--target", choices=["pF", "higher", "dof", "all"], required=True,
+                   help="all runs the pF and higher cases, not the dof cases")
     m.add_argument("--n", type=int, default=3)
     m.add_argument("--r", type=int, default=3)
     m.add_argument("--samples", type=int, default=100_000)

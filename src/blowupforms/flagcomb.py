@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 
 
 def vertex_set(ids) -> tuple[int, ...]:
@@ -171,8 +171,19 @@ def enumerate_flags(V, k: int) -> list[Flag]:
     n = len(vs) - 1
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range for |V|={len(vs)}")
-    m = len(vs) - k  # number of blocks
-    out = [Flag(p) for part in _set_partitions(vs, m) for p in permutations(part)]
+
+    def ordered_partitions(elems: tuple[int, ...], parts: int):
+        # a first block that leaves at least parts - 1 elements, then the rest
+        if parts == 1:
+            yield (elems,)
+            return
+        for size in range(1, len(elems) - parts + 2):
+            for first in combinations(elems, size):
+                rest = tuple(v for v in elems if v not in first)
+                for tail in ordered_partitions(rest, parts - 1):
+                    yield (first,) + tail
+
+    out = [Flag(p) for p in ordered_partitions(vs, len(vs) - k)]
     out.sort()
     return out
 
@@ -207,55 +218,34 @@ def push_forward(column: dict, sigma) -> dict:
     return {X.relabel(sigma): X.relabel_sign(sigma) * c for X, c in column.items()}
 
 
-def _set_partitions(elems: tuple[int, ...], m: int):
-    """Unordered partitions of elems into exactly m blocks (blocks sorted)."""
-    if m == 1:
-        yield (elems,)
-        return
-    if len(elems) == m:
-        yield tuple((e,) for e in elems)
-        return
-    if len(elems) < m:
-        return
-    first, rest = elems[0], elems[1:]
-    # first element joins an existing block of a smaller partition, or is alone
-    for part in _set_partitions(rest, m):
-        for i in range(m):
-            yield part[:i] + (tuple(sorted((first,) + part[i])),) + part[i + 1:]
-    for part in _set_partitions(rest, m - 1):
-        yield ((first,),) + part
-
-
 @dataclass(frozen=True)
 class ArrivalSequence:
     """Outcome record of a repeated receive-r-then-silence experiment.
 
-    rounds:   per round, a sorted tuple of (vertex id, particles received);
-              counts in a round sum to r.
-    silenced: per round, the vertex set silenced afterwards (the sources
-              with count >= 1 that round).
-    r:        number of particles received per round.
+    rounds: per round, a sorted tuple of (vertex id, particles received);
+            counts in a round sum to r.  The sources hit in a round are
+            silenced after it (``silenced``).
+    r:      number of particles received per round.
     """
 
     r: int
     rounds: tuple[tuple[tuple[int, int], ...], ...]
-    silenced: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("degree r must be positive")
-        if len(self.rounds) != len(self.silenced):
-            raise ValueError("one silenced set per round required")
         seen: set[int] = set()
         for rnd, sil in zip(self.rounds, self.silenced):
             if sum(c for _, c in rnd) != self.r:
                 raise ValueError(f"round counts must sum to r={self.r}")
-            hit = tuple(sorted(v for v, c in rnd if c >= 1))
-            if hit != tuple(sorted(sil)):
-                raise ValueError("silenced set must equal the sources hit that round")
             if seen.intersection(sil):
-                raise ValueError("silenced sets must be disjoint")
+                raise ValueError("a source must not be hit after the round that silenced it")
             seen.update(sil)
+
+    @property
+    def silenced(self) -> tuple[tuple[int, ...], ...]:
+        """Per round, the ascending sources with count >= 1, silenced afterwards."""
+        return tuple(tuple(sorted(v for v, c in rnd if c >= 1)) for rnd in self.rounds)
 
     @property
     def flag(self) -> Flag:

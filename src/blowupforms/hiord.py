@@ -21,8 +21,11 @@ from .symexpr import Poly, RationalFn, _den_scale, face_limit
 @dataclass(frozen=True)
 class HigherBasisCandidate:
     sequence: ArrivalSequence
-    flag: Flag
     probability: RationalFn
+
+    @property
+    def flag(self) -> Flag:
+        return self.sequence.flag
 
 
 def _multinomial_term(counts) -> Poly:
@@ -55,28 +58,25 @@ def enumerate_experiments(V, r: int) -> list[HigherBasisCandidate]:
             for rest in compositions(active[1:], total - c):
                 yield (c,) + rest
 
-    def rec(active: tuple[int, ...], rounds, silenced, num: Poly, den):
+    def rec(active: tuple[int, ...], rounds, num: Poly, den):
         if not active:
-            seq = ArrivalSequence(r=r, rounds=tuple(rounds), silenced=tuple(silenced))
-            prob = RationalFn(num, den)
-            out.append(HigherBasisCandidate(sequence=seq, flag=seq.flag, probability=prob))
+            seq = ArrivalSequence(r=r, rounds=tuple(rounds))
+            out.append(HigherBasisCandidate(sequence=seq, probability=RationalFn(num, den)))
             return
         A = frozenset(active)
         for counts in compositions(active, r):
-            hit = tuple(v for v, c in zip(active, counts) if c >= 1)
             rnd = tuple(zip(active, counts))
-            new_num = num * _multinomial_term(rnd)
             new_den = dict(den)
             new_den[A] = new_den.get(A, 0) + r
+            # the sources hit this round are silenced; the rest stay active
             rec(
-                tuple(v for v in active if v not in hit),
+                tuple(v for v, c in rnd if c == 0),
                 rounds + [rnd],
-                silenced + [hit],
-                new_num,
+                num * _multinomial_term(rnd),
                 new_den,
             )
 
-    rec(V, [], [], Poly.const(1), {})
+    rec(V, [], Poly.const(1), {})
     out.sort(key=lambda c: c.sequence.rounds)
     return out
 

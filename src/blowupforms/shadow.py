@@ -41,13 +41,15 @@ class IdentityFailed(ArithmeticError):
 def whitney_form(W) -> RationalForm:
     """The Whitney form of a vertex set, normalized to unit simplex integral.
 
-    phi_W = n! * i_X(dlambda_W) with n = |W| - 1, the wedge taken in
-    ascending index order and X the tautological field on the W variables.
+    phi_W = n! * sum_i (-1)^i lambda_{w_i} dlambda_{W - w_i}, with n = |W| - 1,
+    w_0 < ... < w_n the vertices of W and each wedge taken in ascending order.
     """
     W = vertex_set(W)
-    n = len(W) - 1
-    top = RationalForm(len(W), {frozenset(W): RationalFn.const(math.factorial(n))})
-    return top.contract_tautological(W)
+    c = math.factorial(len(W) - 1)
+    return RationalForm(len(W) - 1, {
+        frozenset(W) - {w}: RationalFn(Poly.var(w) * (-c if i % 2 else c))
+        for i, w in enumerate(W)
+    })
 
 
 def omega_form(W) -> RationalForm:

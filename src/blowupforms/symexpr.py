@@ -183,22 +183,13 @@ class Poly:
         return frozenset(v for m in self.terms for v, _ in m)
 
     def derivative(self, v: int) -> "Poly":
+        # distinct monomials that contain lambda_v stay distinct once it is lowered
         t: dict[Mono, int | Fraction] = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(v, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[v]
-            else:
-                d[v] = e - 1
-            key = tuple(sorted(d.items()))
-            s = t.get(key, 0) + c * e
-            if s:
-                t[key] = s
-            else:
-                t.pop(key, None)
+            for i, (w, e) in enumerate(m):
+                if w == v:
+                    t[m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]] = c * e
+                    break
         return Poly(t)
 
     def evaluate(self, point: dict[int, object]):
@@ -250,11 +241,13 @@ class Poly:
         by_deg: dict[int, dict] = {}
         top = 0
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.pop(v, 0)
+            e = 0
+            for i, (w, x) in enumerate(m):
+                if w == v:
+                    e, m = x, m[:i] + m[i + 1:]
+                    break
             top = max(top, e)
-            key = tuple(sorted(d.items()))
-            by_deg.setdefault(e, {})[key] = c
+            by_deg.setdefault(e, {})[m] = c
         if top == 0:
             return None
         R = Poly.subset_sum(rest) if rest else Poly.zero()
@@ -336,14 +329,6 @@ class RationalFn:
     @staticmethod
     def one() -> "RationalFn":
         return RationalFn(Poly.const(1))
-
-    @staticmethod
-    def const(c) -> "RationalFn":
-        return RationalFn(Poly.const(c))
-
-    @staticmethod
-    def var(i: int) -> "RationalFn":
-        return RationalFn(Poly.var(i))
 
     # -- field-ish operations --------------------------------------------------
 
@@ -568,24 +553,6 @@ class RationalForm:
                 s = out.get(key)
                 out[key] = contrib if s is None else s + contrib
         return RationalForm(self.degree + 1, out)
-
-    def contract_tautological(self, S) -> "RationalForm":
-        """Interior product with sum_{i in S} lambda_i d/dlambda_i."""
-        S = frozenset(S)
-        if self.degree == 0:
-            return RationalForm.zero(0)
-        out: dict[frozenset, RationalFn] = {}
-        for W, f in self.terms.items():
-            sw = tuple(sorted(W))
-            for pos, v in enumerate(sw):
-                if v not in S:
-                    continue
-                sign = -1 if pos % 2 else 1
-                key = W - {v}
-                contrib = f * Poly.var(v) * sign
-                s = out.get(key)
-                out[key] = contrib if s is None else s + contrib
-        return RationalForm(self.degree - 1, out)
 
     def variables(self) -> frozenset[int]:
         out = frozenset()

@@ -4,9 +4,32 @@ from blowupforms.flagcomb import Flag, perm_sign
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
 
 
+def var_fn(i: int) -> RationalFn:
+    """The rational function lambda_i."""
+    return RationalFn(Poly.var(i))
+
+
 def d_lambda(i: int) -> RationalForm:
     """The 1-form dlambda_i."""
     return RationalForm(1, {frozenset((i,)): RationalFn.one()})
+
+
+def contract_tautological(form: RationalForm, S) -> RationalForm:
+    """Interior product of form with the tautological field sum_{i in S} lambda_i d/dlambda_i."""
+    S = frozenset(S)
+    if form.degree == 0:
+        return RationalForm.zero(0)
+    out: dict[frozenset, RationalFn] = {}
+    for W, f in form.terms.items():
+        for pos, v in enumerate(sorted(W)):
+            if v not in S:
+                continue
+            sign = -1 if pos % 2 else 1
+            key = W - {v}
+            contrib = f * Poly.var(v) * sign
+            s = out.get(key)
+            out[key] = contrib if s is None else s + contrib
+    return RationalForm(form.degree - 1, out)
 
 
 def is_homogeneous(f: RationalFn, d: int) -> bool:

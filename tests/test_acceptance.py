@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from form_helpers import var_fn
 from reference_tables import table_n2, table_n3, table_r3_scalars
 
 from blowupforms.blowcx import betti_numbers, build_blowup_complex
@@ -110,7 +111,7 @@ def test_criterion_4_whitney_containment():
     # the displayed affine identity
     s = basis_element(Flag.parse("0|1|2")).form + basis_element(Flag.parse("0|2|1")).form
     ok = ok and forms_equal_on_simplex(
-        s, RationalForm.function(RationalFn.var(0)), (0, 1, 2)
+        s, RationalForm.function(var_fn(0)), (0, 1, 2)
     )
     report(4, "classical Whitney forms recovered from flag sums for n <= 3", ok, t0, 10)
 

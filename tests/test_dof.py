@@ -14,7 +14,7 @@ from blowupforms.dof import (
 from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign, push_forward
 from blowupforms.shadow import basis_element, gram_matrix, omega_form, whitney_form
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
-from form_helpers import d_lambda, relabel_form
+from form_helpers import d_lambda, relabel_form, var_fn
 
 
 # -- independent quadrature oracle -------------------------------------------------
@@ -87,7 +87,7 @@ def test_restrict_reordered_partition_vanishes():
 
 
 def test_restrict_scalar_vertex_values():
-    lam0 = RationalForm.function(RationalFn.var(0))
+    lam0 = RationalForm.function(var_fn(0))
     at_120 = restrict_to_theta(lam0, Flag.parse("1|2|0"))
     assert at_120.is_zero()
     at_012 = restrict_to_theta(lam0, Flag.parse("0|1|2"))
@@ -161,7 +161,7 @@ def test_dof_evaluate_relabelling_law(nv):
     values = set()
     for k in range(nv):
         flags = list(enumerate_flags(V, k))
-        forms = {(v, W): whitney_form(W) * RationalFn.var(v)
+        forms = {(v, W): whitney_form(W) * var_fn(v)
                  for W in combinations(V, k + 1) for v in V}
         known = {(F, key): dof_evaluate(F, w) for F in flags for key, w in forms.items()}
         values |= set(known.values())
@@ -233,4 +233,4 @@ def test_divergent_limit_propagates():
 
 def test_foreign_variables_rejected():
     with pytest.raises(ValueError):
-        restrict_to_theta(RationalForm.function(RationalFn.var(7)), Flag.parse("0|1"))
+        restrict_to_theta(RationalForm.function(var_fn(7)), Flag.parse("0|1"))

@@ -19,7 +19,7 @@ import pytest
 from blowupforms.dof import dof_evaluate
 from blowupforms.flagcomb import enumerate_flags, standard_representative
 from blowupforms.shadow import basis_element, gram_matrix, whitney_form
-from blowupforms.symexpr import RationalFn
+from form_helpers import var_fn
 
 sympy = pytest.importorskip("sympy")
 
@@ -95,7 +95,7 @@ def test_oracle_matches_dof_on_every_lambda_phi_pairing():
             for W in combinations(V, k + 1):
                 phi = whitney_form(W)
                 for v in V:
-                    form = phi * RationalFn.var(v)
+                    form = phi * var_fn(v)
                     for G in enumerate_flags(V, k):
                         want = oracle(G, form)
                         assert dof_evaluate(G, form) == want, (G, W, v)

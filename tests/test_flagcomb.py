@@ -238,14 +238,13 @@ def test_words_respect_completion_order():
 # -- degree-r arrival sequences ----------------------------------------------------
 
 def test_arrival_sequence_validation():
-    seq = ArrivalSequence(r=3, rounds=(((0, 2), (1, 1)), ((2, 3),)),
-                          silenced=((0, 1), (2,)))
+    seq = ArrivalSequence(r=3, rounds=(((0, 2), (1, 1)), ((2, 3),)))
     assert seq.flag == Flag.parse("0,1|2")
     assert seq.compact() == "001|222"
     with pytest.raises(ValueError):
-        ArrivalSequence(r=3, rounds=(((0, 1),),), silenced=((0,),))  # counts != r
+        ArrivalSequence(r=3, rounds=(((0, 1),),))  # counts != r
     with pytest.raises(ValueError):
-        ArrivalSequence(r=2, rounds=(((0, 2),), ((0, 2),)), silenced=((0,), (0,)))
+        ArrivalSequence(r=2, rounds=(((0, 2),), ((0, 2),)))
 
 
 # -- permutation sign -------------------------------------------------------------

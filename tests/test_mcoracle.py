@@ -115,13 +115,12 @@ def test_higher_concordance_and_r1_bridge():
 
 def test_impossible_sequence_estimates_zero():
     # round two references a source silenced in round one
-    seq = ArrivalSequence(r=1, rounds=(((0, 1),), ((1, 1),)), silenced=((0,), (1,)))
+    seq = ArrivalSequence(r=1, rounds=(((0, 1),), ((1, 1),)))
     cfg = SimulationConfig(rates={0: Fraction(1), 1: Fraction(1)}, samples=10, seed=1)
     # hand-build an inconsistent variant: reuse source 0 after silencing
     bad = ArrivalSequence.__new__(ArrivalSequence)
     object.__setattr__(bad, "r", 1)
     object.__setattr__(bad, "rounds", (((0, 1),), ((0, 1),)))
-    object.__setattr__(bad, "silenced", ((0,), (0,)))
     est = estimate_higher(bad, cfg)
     assert est.mean == 0.0
 
@@ -185,7 +184,6 @@ def silenced_source_sequence():
     seq = ArrivalSequence.__new__(ArrivalSequence)
     object.__setattr__(seq, "r", 2)
     object.__setattr__(seq, "rounds", (((0, 2), (1, 0), (2, 0)), ((0, 1), (1, 1))))
-    object.__setattr__(seq, "silenced", ((0,), (0, 1)))
     return seq
 
 
@@ -308,8 +306,7 @@ def peak_floats_per_sample(estimate, obj, rates, samples=200_000):
     return traced_peak(estimate, obj, rates, samples) / (8 * min(samples, CHUNK))
 
 
-HIGHER_222_000_111 = ArrivalSequence(r=3, rounds=(((2, 3),), ((0, 3), (1, 0)), ((1, 3),)),
-                                     silenced=((2,), (0,), (1,)))
+HIGHER_222_000_111 = ArrivalSequence(r=3, rounds=(((2, 3),), ((0, 3), (1, 0)), ((1, 3),)))
 
 
 @pytest.mark.parametrize("estimate, obj", [

@@ -22,10 +22,12 @@ from blowupforms.symexpr import (
     forms_equal_on_simplex,
 )
 from form_helpers import (
+    contract_tautological,
     d_lambda,
     is_homogeneous,
     relabel_fn,
     relabel_form,
+    var_fn,
     word_sum_probability,
 )
 
@@ -53,13 +55,13 @@ def test_n3_basis_coefficients_are_ints():
 # -- Whitney forms ----------------------------------------------------------------
 
 def test_whitney_form_vertex():
-    assert whitney_form((0,)) == RationalForm.function(RationalFn.var(0))
+    assert whitney_form((0,)) == RationalForm.function(var_fn(0))
 
 
 def test_whitney_form_edge():
     phi = whitney_form((1, 2))
-    assert phi.coefficient((2,)) == RationalFn.var(1)
-    assert phi.coefficient((1,)) == -RationalFn.var(2)
+    assert phi.coefficient((2,)) == var_fn(1)
+    assert phi.coefficient((1,)) == -var_fn(2)
 
 
 def test_whitney_form_triangle_hand_expansion():
@@ -67,6 +69,16 @@ def test_whitney_form_triangle_hand_expansion():
     assert phi.coefficient((1, 2)) == RationalFn(v(0) * 2)
     assert phi.coefficient((0, 2)) == RationalFn(v(1) * -2)
     assert phi.coefficient((0, 1)) == RationalFn(v(2) * 2)
+
+
+def test_whitney_form_is_n_factorial_times_the_contraction():
+    # the reference: phi_W = n! * i_X(dlambda_W), X the tautological field on W
+    for size in range(1, 7):
+        for W in itertools.combinations(range(6), size):
+            top = RationalForm(size, {frozenset(W): RationalFn.one()})
+            want = contract_tautological(top, W) * math.factorial(size - 1)
+            got = whitney_form(W)
+            assert got.degree == want.degree and got == want, W
 
 
 def test_omega_examples():
@@ -197,7 +209,7 @@ def test_d_of_affine_identity():
     # psi_012 + psi_021 = lambda_0, so the d's agree with d(lambda_0)
     s = basis_element(Flag.parse("0|1|2")).form + basis_element(Flag.parse("0|2|1")).form
     assert forms_equal_on_simplex(
-        s, RationalForm.function(RationalFn.var(0)), (0, 1, 2)
+        s, RationalForm.function(var_fn(0)), (0, 1, 2)
     )
     ds = s.exterior_derivative()
     assert forms_equal_on_simplex(ds, d_lambda(0), (0, 1, 2))

@@ -17,7 +17,7 @@ from blowupforms.symexpr import (
     reduce_mod_dlv,
     vanishes_on_slice,
 )
-from form_helpers import d_lambda, is_homogeneous, substitute_one
+from form_helpers import contract_tautological, d_lambda, is_homogeneous, substitute_one, var_fn
 
 try:
     import sympy
@@ -71,6 +71,76 @@ def test_division_inverts_multiplication(p, S):
     prod = p * Poly.subset_sum(S)
     q = prod.divide_by_subset_sum(S)
     assert q == p
+
+
+# -- in-place monomial edits against the dict-and-sort rebuild ------------------------
+
+def dict_sort_derivative(p: Poly, v: int) -> Poly:
+    """Poly.derivative with each monomial rebuilt through a dict and a sort."""
+    t = {}
+    for m, c in p.terms.items():
+        d = dict(m)
+        e = d.get(v, 0)
+        if not e:
+            continue
+        if e == 1:
+            del d[v]
+        else:
+            d[v] = e - 1
+        key = tuple(sorted(d.items()))
+        t[key] = t.get(key, 0) + c * e
+    return Poly(t)
+
+
+def dict_sort_division(p: Poly, S) -> "Poly | None":
+    """Long division of p by l_S, each monomial split through a dict and a sort."""
+    if p.is_zero():
+        return Poly.zero()
+    v = min(S)
+    by_deg = {}
+    for m, c in p.terms.items():
+        d = dict(m)
+        e = d.pop(v, 0)
+        by_deg.setdefault(e, {})[tuple(sorted(d.items()))] = c
+    top = max(by_deg)
+    if top == 0:
+        return None
+    rest = Poly.subset_sum(frozenset(S) - {v})
+    quotient, prev = Poly.zero(), Poly.zero()
+    for d in range(top, 0, -1):
+        prev = Poly(by_deg.get(d, {})) - rest * prev
+        quotient = quotient + prev * (Poly.var(v, d - 1) if d > 1 else Poly.const(1))
+    if not (Poly(by_deg.get(0, {})) - rest * prev).is_zero():
+        return None
+    return quotient
+
+
+def assert_canonical(p: Poly):
+    """Every key strictly ascending in its variables, every exponent positive."""
+    for m in p.terms:
+        assert all(a < b for (a, _), (b, _) in zip(m, m[1:])), m
+        assert all(e > 0 for _, e in m), m
+
+
+wide_monos = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), max_size=4).map(
+    lambda ps: tuple(sorted(dict(ps).items()))
+)
+wide_polys = st.dictionaries(wide_monos, coeffs, max_size=5).map(Poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys, wide_polys, st.sets(st.integers(0, 4), min_size=1, max_size=4),
+       st.booleans(), st.integers(0, 4))
+def test_monomial_edits_match_dict_and_sort(a, b, S, exact, v):
+    p = a * Poly.subset_sum(S) + (Poly.zero() if exact else b)
+    got, want = p.derivative(v), dict_sort_derivative(p, v)
+    assert got.terms == want.terms
+    assert_canonical(got)
+    got, want = p.divide_by_subset_sum(S), dict_sort_division(p, S)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.terms == want.terms
+        assert_canonical(got)
 
 
 # -- coefficient types ----------------------------------------------------------------
@@ -250,8 +320,8 @@ def test_wedge_examples():
     w = d0.wedge(d1)
     assert w.coefficient((0, 1)) == RationalFn.one()
     assert d1.wedge(d0).coefficient((0, 1)) == -RationalFn.one()
-    a = d1 * RationalFn.var(0)
-    b = d2 * RationalFn.var(1)
+    a = d1 * var_fn(0)
+    b = d2 * var_fn(1)
     prod = a.wedge(b)
     assert prod.coefficient((1, 2)) == fn(Poly.var(0) * Poly.var(1))
     assert d0.wedge(d0).is_zero()
@@ -268,7 +338,7 @@ def test_wedge_graded_anticommutative_on_one_forms(f, g):
 # -- exterior derivative -----------------------------------------------------------
 
 def test_d_of_variable():
-    df = RationalForm.function(RationalFn.var(0)).exterior_derivative()
+    df = RationalForm.function(var_fn(0)).exterior_derivative()
     assert df == d_lambda(0)
 
 
@@ -302,19 +372,19 @@ def test_leibniz_rule(f, g):
 def test_contraction_examples():
     d0, d1 = d_lambda(0), d_lambda(1)
     w = d0.wedge(d1)
-    c = w.contract_tautological((0, 1))
-    assert c.coefficient((1,)) == RationalFn.var(0)
-    assert c.coefficient((0,)) == -RationalFn.var(1)
-    assert d0.contract_tautological((0,)) == RationalForm.function(RationalFn.var(0))
-    assert RationalForm.function(RationalFn.var(0)).contract_tautological((0,)).is_zero()
+    c = contract_tautological(w, (0, 1))
+    assert c.coefficient((1,)) == var_fn(0)
+    assert c.coefficient((0,)) == -var_fn(1)
+    assert contract_tautological(d0, (0,)) == RationalForm.function(var_fn(0))
+    assert contract_tautological(RationalForm.function(var_fn(0)), (0,)).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
 @given(rationals, rationals)
 def test_double_contraction_vanishes(f, g):
     form = RationalForm(2, {l(0, 1): f, l(1, 2): g})
-    once = form.contract_tautological((0, 1, 2))
-    assert once.contract_tautological((0, 1, 2)).is_zero()
+    once = contract_tautological(form, (0, 1, 2))
+    assert contract_tautological(once, (0, 1, 2)).is_zero()
 
 
 # -- face limits -----------------------------------------------------------------------
@@ -331,7 +401,7 @@ def test_flag_limit_examples():
     F = Flag.parse("0|1,2")
     invariant = RationalFn(Poly.var(1), {l(1, 2): 1})
     assert face_limit(invariant, F) == invariant
-    order_one = RationalFn.var(1)
+    order_one = var_fn(1)
     assert face_limit(order_one, F).is_zero()
     # the steps run last block first: lambda_0 vanishes before lambda_1 does,
     # and the other order would diverge
@@ -427,17 +497,17 @@ def test_limit_commutes_with_add_and_mul(f, g, S):
 def test_is_homogeneous_examples():
     f = RationalFn(Poly.var(0) * Poly.var(1), {l(0, 1, 2): 1, l(1, 2): 1})
     assert is_homogeneous(f, 0)
-    assert is_homogeneous(RationalFn.var(0), 1)
-    mixed = RationalFn.var(0) + RationalFn(Poly.var(0) * Poly.var(1))
+    assert is_homogeneous(var_fn(0), 1)
+    mixed = var_fn(0) + RationalFn(Poly.var(0) * Poly.var(1))
     assert not is_homogeneous(mixed, 1)
     assert not is_homogeneous(mixed, 2)
 
 
 def test_vanishes_on_slice():
     V = (0, 1, 2)
-    f = RationalFn.var(0) - RationalFn(Poly.var(0), {l(0, 1, 2): 1})
+    f = var_fn(0) - RationalFn(Poly.var(0), {l(0, 1, 2): 1})
     assert vanishes_on_slice(f, V)
-    assert not vanishes_on_slice(RationalFn.var(0), V)
+    assert not vanishes_on_slice(var_fn(0), V)
 
 
 def test_forms_equal_on_simplex_uses_tangential_part():
