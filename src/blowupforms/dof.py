@@ -9,6 +9,15 @@ with ``symexpr.reduce_mod_dlv``, the one tangential reduction, which
 equality on the simplex uses too.  Orientation conventions: each block
 simplex carries the ascending-vertex orientation with the block-maximal
 coordinate eliminated, and Theta_F is oriented as the product in block order.
+
+The integral is one closed formula, the Dirichlet integral (Eisenberg and
+Malvern, IJNME 7, 1973).  Let eta_B be the reduced wedge of a block B with
+n = |B| - 1: the ascending product of dtheta_i over its non-maximal vertices.
+Then
+
+    int_{T_B} prod_{i in B} theta_i^{a_i} eta_B  =  (-1)^n prod a_i! / (n + sum a_i)!,
+
+and over Theta_F the blocks multiply; their n's sum to k.
 """
 
 from __future__ import annotations
@@ -16,44 +25,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .flagcomb import Flag, perm_sign, vertex_set
+from .flagcomb import Flag, perm_sign
 from .symexpr import Poly, RationalFn, RationalForm, face_limit, reduce_mod_dlv
 
 
 class NonPolynomialResidue(ArithmeticError):
     """The restricted integrand kept a denominator no block can absorb."""
-
-
-def integrate_monomial_simplex(W, exponents: dict[int, int]) -> Fraction:
-    """Integral of a barycentric monomial against the normalized volume form.
-
-    For W of size n+1:  int_{T_W} prod theta_i^{a_i} omega_W
-    = n! * (prod a_i!) / (n + sum a_i)!.
-    """
-    W = vertex_set(W)
-    if any(v not in W for v in exponents):
-        raise ValueError("exponents must be supported on W")
-    n = len(W) - 1
-    num = math.factorial(n)
-    total = 0
-    for a in exponents.values():
-        if a < 0:
-            raise ValueError("exponents must be non-negative")
-        num *= math.factorial(a)
-        total += a
-    return Fraction(num, math.factorial(n + total))
-
-
-def _eta_integral(block: tuple[int, ...], exponents: dict[int, int]) -> Fraction:
-    """Integral of a monomial against the reduced coordinate wedge on T_block.
-
-    The reduced wedge is the ascending product of dtheta_i over the
-    non-maximal block vertices; relative to the ascending orientation it is
-    (-1)^{n_j} / n_j! times the normalized volume form.
-    """
-    nj = len(block) - 1
-    val = integrate_monomial_simplex(block, exponents) / math.factorial(nj)
-    return -val if nj % 2 else val
 
 
 def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
@@ -104,6 +81,7 @@ def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
     """
     restricted = restrict_to_theta(form, flag)
     blocks = flag.blocks
+    block_of = {i: j for j, b in enumerate(blocks) for i in b}
     total = Fraction(0)
     for W, f in restricted.terms.items():
         if f.den:
@@ -112,13 +90,15 @@ def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
             )
         # no dlambda_{max B} is left, so |W & B| <= |B| - 1 with sum |W| = k: equality per block
         target = tuple(v for b in blocks for v in sorted(W & frozenset(b)))
-        sign = perm_sign(target)  # reorders ascending W into block order
+        # the blocks' (-1)^n, and the reordering of ascending W into block order
+        sign = (-1) ** flag.k * perm_sign(target)
         for mono, coeff in f.num.terms.items():
-            exps = dict(mono)
-            val = Fraction(1)
-            for b in blocks:
-                val *= _eta_integral(b, {i: exps.get(i, 0) for i in b})
-            total += sign * coeff * val
+            num = sign * coeff
+            degree = [len(b) - 1 for b in blocks]
+            for v, a in mono:
+                num *= math.factorial(a)
+                degree[block_of[v]] += a
+            total += Fraction(num, math.prod(map(math.factorial, degree)))
     return total
 
 

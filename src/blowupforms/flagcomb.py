@@ -139,17 +139,12 @@ class Flag:
 
     @staticmethod
     def parse(text: str) -> "Flag":
-        """Parse ``0|1|2,3`` (blocks by ``|``, vertices by ``,``)."""
+        """Parse ``0|1|2,3`` (blocks by ``|``, vertex ids by ``,``), the inverse of ``str``."""
         blocks = []
         for part in text.strip().split("|"):
-            part = part.strip().strip("{}")
-            if not part:
+            if not part.strip():
                 raise ValueError(f"empty block in flag text {text!r}")
-            if "," in part:
-                blocks.append(tuple(int(t) for t in part.split(",")))
-            else:
-                # tolerate compact digit runs like "2" or "23"
-                blocks.append(tuple(int(ch) for ch in part.replace(" ", "")))
+            blocks.append(tuple(int(t) for t in part.split(",")))
         return Flag(blocks)
 
     def __repr__(self) -> str:

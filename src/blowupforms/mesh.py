@@ -2,12 +2,11 @@
 
 A triangulation is combinatorial only (no coordinates): cells are ascending
 vertex tuples and every face of every cell carries the ascending orientation.
-Signs are local: ``Triangulation.orient_star`` orients the cells around a face
-K by walking across the facets that contain K, over the whole mesh to decide
-orientability and over the star of every face of codimension at least two to
-find pinch points.  Per-cell orientation signs, supplied or solved, only seed
-the walks and are a gauge: on a connected star another seed only rescales the
-row.
+Signs are local and read off the cells: ``Triangulation.orient_star`` orients
+the cells around a face K by walking across the facets that contain K, over
+the whole mesh to decide orientability and over the star of every face of
+codimension at least two to find pinch points.  Each walk starts each of its
+components at +1; another start sign would only rescale the row a star gives.
 
 The DOFs of a cell are the k-flags of {0..n}, in canonical order, relabelled
 onto the ascending cell: the DOF of cell ci and canonical flag j has index
@@ -80,7 +79,7 @@ def _nonneg_int(x) -> bool:
 class Triangulation:
     """Combinatorial simplicial mesh with its full face lattice."""
 
-    def __init__(self, dimension: int, cells, orientation=None, manifold: str = "boundary"):
+    def __init__(self, dimension: int, cells, manifold: str = "boundary"):
         if manifold not in ("closed", "boundary", "none"):
             raise MeshError(f"manifold must be closed/boundary/none, got {manifold!r}")
         if not _nonneg_int(dimension):
@@ -132,35 +131,25 @@ class Triangulation:
         # each cell's facets f, with the sign of f followed by the opposite vertex
         self._facet_signs = [{f: perm_sign(f + _opposite(f, c)) for f in combinations(c, dimension)}
                             for c in self.cells]
-        ones = [1] * len(self.cells)
         # a face of codimension >= 2 whose star falls apart across its facets,
         # the largest first: two tetrahedra on one edge name the edge
         pinched = [K for d in reversed(range(self.dimension - 1)) for K in self.faces[d]
-                   if self.orient_star(K, ones)[1] > 1]
+                   if self.orient_star(K)[1] > 1]
         if pinched and manifold != "none":
             K = pinched[0]
             name = f"vertex {K[0]}" if len(K) == 1 else f"face {K}"
             raise MeshError(f"{name} has a disconnected link (pinch point)")
         self.nonmanifold = bool(over or pinched)
-
-        if orientation is not None and (
-                not isinstance(orientation, (list, tuple)) or len(orientation) != len(self.cells)
-                or not all(type(s) is int and s in (1, -1) for s in orientation)):
-            raise MeshError("orientation must list +-1 per cell")
-        # supplied signs only orient the cells; orientability is read off the mesh
-        signs, _, conflict = self.orient_star((), ones)
-        self.orientable = not conflict
-        solved = [signs[ci] for ci in range(len(self.cells))] if self.orientable else ones
-        self.orientation = solved if orientation is None else list(orientation)
+        self.orientable = not self.orient_star(())[2]
 
     # -- structure ------------------------------------------------------------
 
-    def orient_star(self, K: tuple[int, ...], seed) -> tuple[dict[int, int], int, bool]:
+    def orient_star(self, K: tuple[int, ...]) -> tuple[dict[int, int], int, bool]:
         """Orient the cells of star(K) (all cells for K = ()) across the facets containing K.
 
         Neighbours induce opposite orientations on their common facet; the first cell
-        of each component takes its sign from ``seed``.  Returns each cell's sign, the
-        number of components, and whether a cell was reached with both signs.
+        of each component is +1.  Returns each cell's sign, the number of components,
+        and whether a cell was reached with both signs.
         """
         star = self.cofaces[K] if K else range(len(self.cells))
         inside = set(K)
@@ -170,7 +159,7 @@ class Triangulation:
             if start in sign:
                 continue
             components += 1
-            sign[start] = seed[start]
+            sign[start] = 1
             stack = [start]
             while stack:
                 ci = stack.pop()
@@ -198,9 +187,8 @@ class Triangulation:
 def load_mesh(source) -> Triangulation:
     """Build a triangulation from a JSON document, dict, file path, or name.
 
-    Schema: {"dimension": n, "cells": [[v, ...], ...],
-             "orientation": [+-1, ...]?, "manifold": "closed"|"boundary"|"none"}.
-    Bundled sample names (see SAMPLE_MESHES) are accepted directly.
+    Schema: {"dimension": n, "cells": [[v, ...], ...], "manifold": "closed"|"boundary"|"none"}.
+    Other keys are ignored.  Bundled sample names (see SAMPLE_MESHES) are accepted directly.
     """
     if isinstance(source, Triangulation):
         return source
@@ -210,7 +198,7 @@ def load_mesh(source) -> Triangulation:
         with open(source, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise MeshError(f"{source}: not a JSON document ({exc})") from exc
     elif isinstance(source, dict):
         doc = source
@@ -221,7 +209,6 @@ def load_mesh(source) -> Triangulation:
     return Triangulation(
         dimension=doc["dimension"],
         cells=doc["cells"],
-        orientation=doc.get("orientation"),
         manifold=doc.get("manifold", "boundary"),
     )
 
@@ -301,7 +288,7 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
                     boundary.add(K)
                     continue
                 if K not in stars:
-                    stars[K] = tri.orient_star(K, tri.orientation)[0]
+                    stars[K] = tri.orient_star(K)[0]
                 groups.setdefault(F.blocks[:-1], {})[i] = stars[K][ci] * perm_sign(K + tail)
             rows = list(groups.values())
             skipped = len(boundary)

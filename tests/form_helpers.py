@@ -1,6 +1,9 @@
 """Small constructors, predicates and transforms that only the tests need."""
 
-from blowupforms.flagcomb import Flag, perm_sign
+import math
+from fractions import Fraction
+
+from blowupforms.flagcomb import Flag, perm_sign, vertex_set
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
 
 
@@ -30,6 +33,26 @@ def contract_tautological(form: RationalForm, S) -> RationalForm:
             s = out.get(key)
             out[key] = contrib if s is None else s + contrib
     return RationalForm(form.degree - 1, out)
+
+
+def integrate_monomial_simplex(W, exponents: dict[int, int]) -> Fraction:
+    """Integral of a barycentric monomial against the normalized volume form.
+
+    For W of size n+1:  int_{T_W} prod theta_i^{a_i} omega_W
+    = n! * (prod a_i!) / (n + sum a_i)!.
+    """
+    W = vertex_set(W)
+    if any(v not in W for v in exponents):
+        raise ValueError("exponents must be supported on W")
+    n = len(W) - 1
+    num = math.factorial(n)
+    total = 0
+    for a in exponents.values():
+        if a < 0:
+            raise ValueError("exponents must be non-negative")
+        num *= math.factorial(a)
+        total += a
+    return Fraction(num, math.factorial(n + total))
 
 
 def is_homogeneous(f: RationalFn, d: int) -> bool:

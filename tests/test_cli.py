@@ -353,18 +353,19 @@ def test_missing_mesh_file_is_usage_error(capsys):
 
 @pytest.mark.parametrize("text", [
     '{"dimension": 2, "cells": [[0, 1]]}', "not json", "[]",
-    # numbers that are not non-negative JSON integers, or not +-1 orientations
+    # numbers that are not non-negative JSON integers
     '{"dimension": 1, "cells": [[0.2, 1.9], [1.1, 2]]}',
-    '{"dimension": 2, "cells": [[0, 1, 2]], "orientation": [1.5]}',
     '{"dimension": 1, "cells": [[true, 2]]}',
     '{"dimension": 1, "cells": [["a", 1]]}',
     '{"dimension": 1, "cells": [[-1, 1]]}',
     '{"dimension": "1.5", "cells": [[0, 1]]}',
     '{"dimension": 1, "cells": 5}',
+    # bytes that are not UTF-8
+    b'\xff\xfe{"dimension": 1, "cells": [[0, 1]]}',
 ])
 def test_malformed_mesh_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
     code, report = _error_exit(capsys, ["cohomology", "global", "--mesh", str(path)])
     assert code == 2
     assert report["error"]["type"] == "MeshError"

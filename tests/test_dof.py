@@ -1,20 +1,21 @@
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowupforms.dof import (
     NonPolynomialResidue,
     dof_evaluate,
     first_mismatch,
-    integrate_monomial_simplex,
     restrict_to_theta,
 )
 from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign, push_forward
 from blowupforms.shadow import basis_element, gram_matrix, omega_form, whitney_form
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
-from form_helpers import d_lambda, relabel_form, var_fn
+from form_helpers import d_lambda, integrate_monomial_simplex, relabel_form, var_fn
 
 
 # -- independent quadrature oracle -------------------------------------------------
@@ -124,6 +125,51 @@ def test_fubini_top_degree():
     for W in [(0, 1), (0, 1, 2), (0, 1, 2, 3)]:
         F = Flag([W])
         assert dof_evaluate(F, omega_form(W)) == 1
+
+
+@st.composite
+def monomial_forms(draw):
+    """A flag of 1-4 blocks on at most 5 vertices, and a k-form on it whose terms
+    are c lambda^a dlambda_W / prod_j l_{V_j}^{e_j}.  Each e_j is the degree of
+    lambda^a dlambda_W on block j, so the face limit neither vanishes nor diverges."""
+    m = draw(st.integers(1, 4))
+    size = draw(st.integers(m, 5))
+    order = draw(st.permutations(range(size)))
+    cuts = sorted(draw(st.permutations(range(1, size)))[:m - 1])
+    flag = Flag([sorted(order[i:j]) for i, j in zip([0] + cuts, cuts + [size])])
+    terms: dict[frozenset, RationalFn] = {}
+    for _ in range(draw(st.integers(1, 3))):
+        W = frozenset(draw(st.lists(st.integers(0, size - 1), min_size=flag.k,
+                                    max_size=flag.k, unique=True)))
+        a = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        coeff = draw(st.integers(-3, 3).filter(bool))
+        num = Poly({tuple((v, e) for v, e in enumerate(a) if e): coeff})
+        den = {frozenset(b): sum(a[i] for i in b) + len(W & set(b)) for b in flag.blocks}
+        f = RationalFn(num, {S: e for S, e in den.items() if e})
+        terms[W] = terms[W] + f if W in terms else f
+    return flag, RationalForm(flag.k, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_forms())
+def test_dof_integral_is_the_product_of_block_integrals(case):
+    # the closed formula against the normalized-volume reference, block by
+    # block: the reduced wedge of a block with n + 1 vertices is (-1)^n / n!
+    # times the normalized volume form, and Theta_F is their product in block order
+    flag, form = case
+    want = Fraction(0)
+    for W, f in restrict_to_theta(form, flag).terms.items():
+        assert not f.den
+        target = tuple(v for b in flag.blocks for v in sorted(W & set(b)))
+        for mono, coeff in f.num.terms.items():
+            exps = dict(mono)
+            value = Fraction(perm_sign(target) * coeff)
+            for b in flag.blocks:
+                n = len(b) - 1
+                value *= (-1) ** n * integrate_monomial_simplex(
+                    b, {i: exps.get(i, 0) for i in b}) / math.factorial(n)
+            want += value
+    assert dof_evaluate(flag, form) == want
 
 
 def _block_orientation_sign(flag, perm):

@@ -198,7 +198,12 @@ def test_standard_representative(V):
 def test_flag_text_round_trip():
     for text in ("0|1|2,3", "0,1|2", "0,1,2"):
         assert str(Flag.parse(text)) == text
-    assert Flag.parse("01|23") == Flag.parse("0,1|2,3")
+    # parse inverts str, also where a singleton block's id has two digits
+    for k in range(4):
+        for F in enumerate_flags(range(4), k):
+            for G in (F, F.relabel((3, 10, 11, 25))):
+                assert Flag.parse(str(G)) == G, G
+    assert Flag.parse("10|2,3").blocks == ((10,), (2, 3))
     assert Flag.parse("0|1|2,3").compact() == "01{23}"
 
 

@@ -27,6 +27,13 @@ RP2 = {"dimension": 2, "manifold": "closed", "cells": [
     [2, 3, 4], [2, 3, 5], [2, 5, 6], [3, 4, 6], [4, 5, 6]]}
 
 
+def _pinched_octahedra() -> dict:
+    """Two octahedra sharing only vertex 0, accepted under manifold 'none'."""
+    octahedron = SAMPLE_MESHES["octahedron"]["cells"]
+    return {"dimension": 2, "manifold": "none",
+            "cells": octahedron + [[v + 5 if v else 0 for v in c] for c in octahedron]}
+
+
 def _klein_bottle(m: int) -> dict:
     """An m x m grid whose columns wrap straight and whose rows wrap with a flip."""
     def v(i, j):
@@ -69,7 +76,6 @@ def test_supplied_orientation_does_not_make_mobius_strip_orientable():
     assert load_mesh(MOBIUS_STRIP).orientable is False
     signed = load_mesh({**MOBIUS_STRIP, "orientation": [1, -1, 1, -1, 1]})
     assert signed.orientable is False
-    assert signed.orientation == [1, -1, 1, -1, 1]
     assert global_cohomology({**MOBIUS_STRIP, "orientation": [1] * 5}, "general")["orientable"] is False
 
 
@@ -131,8 +137,7 @@ def test_accepted_pinch_vertex_is_reported_nonmanifold():
     # two octahedra sharing only vertex 0: no facet borders three cells, but
     # the star of vertex 0 falls into two components
     octahedron = SAMPLE_MESHES["octahedron"]["cells"]
-    doc = {"dimension": 2, "manifold": "none",
-           "cells": octahedron + [[v + 5 if v else 0 for v in c] for c in octahedron]}
+    doc = _pinched_octahedra()
     assert Triangulation(2, [[0, 1, 2], [0, 3, 4]], manifold="none").nonmanifold
     assert not Triangulation(2, octahedron, manifold="none").nonmanifold
     rep = global_cohomology(doc, "general")
@@ -313,33 +318,64 @@ def test_general_rule_non_orientable_surfaces_match_simplicial(doc, betti):
     assert rep["betti_blowup"] == rep["betti_simplicial"] == betti
 
 
-def test_supplied_orientation_is_a_gauge():
-    # random signs re-seed every star walk and change no reported number
+GAUGE_CASES = [(doc, "general") for doc in (
+    "triangle-pair", "fan-disk", "torus-7", "octahedron", "tet-pair",
+    MOBIUS_STRIP, NONMANIFOLD_FAN, RP2, _pinched_octahedra())]
+GAUGE_CASES += [(doc, "edge-identified") for doc in ("torus-7", MOBIUS_STRIP)]
+
+
+def _gauge_reports() -> list[dict]:
+    return [global_cohomology(doc, rule) for doc, rule in GAUGE_CASES]
+
+
+def test_supplied_orientation_is_a_gauge(monkeypatch):
+    # each row is read off the walk over its own star, so the walk's start
+    # sign is a gauge: rescaling a whole walk by a random +-1 changes no
+    # reported number, while flipping one cell inside a star does
+    want = _gauge_reports()
+    walk = Triangulation.orient_star
     rng = random.Random(13)
-    cases = [(doc, "general") for doc in ("triangle-pair", "fan-disk", "torus-7", "octahedron",
-                                          "tet-pair", MOBIUS_STRIP, NONMANIFOLD_FAN, RP2)]
-    cases += [(doc, "edge-identified") for doc in ("torus-7", MOBIUS_STRIP)]
-    for source, rule in cases:
-        doc = SAMPLE_MESHES[source] if isinstance(source, str) else source
-        want = global_cohomology(doc, rule)
-        for _ in range(2):
-            signs = [rng.choice((1, -1)) for _ in doc["cells"]]
-            assert global_cohomology({**doc, "orientation": signs}, rule) == want, (source, rule)
+
+    def rescaled(self, K):
+        signs, components, conflict = walk(self, K)
+        t = rng.choice((1, -1))
+        return {ci: t * s for ci, s in signs.items()}, components, conflict
+
+    monkeypatch.setattr(Triangulation, "orient_star", rescaled)
+    for _ in range(2):
+        assert _gauge_reports() == want
+
+    def one_flipped(self, K):
+        signs, components, conflict = walk(self, K)
+        if len(signs) > 1:
+            ci = rng.choice(sorted(signs))
+            signs[ci] = -signs[ci]
+        return signs, components, conflict
+
+    monkeypatch.setattr(Triangulation, "orient_star", one_flipped)
+    assert global_cohomology("torus-7", "general") != want[GAUGE_CASES.index(("torus-7", "general"))]
+    monkeypatch.undo()
+    # the program reads no orientation key: a document that carries one loads the same
+    for signs in ([1] * 5, [1, -1, 1, -1, 1]):
+        assert global_cohomology({**MOBIUS_STRIP, "orientation": signs}, "general") \
+            == want[GAUGE_CASES.index((MOBIUS_STRIP, "general"))]
 
 
 def test_orient_star_components_and_conflicts():
     mobius = load_mesh(MOBIUS_STRIP)
-    signs, components, conflict = mobius.orient_star((), mobius.orientation)
+    signs, components, conflict = mobius.orient_star(())
     assert sorted(signs) == list(range(5)) and components == 1 and conflict
     for v in mobius.vertices:
-        _, components, conflict = mobius.orient_star((v,), mobius.orientation)
+        _, components, conflict = mobius.orient_star((v,))
         assert components == 1 and not conflict
     torus = load_mesh("torus-7")
-    assert torus.orient_star((), [1] * 14) == ({ci: s for ci, s in enumerate(torus.orientation)},
-                                                1, False)
+    signs, components, conflict = torus.orient_star(())
+    assert sorted(signs) == list(range(14)) and signs[0] == 1
+    assert components == 1 and not conflict
+    # each component starts at +1
     bowtie = Triangulation(2, [[0, 1, 2], [0, 3, 4]], manifold="none")
-    assert bowtie.orient_star((0,), [1, -1]) == ({0: 1, 1: -1}, 2, False)
-    assert bowtie.orient_star((), [1, 1])[1:] == (2, False)
+    assert bowtie.orient_star((0,)) == ({0: 1, 1: 1}, 2, False)
+    assert bowtie.orient_star(())[1:] == (2, False)
 
 
 def test_h0_counts_components_under_both_rules():
