@@ -22,15 +22,13 @@ MAX_VERTICES = 6
 
 @dataclass(frozen=True)
 class BlowupComplex:
-    simplex_vertices: tuple[int, ...]
     cells: dict[int, list[Flag]]
     # column c of d_k, {index in cells[k + 1]: +-1}: the signed coarsenings of cells[k][c]
     coboundary: dict[int, list[dict[int, int]]]
 
     @property
     def f_vector(self) -> tuple[int, ...]:
-        n = len(self.simplex_vertices) - 1
-        return tuple(len(self.cells[k]) for k in range(n + 1))
+        return tuple(len(self.cells[k]) for k in range(len(self.cells)))
 
 
 def decompose(flags) -> tuple[list[Flag], dict[Flag, dict[Flag, int]], dict[Flag, str]]:
@@ -85,12 +83,12 @@ def build_blowup_complex(V) -> BlowupComplex:
     index = {F: i for flags in cells.values() for i, F in enumerate(flags)}
     coboundary = {k: [{index[Fj]: sign for Fj, sign in columns[F].items()} for F in cells[k]]
                   for k in range(n)}
-    return BlowupComplex(simplex_vertices=V, cells=cells, coboundary=coboundary)
+    return BlowupComplex(cells=cells, coboundary=coboundary)
 
 
 def betti_numbers(cx: BlowupComplex) -> tuple[int, ...]:
     """Exact rational cohomology ranks of the cellular cochain complex."""
-    n = len(cx.simplex_vertices) - 1
+    n = len(cx.cells) - 1
     # the columns of d_k are the rows of its transpose, which has the same rank
     ranks = [linalg.rank(cx.coboundary[k]) for k in range(n)]
     return tuple(linalg.betti(cx.f_vector, ranks))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 
 def vertex_set(ids) -> tuple[int, ...]:
@@ -91,19 +91,29 @@ class Flag:
         merged = tuple(sorted(self.blocks[j - 1] + self.blocks[j]))
         return Flag(self.blocks[: j - 1] + (merged,) + self.blocks[j + 1:])
 
+    def merge_sign(self, j: int) -> int:
+        """The coefficient of psi_{coarsen(j)} in d(psi_F), with A = V_{j-1} and B = V_j:
+
+            perm_sign(A + B) * (-1)^(sum_{i<j-1} (|V_i| - 1) + |A|).
+
+        The sum is the Leibniz sign of d passing omega_{V_0} ^ ... ^ omega_{V_{j-2}}
+        (omega_{V_i} has degree |V_i| - 1); perm_sign(A + B) sorts dlambda_A ^
+        dlambda_B into ascending order.  (-1)^|A| is fitted, not derived: it
+        matches every solved column for up to 6 vertices (on an edge it is the -1
+        of p(end) - p(start), p = 1 at the start).  ``shadow.d_decomposition``
+        requires every coefficient it solves to equal this sign.
+        """
+        A, B = self.blocks[j - 1], self.blocks[j]
+        ahead = sum(len(b) - 1 for b in self.blocks[:j - 1])
+        return perm_sign(A + B) * (-1) ** (ahead + len(A))
+
     def refines(self, other: "Flag") -> bool:
-        """True iff self subdivides other's blocks in order (trivially allowed)."""
+        """True iff self subdivides other's blocks in order (trivially allowed):
+        every union of a leading run of other's blocks is one of self's."""
         if self.vertices != other.vertices:
             raise ValueError("flags must share the same vertex set")
-        i = 0
-        for target in other.blocks:
-            acc: set[int] = set()
-            while acc != set(target):
-                if i >= len(self.blocks) or not set(self.blocks[i]) <= set(target):
-                    return False
-                acc.update(self.blocks[i])
-                i += 1
-        return i == len(self.blocks)
+        mine = set(accumulate(map(frozenset, self.blocks), frozenset.union))
+        return set(accumulate(map(frozenset, other.blocks), frozenset.union)) <= mine
 
     def relabel(self, mapping) -> "Flag":
         """The flag with each vertex v replaced by ``mapping[v]``, blocks re-sorted.

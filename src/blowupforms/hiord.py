@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from . import linalg
 from .flagcomb import ArrivalSequence, Flag, vertex_set
@@ -29,14 +30,10 @@ class HigherBasisCandidate:
 
 
 def _multinomial_term(counts) -> Poly:
-    """(r! / prod r_i!) * prod lambda_i^{r_i} for (vertex, r_i) pairs summing to r."""
+    """(r! / prod r_i!) * prod lambda_i^{r_i} for ascending (vertex, r_i) pairs summing to r."""
     coeff = math.factorial(sum(c for _, c in counts))
-    mono = Poly.const(1)
-    for v, c in counts:
-        coeff //= math.factorial(c)
-        if c:
-            mono = mono * Poly.var(v, c)
-    return mono * coeff
+    coeff //= math.prod(math.factorial(c) for _, c in counts)
+    return Poly({tuple((v, c) for v, c in counts if c): coeff})
 
 
 def enumerate_experiments(V, r: int) -> list[HigherBasisCandidate]:
@@ -50,21 +47,15 @@ def enumerate_experiments(V, r: int) -> list[HigherBasisCandidate]:
         raise ValueError("degree r must be positive")
     out: list[HigherBasisCandidate] = []
 
-    def compositions(active: tuple[int, ...], total: int):
-        if len(active) == 1:
-            yield (total,)
-            return
-        for c in range(total, -1, -1):
-            for rest in compositions(active[1:], total - c):
-                yield (c,) + rest
-
     def rec(active: tuple[int, ...], rounds, num: Poly, den):
         if not active:
             seq = ArrivalSequence(r=r, rounds=tuple(rounds))
             out.append(HigherBasisCandidate(sequence=seq, probability=RationalFn(num, den)))
             return
         A = frozenset(active)
-        for counts in compositions(active, r):
+        for counts in product(range(r + 1), repeat=len(active)):
+            if sum(counts) != r:
+                continue
             rnd = tuple(zip(active, counts))
             new_den = dict(den)
             new_den[A] = new_den.get(A, 0) + r
@@ -86,9 +77,7 @@ def r1_reduction_check(V) -> bool:
     V = vertex_set(V)
     candidates = {c.flag: c.probability for c in enumerate_experiments(V, 1)}
     basis = {e.flag: e.form.coefficient(()) for e in shadow_basis(V, 0)}
-    if set(candidates) != set(basis):
-        return False
-    return all(candidates[F] == basis[F] for F in basis)
+    return candidates == basis
 
 
 def independence_rank(candidates: list[HigherBasisCandidate]) -> int:

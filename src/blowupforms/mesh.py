@@ -50,20 +50,13 @@ GLUING_VARIANTS = (
 )
 
 
-@dataclass(frozen=True)
-class GluingRule:
-    variant: str
-
-    def __post_init__(self):
-        v = self.variant
-        if v == "general":
-            object.__setattr__(self, "variant", "general-continuity")
-        elif v not in GLUING_VARIANTS:
-            raise MeshError(f"unknown gluing rule {v!r}; choose from {GLUING_VARIANTS}")
-
-    @property
-    def is_general(self) -> bool:
-        return self.variant == "general-continuity"
+def gluing_rule(name: str) -> str:
+    """The canonical name of a gluing rule: ``general`` is ``general-continuity``."""
+    if name == "general":
+        return "general-continuity"
+    if name not in GLUING_VARIANTS:
+        raise MeshError(f"unknown gluing rule {name!r}; choose from {GLUING_VARIANTS}")
+    return name
 
 
 def _opposite(face: tuple[int, ...], cell: tuple[int, ...]) -> tuple[int, ...]:
@@ -106,7 +99,6 @@ class Triangulation:
         if not canon:
             raise MeshError("mesh needs at least one cell")
         self.cells: list[tuple[int, ...]] = sorted(canon)
-        self.manifold = manifold
         self.vertices = sorted({v for c in self.cells for v in c})
 
         # each face's cofaces in ascending cell order
@@ -228,7 +220,7 @@ class GlobalSpace:
 
     triangulation: Triangulation
     k: int
-    rule: GluingRule
+    rule: str
     dofs: list[tuple[int, Flag]]
     constraints: list[dict[int, int]]
     skipped_boundary_faces: int
@@ -264,10 +256,9 @@ class GlobalSpace:
         return basis
 
 
-def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
+def assemble(tri: Triangulation, k: int, rule: str) -> GlobalSpace:
     """Impose the gluing constraints for k-form DOFs on a triangulation."""
-    if isinstance(rule, str):
-        rule = GluingRule(rule)
+    rule = gluing_rule(rule)
     n = tri.dimension
     if not 0 <= k <= n:
         raise MeshError(f"k={k} out of range for dimension {n}")
@@ -275,7 +266,7 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
     rows: list[dict[int, int]] = []
     skipped = 0
 
-    if rule.is_general:
+    if rule == "general-continuity":
         # k = n flags have one block, an empty head: no face to glue across
         if k < n:
             groups: dict[tuple, dict[int, int]] = {}
@@ -294,22 +285,15 @@ def assemble(tri: Triangulation, k: int, rule: GluingRule | str) -> GlobalSpace:
             skipped = len(boundary)
     else:
         if n != 2 or k != 0:
-            raise MeshError(f"rule {rule.variant!r} applies to scalar DOFs on 2D meshes only")
+            raise MeshError(f"rule {rule!r} applies to scalar DOFs on 2D meshes only")
         classes: dict[object, list[int]] = {}
         for i, (ci, F) in enumerate(dofs):
             p = F.blocks[0][0]
             e = tuple(sorted(F.blocks[0] + F.blocks[1]))
-            if rule.variant == "edge-identified":
-                key = (p, e)
-            elif rule.variant == "edge-constant":
-                key = e
-            elif rule.variant == "vertex-identified":
-                key = p
-            else:  # cell-discontinuous
-                key = (p, ci)
+            key = {"edge-identified": (p, e), "edge-constant": e,
+                   "vertex-identified": p, "cell-discontinuous": (p, ci)}[rule]
             classes.setdefault(key, []).append(i)
-        for key in sorted(classes, key=repr):
-            members = classes[key]
+        for members in classes.values():
             for other in members[1:]:
                 rows.append({members[0]: 1, other: -1})
 
@@ -335,7 +319,7 @@ def _global_coboundary(tri: Triangulation, cx: BlowupComplex, k: int) -> list[di
     ]
 
 
-def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
+def global_cohomology(tri_or_source, rule: str) -> dict:
     """Betti numbers of the glued global complex, with a simplicial reference.
 
     Under the general rule all degrees are assembled and the full Betti
@@ -347,17 +331,17 @@ def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
     as ``dd_zero``.
     """
     tri = load_mesh(tri_or_source)
-    if isinstance(rule, str):
-        rule = GluingRule(rule)
+    rule = gluing_rule(rule)
+    general = rule == "general-continuity"
     n = tri.dimension
     simplicial = simplicial_cohomology(tri)
     # the named 2D scalar variants assemble degree 0 only
-    spaces = [assemble(tri, k, rule) for k in (range(n + 1) if rule.is_general else [0])]
+    spaces = [assemble(tri, k, rule) for k in (range(n + 1) if general else [0])]
     report: dict = {
         "dims": [sp.dim for sp in spaces],
         "betti_blowup": [],  # filled below; set here for the report's key order
         "betti_simplicial": list(simplicial),
-        "rule": rule.variant,
+        "rule": rule,
         "orientable": tri.orientable,
         "nonmanifold": tri.nonmanifold,
         "skipped_boundary_faces": spaces[0].skipped_boundary_faces,
@@ -381,10 +365,10 @@ def global_cohomology(tri_or_source, rule: GluingRule | str) -> dict:
         ranks.append(linalg.rank(images))
     report["betti_blowup"] = linalg.betti(report["dims"], ranks)
     want = list(simplicial)
-    if rule.variant == "cell-discontinuous":
+    if rule == "cell-discontinuous":
         want[0] = len(tri.cells)  # cells share no DOF, so each keeps its own constant
     report["match"] = report["betti_blowup"] == want[:len(spaces)]
-    if not rule.is_general:
+    if not general:
         report["degrees"] = [0]
     return report
 

@@ -91,7 +91,6 @@ class ShadowBasisElement:
     flag: Flag
     form: RationalForm
     probability: RationalFn
-    omega: RationalForm
 
 
 def flag_omega(flag: Flag) -> RationalForm:
@@ -104,8 +103,7 @@ def flag_omega(flag: Flag) -> RationalForm:
 
 def basis_element(flag: Flag) -> ShadowBasisElement:
     p = poisson_probability(flag)
-    omega = flag_omega(flag)
-    return ShadowBasisElement(flag=flag, form=omega * p, probability=p, omega=omega)
+    return ShadowBasisElement(flag=flag, form=flag_omega(flag) * p, probability=p)
 
 
 def shadow_basis(V, k: int) -> list[ShadowBasisElement]:
@@ -144,7 +142,8 @@ def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:
 
     The coefficients are solved for by applying the dual degrees of freedom,
     then the full identity is verified symbolically on the simplex; each
-    coefficient must be +1 or -1.  Top-degree flags return the empty list.
+    coefficient must equal the closed-form ``Flag.merge_sign``.  Top-degree
+    flags return the empty list.
     """
     V = flag.vertices
     if flag.k == flag.n:
@@ -154,11 +153,12 @@ def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:
     recon = RationalForm.zero(flag.k + 1)
     for j in range(1, len(flag.blocks)):
         Fj = flag.coarsen(j)
-        c = dof_evaluate(Fj, dpsi)
-        if c not in (1, -1):
-            raise DecompositionFailed(f"coefficient {c} for {Fj} in d(psi_{flag})")
-        out.append((int(c), Fj))
-        recon = recon + basis_element(Fj).form * c
+        c, sign = dof_evaluate(Fj, dpsi), flag.merge_sign(j)
+        if c != sign:
+            raise DecompositionFailed(
+                f"coefficient {c} for {Fj} in d(psi_{flag}), closed-form sign {sign}")
+        out.append((sign, Fj))
+        recon = recon + basis_element(Fj).form * sign
     if not forms_equal_on_simplex(dpsi, recon, V):
         raise DecompositionFailed(f"d(psi_{flag}) != signed sum of coarsenings")
     return out
@@ -175,8 +175,8 @@ def whitney_containment(W, V) -> list[Flag]:
     if not set(W) <= set(V):
         raise ValueError("W must be a subset of V")
     others = tuple(v for v in V if v not in set(W))
+    # permutations of the ascending others come in lexicographic order: flag order
     flags = [Flag((W,) + tuple((v,) for v in order)) for order in permutations(others)]
-    flags.sort()
     total = RationalForm.zero(len(W) - 1)
     for F in flags:
         total = total + basis_element(F).form

@@ -649,8 +649,6 @@ def _subset_latex(S) -> str:
 
 
 def _mono_latex(m: Mono) -> str:
-    if not m:
-        return "1"
     bits = []
     for v, e in m:
         base = rf"\lambda_{{{v}}}"
@@ -663,11 +661,9 @@ def rational_fn_latex(f: RationalFn) -> str:
         return "0"
     parts = []
     for m, c in sorted(f.num.terms.items()):
-        coeff = "" if c == 1 and m else str(c)
-        if c == -1 and m:
-            coeff = "-"
-        body = _mono_latex(m) if m else ("" if coeff else "1")
-        parts.append((coeff + (r"\," if coeff and body else "") + body) or "1")
+        coeff = {1: "", -1: "-"}.get(c, str(c)) if m else str(c)
+        body = _mono_latex(m)
+        parts.append(coeff + (r"\," if coeff and body else "") + body)
     num = " + ".join(parts).replace("+ -", "- ")
     if not f.den:
         return num

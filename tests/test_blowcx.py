@@ -4,7 +4,7 @@ import pytest
 
 from blowupforms import blowcx
 from blowupforms.blowcx import betti_numbers, build_blowup_complex, decompose
-from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
+from blowupforms.flagcomb import Flag, enumerate_flags
 from blowupforms.shadow import DecompositionFailed, d_decomposition
 
 
@@ -60,16 +60,11 @@ def test_coboundary_support_is_the_coarsening_relation():
 
 @pytest.mark.parametrize("nv", [2, 3, 4, 5])
 def test_closed_form_sign_rule_reproduces_every_column(nv):
-    # merging A = V_{j-1} with B = V_j has sign
-    # perm_sign(A + B) * (-1)^(sum_{i<j-1} (|V_i| - 1) + |A|)
     cx = _complex(nv)
     for k in range(nv - 1):
         index = {F: i for i, F in enumerate(cx.cells[k + 1])}
         for F, col in zip(cx.cells[k], cx.coboundary[k]):
-            B = F.blocks
-            rule = {index[F.coarsen(j)]: perm_sign(B[j - 1] + B[j])
-                    * (-1) ** (sum(len(b) - 1 for b in B[:j - 1]) + len(B[j - 1]))
-                    for j in range(1, len(B))}
+            rule = {index[F.coarsen(j)]: F.merge_sign(j) for j in range(1, len(F.blocks))}
             assert col == rule, F
 
 

@@ -515,6 +515,24 @@ def test_sign_error_in_a_decomposition_fails_d_check(monkeypatch, capsys):
     assert "2 psi_0,1,2" in failures[0]["reason"]
 
 
+def test_flipped_merge_sign_fails_d_check(monkeypatch, capsys):
+    # every solved coefficient must equal the closed-form sign, so a flipped
+    # rule fails each flag with a merge, and the report names both signs
+    from blowupforms.flagcomb import Flag, enumerate_flags
+
+    real = Flag.merge_sign
+    monkeypatch.setattr(Flag, "merge_sign", lambda F, j: -real(F, j))
+    code, report = run_json(capsys, ["d-check", "--n", "2"])
+    assert code == 1
+    failures = report["results"]["failures"]
+    assert {f["flag"] for f in failures} == {
+        str(F) for k in range(2) for F in enumerate_flags((0, 1, 2), k)}
+    first = failures[0]
+    assert first["flag"] == "0|1|2"
+    assert first["reason"] == ("coefficient -1 for 0,1|2 in d(psi_0|1|2), "
+                               "closed-form sign 1")
+
+
 @pytest.mark.parametrize("argv", [
     ["cohomology", "local", "--n", "2"],
     ["cohomology", "global", "--mesh", "triangle-pair", "--rule", "general"],

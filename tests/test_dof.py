@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowupforms.dof import (
     NonPolynomialResidue,
@@ -152,6 +152,9 @@ def monomial_forms(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(monomial_forms())
+# one block with k = 1: only the sign (-1)^k tells the value from its negative
+@example((Flag([(0, 1)]),
+          RationalForm(1, {frozenset({0}): RationalFn(Poly.const(1), {frozenset({0, 1}): 1})})))
 def test_dof_integral_is_the_product_of_block_integrals(case):
     # the closed formula against the normalized-volume reference, block by
     # block: the reduced wedge of a block with n + 1 vertices is (-1)^n / n!

@@ -127,3 +127,60 @@ def test_oracle_diagonal_of_every_n3_standard_representative():
     for R in sorted(reps, key=str):
         psi = basis_element(R).form
         assert oracle(R, psi) == 1 == dof_evaluate(R, psi), R
+
+
+# -- d(psi_F) from psi_F's coefficients, against the closed-form merge signs ----------
+
+LAM = sympy.symbols("lam0:4")
+
+
+def _d(form: dict, V) -> dict:
+    """d of a form {ascending W: coefficient}: dlambda_i ^ dlambda_W is
+    (-1)^{#{w in W: w < i}} dlambda_{W + i}."""
+    out = {}
+    for W, f in form.items():
+        for i in V:
+            if i not in W:
+                U = tuple(sorted(W + (i,)))
+                out[U] = out.get(U, 0) + (-1) ** sum(w < i for w in W) * sympy.diff(f, LAM[i])
+    return out
+
+
+def _on_slice(form: dict, n: int) -> dict:
+    """The pull-back of a form on V = {0..n} to the slice l_V = 1, in the
+    coordinates lambda_0 .. lambda_{n-1}: lambda_n = 1 - sum and
+    dlambda_n = -sum_i dlambda_i, which comes last in every ascending W."""
+    last = 1 - sum(LAM[:n])
+    out = {}
+    for W, f in form.items():
+        f = f.subs(LAM[n], last)
+        if n not in W:
+            out[W] = out.get(W, 0) + f
+            continue
+        head = W[:-1]
+        for i in range(n):
+            if i not in head:
+                U = tuple(sorted(head + (i,)))
+                out[U] = out.get(U, 0) - (-1) ** sum(u > i for u in head) * f
+    return out
+
+
+_D_FLAGS = [F for n in (1, 2) for k in range(n) for F in enumerate_flags(range(n + 1), k)]
+_N3_REPS = sorted({standard_representative(F)[0] for k in range(4)
+                   for F in enumerate_flags(range(4), k)}, key=str)
+
+
+@pytest.mark.parametrize("flag", _D_FLAGS + _N3_REPS, ids=str)
+def test_d_psi_is_the_merge_signed_sum_of_coarsenings(flag):
+    # d is taken in sympy, so neither RationalForm.exterior_derivative nor
+    # forms_equal_on_simplex is trusted; only psi's coefficients come from shadow
+    V, n = flag.vertices, flag.n
+    lam = {v: LAM[v] for v in V}
+    lhs = _on_slice(_d(_at(basis_element(flag).form, lam), V), n)
+    rhs = {}
+    for j in range(1, len(flag.blocks)):
+        psi = _on_slice(_at(basis_element(flag.coarsen(j)).form, lam), n)
+        for U, f in psi.items():
+            rhs[U] = rhs.get(U, 0) + flag.merge_sign(j) * f
+    for U in lhs.keys() | rhs.keys():
+        assert sympy.cancel(lhs.get(U, 0) - rhs.get(U, 0)) == 0, (flag, U)

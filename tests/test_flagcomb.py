@@ -132,6 +132,29 @@ def test_refines_examples():
     assert not Flag.parse("0,1|2").refines(Flag.parse("0|1,2"))
 
 
+def _refines_by_block_walk(F, G):
+    """The block walk ``Flag.refines`` replaced: consume F's blocks into each of G's."""
+    i = 0
+    for target in G.blocks:
+        acc = set()
+        while acc != set(target):
+            if i >= len(F.blocks) or not set(F.blocks[i]) <= set(target):
+                return False
+            acc.update(F.blocks[i])
+            i += 1
+    return i == len(F.blocks)
+
+
+def test_refines_agrees_with_the_block_walk():
+    # cut sets against a reference walk, on every ordered pair of flags on {0..3}
+    flags = [F for k in range(4) for F in enumerate_flags((0, 1, 2, 3), k)]
+    verdicts = [F.refines(G) for F in flags for G in flags]
+    assert verdicts == [_refines_by_block_walk(F, G) for F in flags for G in flags]
+    assert 0 < sum(verdicts) < len(verdicts)
+    with pytest.raises(ValueError):
+        Flag.parse("0|1").refines(Flag.parse("0|2"))
+
+
 def test_coarsen_is_refined_by_original():
     for k in range(3):
         for F in enumerate_flags((0, 1, 2, 3), k):

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from blowupforms.flagcomb import Flag, enumerate_flags
+from blowupforms.flagcomb import ArrivalSequence, Flag, enumerate_flags
 from blowupforms.hiord import (
     enumerate_experiments,
     face_vanishing_check,
@@ -20,6 +21,46 @@ def l(*ids):
 
 def by_sequence(candidates):
     return {c.sequence.compact(): c for c in candidates}
+
+
+def _experiments_by_recursion(V, r):
+    """The enumeration ``enumerate_experiments`` replaced: count vectors from a
+    recursion on the first count, monomials as products of ``Poly.var``."""
+    out = []
+
+    def compositions(active, total):
+        if len(active) == 1:
+            yield (total,)
+            return
+        for c in range(total, -1, -1):
+            for rest in compositions(active[1:], total - c):
+                yield (c,) + rest
+
+    def rec(active, rounds, num, den):
+        if not active:
+            out.append((ArrivalSequence(r=r, rounds=tuple(rounds)), RationalFn(num, den)))
+            return
+        for counts in compositions(active, r):
+            rnd = tuple(zip(active, counts))
+            coeff, term = math.factorial(r), Poly.const(1)
+            for v, c in rnd:
+                coeff //= math.factorial(c)
+                if c:
+                    term = term * Poly.var(v, c)
+            new_den = dict(den)
+            new_den[frozenset(active)] = new_den.get(frozenset(active), 0) + r
+            rec(tuple(v for v, c in rnd if c == 0), rounds + [rnd], num * term * coeff, new_den)
+
+    rec(tuple(V), [], Poly.const(1), {})
+    out.sort(key=lambda sp: sp[0].rounds)
+    return out
+
+
+@pytest.mark.parametrize("V", [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (2, 5, 7)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_enumeration_matches_the_composition_recursion(V, r):
+    got = [(c.sequence, c.probability) for c in enumerate_experiments(V, r)]
+    assert got == _experiments_by_recursion(V, r)
 
 
 def test_census_n2_r3_is_19():

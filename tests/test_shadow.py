@@ -8,6 +8,7 @@ from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign, standard_repr
 from blowupforms.shadow import (
     basis_element,
     d_decomposition,
+    flag_omega,
     omega_form,
     poisson_probability,
     shadow_basis,
@@ -182,7 +183,7 @@ def test_table_entries_exact(table, V):
 
 def test_basis_elements_are_probability_times_omega():
     for elem in shadow_basis((0, 1, 2, 3), 1):
-        assert elem.form == elem.omega * elem.probability
+        assert elem.form == flag_omega(elem.flag) * elem.probability
         assert elem.form.degree == elem.flag.k
 
 

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 from math import prod
 
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
 from blowupforms.symexpr import (
@@ -131,6 +131,8 @@ wide_polys = st.dictionaries(wide_monos, coeffs, max_size=5).map(Poly)
 @settings(max_examples=150, deadline=None)
 @given(wide_polys, wide_polys, st.sets(st.integers(0, 4), min_size=1, max_size=4),
        st.booleans(), st.integers(0, 4))
+# lowering lambda_0 in, and dropping lambda_1 from, a monomial with pairs on both sides
+@example(Poly({((0, 2), (2, 1)): 1}), Poly(), {1}, True, 0)
 def test_monomial_edits_match_dict_and_sort(a, b, S, exact, v):
     p = a * Poly.subset_sum(S) + (Poly.zero() if exact else b)
     got, want = p.derivative(v), dict_sort_derivative(p, v)
@@ -211,6 +213,8 @@ def division_cases(draw):
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 @settings(max_examples=150, deadline=None)
 @given(division_cases())
+# a multiple whose long division takes every step down to lambda_0^0
+@example(("multiple", Poly.subset_sum({0, 1}) * Poly.var(0), l(0, 1)))
 def test_divide_by_subset_sum_matches_sympy(case):
     kind, p, S = case
     q = p.divide_by_subset_sum(S)
@@ -456,11 +460,29 @@ def _assert_limit_matches_sympy(f: RationalFn, flag: Flag):
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 @settings(max_examples=60, deadline=None)
 @given(rationals, subsets)
+# orders equal (a finite nonzero limit), a straddling l_S that must be
+# truncated, and a denominator of one order more (a divergence)
+@example(RationalFn.one(), l(0))
+@example(RationalFn(Poly.const(1), {l(0, 1): 1}), l(1))
+@example(RationalFn(Poly.const(1), {l(1): 1}), l(1))
 def test_dilation_limit_matches_sympy(f, S):
     _assert_limit_matches_sympy(f, _scaling(S))
 
 
 FLAGS4 = [F for k in range(4) for F in enumerate_flags((0, 1, 2, 3), k)]
+
+
+def _flag_witnesses() -> list[RationalFn]:
+    """One f per flag of FLAGS4, zero but at four flags: a limit that is zero
+    only when the steps run last block first, and the three cases pinned on
+    test_dilation_limit_matches_sympy."""
+    fs = [RationalFn.zero()] * len(FLAGS4)
+    for text, f in (("2,3|1|0", RationalFn(Poly.var(0), {l(1): 2})),
+                    ("0,1,2|3", RationalFn.one()),
+                    ("0,2|1,3", RationalFn(Poly.const(1), {l(0, 1): 1})),
+                    ("0|1,2|3", RationalFn(Poly.const(1), {l(3): 1}))):
+        fs[FLAGS4.index(Flag.parse(text))] = f
+    return fs
 
 
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
@@ -469,6 +491,7 @@ FLAGS4 = [F for k in range(4) for F in enumerate_flags((0, 1, 2, 3), k)]
 @settings(max_examples=3, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.lists(rationals, min_size=len(FLAGS4), max_size=len(FLAGS4)))
+@example(_flag_witnesses())
 def test_flag_limit_matches_sympy(fs):
     for f, flag in zip(fs, FLAGS4):
         _assert_limit_matches_sympy(f, flag)
