@@ -130,11 +130,34 @@ def gram_matrix(V, k: int, rows=None) -> list[tuple[Fraction, ...]]:
             for F in flags:
                 R, sigma = standard_representative(F)
                 if R not in nonzero:
-                    psi = basis_element(R).form
-                    nonzero[R] = {H: x for H in flags if (x := dof_evaluate(H, psi))}
+                    nonzero[R] = orbit_pairing(R, basis_element(R).form, flags)
                 columns.append(push_forward(nonzero[R], sigma))
         out.append(tuple(col.get(G, 0) for col in columns))
     return out
+
+
+def orbit_pairing(R: Flag, form: RationalForm, rows) -> dict[Flag, Fraction]:
+    """{H: dof_evaluate(H, form)} over ``rows``, zeros left out, paired once per orbit.
+
+    ``form`` must be carried to eps(R, sigma) form by each sigma within R's blocks
+    (R's stabiliser), as psi_R is.  The DOF law dof(sigma H, sigma_* w) =
+    eps(H, sigma) dof(H, w) then gives dof(sigma H, form) = eps(R, sigma)
+    eps(H, sigma) dof(H, form).  A row's orbit is fixed by the R-blocks of each of
+    its blocks' vertices (the key).  Its first row H0 is paired; sigma maps H0's
+    vertices onto H's, each listed by block, then by R-block, then ascending.
+    """
+    block_of = {v: j for j, b in enumerate(R.blocks) for v in b}
+    first, column = {}, {}
+    for H in rows:
+        key = tuple(tuple(sorted(block_of[v] for v in b)) for b in H.blocks)
+        listed = [v for b in H.blocks for v in sorted(b, key=block_of.__getitem__)]
+        if key not in first:
+            first[key] = H, listed, dof_evaluate(H, form)
+        H0, listed0, x = first[key]
+        if x:
+            sigma = dict(zip(listed0, listed))
+            column.update(push_forward({H0: R.relabel_sign(sigma) * x}, sigma))
+    return column
 
 
 def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -119,6 +120,55 @@ def test_whitney_check(capsys):
     code, report = run_json(capsys, ["whitney-check", "--n", "2"])
     assert code == 0
     assert report["results"]["subsets_checked"] == 7
+
+
+def test_whitney_check_carries_a_failure_to_its_subset_size(monkeypatch, capsys):
+    # whitney-check proves W = 0,1 for every W of size 2, so its failure is theirs
+    import blowupforms.cli as cli
+    from blowupforms.shadow import IdentityFailed
+
+    real = cli.whitney_containment
+
+    def failing(W, V):
+        if len(W) == 2:
+            raise IdentityFailed(f"sum of psi over 2 flags != phi_{W}")
+        return real(W, V)
+
+    monkeypatch.setattr(cli, "whitney_containment", failing)
+    code, report = run_json(capsys, ["whitney-check", "--n", "3"])
+    assert code == 1
+    assert report["results"]["subsets_checked"] == 15
+    reason = "sum of psi over 2 flags != phi_(0, 1)"
+    assert report["results"]["failures"] == [{"W": [0, 1], "reason": reason}] + [
+        {"W": list(W), "reason": f"transported from 0,1: {reason}"}
+        for W in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # one W per subset size: 4! + 3! + 2! + 1! + 0! flags summed
+    ("whitney-check --n 4", {"whitney_containment": 5, "basis_element": 34}),
+    # one psi_R per composition, paired with one row per orbit of its stabiliser
+    ("dof-matrix --n 3", {"basis_element": 8, "dof_evaluate": 107}),
+])
+def test_exact_suites_work_once_per_orbit(monkeypatch, capsys, argv, expected):
+    # a slide back to per-member work fails here, not only in the benchmark
+    import blowupforms.cli as cli
+    from blowupforms import shadow
+
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for module, name in [(cli, "whitney_containment"), (shadow, "basis_element"),
+                         (shadow, "dof_evaluate")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    code, _ = run_json(capsys, argv.split())
+    assert code == 0
+    assert calls == expected
 
 
 def test_cohomology_local_flag_spelling(capsys):
@@ -531,6 +581,25 @@ def test_flipped_merge_sign_fails_d_check(monkeypatch, capsys):
     assert first["flag"] == "0|1|2"
     assert first["reason"] == ("coefficient -1 for 0,1|2 in d(psi_0|1|2), "
                                "closed-form sign 1")
+
+
+def test_negated_solved_coefficient_fails_d_check(monkeypatch, capsys):
+    # one coarsening's solved coefficient flipped, as a wrong DOF of d(psi) would
+    # flip it: d_decomposition holds it against the closed-form sign before the
+    # dd check, so the report names both, for the whole orbit of 0|1|2
+    from blowupforms import shadow
+    from blowupforms.flagcomb import Flag
+
+    real = shadow.dof_evaluate
+    target = Flag.parse("0,1|2")
+    monkeypatch.setattr(shadow, "dof_evaluate",
+                        lambda F, w: -real(F, w) if F == target else real(F, w))
+    code, report = run_json(capsys, ["d-check", "--n", "2"])
+    assert code == 1
+    failures = report["results"]["failures"]
+    assert [f["flag"] for f in failures] == ["0|1|2", "0|2|1", "1|0|2", "1|2|0", "2|0|1", "2|1|0"]
+    assert failures[0]["reason"] == ("coefficient 1 for 0,1|2 in d(psi_0|1|2), "
+                                     "closed-form sign -1")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -12,8 +12,20 @@ from blowupforms.dof import (
     first_mismatch,
     restrict_to_theta,
 )
-from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign, push_forward
-from blowupforms.shadow import basis_element, gram_matrix, omega_form, whitney_form
+from blowupforms.flagcomb import (
+    Flag,
+    enumerate_flags,
+    perm_sign,
+    push_forward,
+    standard_representative,
+)
+from blowupforms.shadow import (
+    basis_element,
+    gram_matrix,
+    omega_form,
+    orbit_pairing,
+    whitney_form,
+)
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
 from form_helpers import d_lambda, integrate_monomial_simplex, relabel_form, var_fn
 
@@ -251,6 +263,50 @@ def test_gram_matrix_equals_the_per_pair_pairing(nv):
         assert gram_matrix(V, k, reversed(flags)) == reference[::-1]
         assert gram_matrix(V, k, flags[1::3]) == reference[1::3]
         assert gram_matrix(V, k, flags[-1:]) == reference[-1:]
+
+
+@pytest.mark.parametrize("nv", [4, 5])
+def test_orbit_pairing_of_psi_equals_the_per_pair_column(nv):
+    # orbit_pairing pairs one row per orbit of R's stabiliser and fills the rest by
+    # relabelling; the reference pairs psi_R with every row, zeros included
+    V = tuple(range(nv))
+    for k in range(nv):
+        flags = enumerate_flags(V, k)
+        for R in {standard_representative(F)[0] for F in flags}:
+            psi = basis_element(R).form
+            column = orbit_pairing(R, psi, flags)
+            assert {H: column.get(H, 0) for H in flags} == {
+                H: dof_evaluate(H, psi) for H in flags}, R
+            assert 0 not in column.values()
+
+
+@pytest.mark.parametrize("nv", [3, 4])
+def test_orbit_pairing_carries_values_with_both_signs(nv):
+    # psi_R's only nonzero DOF is on R, which its stabiliser fixes, so psi_R alone
+    # never tests the factor eps(R, sigma).  sum_sigma eps(R, sigma) sigma_*(lambda_v
+    # phi_W) over the stabiliser has psi_R's symmetry and nonzero DOFs on whole
+    # orbits of rows, which the carried values must match, sign for sign.  For a
+    # standard R every sigma keeps each row's blocks ascending, eps(H, sigma) = 1,
+    # so each R is also taken with its blocks interleaved: evens first, then odds
+    V = tuple(range(nv))
+    interleave = dict(zip(V, V[::2] + V[1::2]))
+    carried = 0
+    for k in range(nv):
+        flags = enumerate_flags(V, k)
+        reps = {standard_representative(F)[0] for F in flags}
+        for R in reps | {R.relabel(interleave) for R in reps}:
+            stabiliser = [{u: v for b, p in zip(R.blocks, images) for u, v in zip(b, p)}
+                          for images in product(*map(permutations, R.blocks))]
+            for W in combinations(V, k + 1):
+                for v in V:
+                    w = whitney_form(W) * var_fn(v)
+                    w = sum((relabel_form(w, s) * R.relabel_sign(s) for s in stabiliser),
+                            RationalForm.zero(k))
+                    column = orbit_pairing(R, w, flags)
+                    assert {H: column.get(H, 0) for H in flags} == {
+                        H: dof_evaluate(H, w) for H in flags}, (R, v, W)
+                    carried += len(column)
+    assert carried
 
 
 def test_gram_matrix_detects_non_identity(monkeypatch):

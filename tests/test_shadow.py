@@ -288,6 +288,15 @@ def test_containment_all_subsets_n3():
             assert len(flags) == math.factorial(4 - size)
 
 
+def test_containment_every_subset_of_the_4_simplex():
+    # whitney-check proves one W per size and relabels; here each W is proved itself
+    V = tuple(range(5))
+    Ws = [W for size in range(1, 6) for W in itertools.combinations(V, size)]
+    assert len(Ws) == 31
+    for W in Ws:
+        assert len(whitney_containment(W, V)) == math.factorial(5 - len(W))
+
+
 def reduce_dimension(flag: Flag) -> tuple[Flag, bool]:
     """Drop the last block; verify p_{F'} is the limit of p_F at that block.
 
