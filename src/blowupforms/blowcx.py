@@ -1,11 +1,11 @@
 """The blown-up simplex as a combinatorial cell complex.
 
 Cells in dimension k are the flags with k-complement block count.  The
-coboundary is d transported through the DOF isomorphism: ``decompose`` writes
-d(psi_F) as a verified signed sum of psi over one-merge coarsenings and checks
-d(d psi_F) = 0 on those sums, once, for this complex and for ``d-check``.  The
-symbolic decomposition runs on one standard flag per block-size composition;
-every other flag's column is carried over from it by relabelling.
+coboundary is combinatorial: the column of F holds the one-merge coarsenings
+F.coarsen(j), each signed by ``Flag.merge_sign``.  ``decompose`` proves that
+column is d(psi_F), transported through the DOF isomorphism, once per block-size
+composition, and checks d(d psi_F) = 0 on the columns, for this complex and for
+``d-check``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .flagcomb import Flag, enumerate_flags, push_forward, standard_representative, vertex_set
+from .flagcomb import Flag, enumerate_flags, standard_representative, vertex_set
 from .shadow import DecompositionFailed, d_decomposition
 
 # the largest simplex, counted in vertices, whose complex is built
@@ -32,34 +32,35 @@ class BlowupComplex:
 
 
 def decompose(flags) -> tuple[list[Flag], dict[Flag, dict[Flag, int]], dict[Flag, str]]:
-    """Decompose d(psi_F) for each flag, then check d(d psi_F) = 0 on the decompositions.
+    """Write d(psi_F) for each flag as {F_j: merge_sign(j)}, then check d(d psi_F) = 0.
 
-    ``shadow.d_decomposition``, with its full symbolic verification, runs once
-    per orbit: on the ``standard_representative`` R of the first flag taken
-    with R's block sizes.  Every flag F = R.relabel(sigma) of that orbit gets
-    R's column ``{R_j: c_j}`` through ``push_forward``; ``test_blowcx.py`` checks
-    the carried columns against a per-flag ``d_decomposition`` for n <= 3.
+    ``shadow.d_decomposition``, with its full symbolic verification, proves the
+    column once per orbit: on the ``standard_representative`` R of the first flag
+    taken with R's block sizes.  Each F = R.relabel(sigma) of that orbit then has
+    the column ``{F.coarsen(j): F.merge_sign(j)}``: it is R's proved column carried
+    by sigma, by the relabelling law of ``Flag.merge_sign`` with eps(R, sigma) = 1.
 
-    Returns the flags taken, ``{F: {F_j: c_j}}`` for each flag that decomposed,
-    and ``{F: reason}`` in flag order for each flag whose representative's
+    Returns the flags taken, ``{F: {F_j: c_j}}`` for each flag whose orbit was
+    proved, and ``{F: reason}`` in flag order for each flag whose representative's
     ``d_decomposition`` raised (the reason names R for the rest of the orbit),
     or whose coarsenings all decomposed and d(d psi_F) = sum_j c_j d(psi_{F_j})
     is not zero: the psi of a degree are independent, so that is exact.
     """
     taken, columns, errors = [], {}, {}
-    reps, failed = {}, {}  # per representative: {R_j: c_j}, or the reason it failed
+    failed = {}  # per representative proved: the reason it failed, or None
     for F in flags:  # one at a time, so a budget is checked before each flag
         taken.append(F)
-        R, sigma = standard_representative(F)
-        if R not in reps and R not in failed:
+        R, _ = standard_representative(F)
+        if R not in failed:
             try:
-                reps[R] = {Rj: c for c, Rj in d_decomposition(R)}
+                d_decomposition(R)
+                failed[R] = None
             except ArithmeticError as exc:  # DecompositionFailed and friends
                 failed[R] = str(exc)
-        if R in failed:
+        if failed[R] is not None:
             errors[F] = failed[R] if F == R else f"transported from {R}: {failed[R]}"
             continue
-        columns[F] = push_forward(reps[R], sigma)
+        columns[F] = {F.coarsen(j): F.merge_sign(j) for j in range(1, len(F.blocks))}
     for F, col in columns.items():
         residual = linalg.combine(columns, col) if all(Fj in columns for Fj in col) else {}
         if residual:

@@ -10,19 +10,21 @@ option out of range.  A check fails only on a wrong result or on an
 with an ``"error"`` object naming the exception class.  An error after the
 arguments parse still writes a JSON report, with ``"pass": false``.  Long
 suites accept ``--budget-seconds`` and report partial coverage instead of
-hanging; the budget is checked before each matrix row (``dof-matrix``),
-each flag (``d-check``) and each flag or candidate (``mc-verify``).
+hanging; the budget is checked before each degree (``dof-matrix``), each
+flag (``d-check``) and each flag or candidate (``mc-verify``).  A partial
+report lists only what it checked in full.
 
 Each ``_cmd_*`` function returns ``(inputs, results, passed)``; ``run``
 alone times the command, writes the report and chooses the exit code.
 
 ``d-check``, ``dof-matrix`` and ``whitney-check`` work once per orbit under
-relabelling of the vertices.  One standard flag R per block-size composition
-gets ``d(psi_R)`` verified in full (``blowcx.decompose``) or its DOF column,
-paired once per orbit of R's stabiliser (``shadow.orbit_pairing``);
-``flagcomb.push_forward`` carries R's column to every flag of its orbit, where
-``d(d psi_F) = 0`` is checked.  ``whitney-check`` proves one W per subset size.
-The tests check every carried column against the per-flag path.
+relabelling of the vertices.  ``d-check`` verifies ``d(psi_R)`` in full for one
+standard flag R per block-size composition (``blowcx.decompose``); every flag's
+column is then read off its cells by ``Flag.merge_sign``, and ``d(d psi_F) = 0``
+is checked on those columns.  ``dof-matrix`` pairs each R's DOF column once per
+orbit of R's stabiliser (``shadow.orbit_pairing``), and ``flagcomb.push_forward``
+carries it to every flag of R's orbit.  ``whitney-check`` proves one W per
+subset size.  The tests check every column against the per-flag path.
 """
 
 from __future__ import annotations
@@ -137,11 +139,11 @@ def _cmd_dof_matrix(args):
     budget = Budget(args.budget_seconds)
     ks = [args.k] if args.k is not None else list(range(args.n + 1))
     matrices = []
-    for k in ks:
+    for k in budget.take(ks):
         flags = enumerate_flags(V, k)
         entry = {"k": k, "size": len(flags)}
         try:
-            rows = gram_matrix(V, k, budget.take(flags))
+            rows = gram_matrix(V, k)
         except ArithmeticError as exc:  # DivergentLimit, NonPolynomialResidue
             entry.update(flags=[str(F) for F in flags], identity=False, failure=str(exc))
         else:
@@ -155,8 +157,6 @@ def _cmd_dof_matrix(args):
             if args.matrices:
                 entry["entries"] = [[str(x) for x in row] for row in rows]
         matrices.append(entry)
-        if budget.partial:
-            break
     ok = all(entry["identity"] for entry in matrices)
     results = {"matrices": matrices, "partial": budget.partial, "identity_all": ok}
     return {"n": args.n, "k": args.k}, results, ok or not args.assert_identity
@@ -165,7 +165,8 @@ def _cmd_dof_matrix(args):
 def _cmd_d_check(args):
     V = tuple(range(args.n + 1))
     budget = Budget(args.budget_seconds)
-    flags = [F for k in range(args.n + 1) for F in enumerate_flags(V, k)]
+    # a generator, so that a spent budget stops before the next degree is enumerated
+    flags = (F for k in range(args.n + 1) for F in enumerate_flags(V, k))
     taken, _, failed = decompose(budget.take(flags))
     failures = [{"flag": str(F), "reason": reason} for F, reason in failed.items()]
     results = {"flags_checked": len(taken), "failures": failures, "partial": budget.partial}

@@ -102,6 +102,16 @@ class Flag:
         matches every solved column for up to 6 vertices (on an edge it is the -1
         of p(end) - p(start), p = 1 at the start).  ``shadow.d_decomposition``
         requires every coefficient it solves to equal this sign.
+
+        Relabelling law, for sigma injective and eps = ``relabel_sign``:
+
+            F.relabel(sigma).merge_sign(j) = eps(F, sigma) eps(F.coarsen(j), sigma) F.merge_sign(j).
+
+        The block sizes, so the power of -1, do not change.  With sgn_X the parity
+        of sigma on X, sorting sigma(A) + sigma(B) costs perm_sign(A + B) sgn_{A u B},
+        or sgn_A sgn_B to sort within the blocks and then the new perm_sign; the
+        other blocks' parities cancel in the eps product.  ``blowcx`` relies on it:
+        each flag's column is its representative's proved column, relabelled.
         """
         A, B = self.blocks[j - 1], self.blocks[j]
         ahead = sum(len(b) - 1 for b in self.blocks[:j - 1])
@@ -212,13 +222,13 @@ def standard_representative(flag: Flag) -> tuple[Flag, dict[int, int]]:
 
 
 def push_forward(column: dict, sigma) -> dict:
-    """The column ``{X: c}`` of a flag R, carried to the flag R.relabel(sigma).
+    """DOF values ``{X: dof(X, w)}`` carried by sigma: ``{X.relabel(sigma): eps(X, sigma) c}``.
 
-    The transport law: psi_X |-> eps(X, sigma) psi_{X.relabel(sigma)}, eps being
-    ``Flag.relabel_sign``, and likewise for the DOF of X.  It carries both the
-    coarsening coefficients of d(psi_R) and the DOF values of psi_R when
-    eps(R, sigma) = 1, as from ``standard_representative``.  The relabelling-law
-    tests of ``test_shadow.py`` and ``test_dof.py`` check it for every sigma.
+    eps is ``Flag.relabel_sign``.  The DOF law dof(sigma X, sigma_* w) =
+    eps(X, sigma) dof(X, w) makes this the DOF column of sigma_* w; for w = psi_R
+    and eps(R, sigma) = 1, as from ``standard_representative``, that is the column
+    of psi_{R.relabel(sigma)}.  The relabelling-law tests of ``test_shadow.py``
+    and ``test_dof.py`` check it for every sigma.
     """
     return {X.relabel(sigma): X.relabel_sign(sigma) * c for X, c in column.items()}
 

@@ -218,9 +218,6 @@ def global_flags(tri: Triangulation, k: int) -> list[tuple[int, Flag]]:
 class GlobalSpace:
     """Constrained global DOF space for one form degree under one rule."""
 
-    triangulation: Triangulation
-    k: int
-    rule: str
     dofs: list[tuple[int, Flag]]
     constraints: list[dict[int, int]]
     skipped_boundary_faces: int
@@ -297,14 +294,7 @@ def assemble(tri: Triangulation, k: int, rule: str) -> GlobalSpace:
             for other in members[1:]:
                 rows.append({members[0]: 1, other: -1})
 
-    return GlobalSpace(
-        triangulation=tri,
-        k=k,
-        rule=rule,
-        dofs=dofs,
-        constraints=rows,
-        skipped_boundary_faces=skipped,
-    )
+    return GlobalSpace(dofs=dofs, constraints=rows, skipped_boundary_faces=skipped)
 
 
 def _global_coboundary(tri: Triangulation, cx: BlowupComplex, k: int) -> list[dict[int, int]]:

@@ -111,29 +111,22 @@ def shadow_basis(V, k: int) -> list[ShadowBasisElement]:
     return [basis_element(F) for F in enumerate_flags(V, k)]
 
 
-def gram_matrix(V, k: int, rows=None) -> list[tuple[Fraction, ...]]:
+def gram_matrix(V, k: int) -> list[tuple[Fraction, ...]]:
     """The DOF/basis pairing on V in degree k: entry (G, F) is dof_evaluate(G, psi_F).
 
-    Rows are the flags in ``rows``, taken one at a time so that a budget can
-    stop between them (all flags by default); columns are all flags, both in
-    canonical order.  Unisolvence makes the full matrix the identity.
-
-    The first row taken fills every column: the nonzero values
-    dof_evaluate(H, psi_R) once per ``standard_representative`` R, carried by
-    ``push_forward`` to each F = R.relabel(sigma).  No row taken, no pairing.
+    Rows and columns are all flags, in canonical order; unisolvence makes the
+    matrix the identity.  The nonzero values dof_evaluate(H, psi_R) are paired
+    once per ``standard_representative`` R and carried by ``push_forward`` to
+    each column F = R.relabel(sigma).
     """
     flags = enumerate_flags(V, k)
-    columns, out = [], []
-    for G in (flags if rows is None else rows):
-        if not columns:
-            nonzero = {}  # per representative R: {H: dof_evaluate(H, psi_R)}, zeros left out
-            for F in flags:
-                R, sigma = standard_representative(F)
-                if R not in nonzero:
-                    nonzero[R] = orbit_pairing(R, basis_element(R).form, flags)
-                columns.append(push_forward(nonzero[R], sigma))
-        out.append(tuple(col.get(G, 0) for col in columns))
-    return out
+    nonzero, columns = {}, []  # per representative R: {H: dof_evaluate(H, psi_R)}, zeros left out
+    for F in flags:
+        R, sigma = standard_representative(F)
+        if R not in nonzero:
+            nonzero[R] = orbit_pairing(R, basis_element(R).form, flags)
+        columns.append(push_forward(nonzero[R], sigma))
+    return [tuple(col.get(G, 0) for col in columns) for G in flags]
 
 
 def orbit_pairing(R: Flag, form: RationalForm, rows) -> dict[Flag, Fraction]:

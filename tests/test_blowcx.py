@@ -4,7 +4,7 @@ import pytest
 
 from blowupforms import blowcx
 from blowupforms.blowcx import betti_numbers, build_blowup_complex, decompose
-from blowupforms.flagcomb import Flag, enumerate_flags
+from blowupforms.flagcomb import Flag, enumerate_flags, push_forward, standard_representative
 from blowupforms.shadow import DecompositionFailed, d_decomposition
 
 
@@ -58,20 +58,37 @@ def test_coboundary_support_is_the_coarsening_relation():
             assert {rows[r] for r in col} == merges
 
 
+def _solved_columns(nv):
+    """{F: {F_j: c_j}} for every flag of {0..nv-1} below the top degree, the
+    symbolic way: d_decomposition solves one standard representative R per
+    composition, and push_forward carries R's column, the DOF values of
+    d(psi_R), to each F of its orbit."""
+    solved, columns = {}, {}
+    for k in range(nv - 1):
+        for F in enumerate_flags(range(nv), k):
+            R, sigma = standard_representative(F)
+            if R not in solved:
+                solved[R] = {Rj: c for c, Rj in d_decomposition(R)}
+            columns[F] = push_forward(solved[R], sigma)
+    return columns
+
+
 @pytest.mark.parametrize("nv", [2, 3, 4, 5])
 def test_closed_form_sign_rule_reproduces_every_column(nv):
+    # the build reads every column off merge_sign; the reference solves the
+    # representatives' columns and transports them with push_forward
     cx = _complex(nv)
+    solved = _solved_columns(nv)
     for k in range(nv - 1):
         index = {F: i for i, F in enumerate(cx.cells[k + 1])}
         for F, col in zip(cx.cells[k], cx.coboundary[k]):
-            rule = {index[F.coarsen(j)]: F.merge_sign(j) for j in range(1, len(F.blocks))}
-            assert col == rule, F
+            assert col == {index[Fj]: c for Fj, c in solved[F].items()}, F
 
 
 @pytest.mark.parametrize("nv", [2, 3, 4])
 def test_transported_columns_equal_a_decomposition_of_every_flag(nv):
-    # decompose runs d_decomposition on one flag per composition and relabels
-    # its column; the reference decomposes each flag itself
+    # decompose proves one flag per composition and reads every column off
+    # merge_sign; the reference decomposes each flag itself
     flags = [F for k in range(nv) for F in enumerate_flags(range(nv), k)]
     taken, columns, failures = decompose(flags)
     assert taken == flags and not failures
@@ -116,21 +133,15 @@ def test_coboundary_squares_to_zero():
 
 
 def test_sign_error_in_a_decomposition_fails_the_build(monkeypatch):
-    from blowupforms import blowcx
-
-    real = blowcx.d_decomposition
-    target = Flag(((0,), (1,), (2,)))
-
-    def flipped(F):
-        out = real(F)
-        if F == target:
-            (sign, G), *rest = out
-            return [(-sign, G)] + rest
-        return out
-
-    monkeypatch.setattr(blowcx, "d_decomposition", flipped)
-    with pytest.raises(ArithmeticError):
+    # one column sign flipped off a representative: d_decomposition proves
+    # 0|1|2, not 1|0|2, so the d(d psi) = 0 check on the columns must catch it
+    real = Flag.merge_sign
+    target = Flag.parse("1|0|2")
+    monkeypatch.setattr(Flag, "merge_sign",
+                        lambda F, j: -real(F, j) if (F, j) == (target, 1) else real(F, j))
+    with pytest.raises(DecompositionFailed) as info:
         build_blowup_complex((0, 1, 2))
+    assert str(info.value) == "d(psi_1|0|2): dd != 0: -2 psi_0,1,2"
 
 
 def test_vertex_set_cap():

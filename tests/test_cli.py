@@ -149,11 +149,18 @@ def test_whitney_check_carries_a_failure_to_its_subset_size(monkeypatch, capsys)
     ("whitney-check --n 4", {"whitney_containment": 5, "basis_element": 34}),
     # one psi_R per composition, paired with one row per orbit of its stabiliser
     ("dof-matrix --n 3", {"basis_element": 8, "dof_evaluate": 107}),
+    # one proof of d(psi_R) per composition below the top degree (2^n - 1),
+    # or of every degree for d-check (2^n); every column is read off merge_sign
+    ("cohomology local --n 3", {"d_decomposition": 7, "basis_element": 19, "dof_evaluate": 12}),
+    ("d-check --n 3", {"d_decomposition": 8, "basis_element": 19, "dof_evaluate": 12}),
+    ("cohomology global --mesh tet-pair --rule general",
+     {"d_decomposition": 7, "basis_element": 19, "dof_evaluate": 12}),
+    ("d-check --n 4", {"d_decomposition": 16, "basis_element": 47, "dof_evaluate": 32}),
 ])
 def test_exact_suites_work_once_per_orbit(monkeypatch, capsys, argv, expected):
     # a slide back to per-member work fails here, not only in the benchmark
     import blowupforms.cli as cli
-    from blowupforms import shadow
+    from blowupforms import blowcx, shadow
 
     calls = collections.Counter()
 
@@ -164,7 +171,7 @@ def test_exact_suites_work_once_per_orbit(monkeypatch, capsys, argv, expected):
         return counted
 
     for module, name in [(cli, "whitney_containment"), (shadow, "basis_element"),
-                         (shadow, "dof_evaluate")]:
+                         (shadow, "dof_evaluate"), (blowcx, "d_decomposition")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     code, _ = run_json(capsys, argv.split())
     assert code == 0
@@ -538,31 +545,26 @@ def test_decomposition_failure_is_a_check_failure(monkeypatch, capsys):
     ]
 
 
-def test_sign_error_in_a_decomposition_fails_d_check(monkeypatch, capsys):
-    # d(d psi) = 0 is checked on the decompositions, so one flipped sign in
-    # d(psi_{0|1|2}) leaves 2 psi_{0,1,2} in d(d psi_{0|1|2}); 0|1|2 stands for
-    # its whole orbit, so the flip reaches every flag with three blocks
-    from blowupforms import blowcx
+def _flip_merge_sign(monkeypatch, text, j):
+    """Negate Flag.merge_sign for the one flag ``text`` at merge index j."""
     from blowupforms.flagcomb import Flag
 
-    real = blowcx.d_decomposition
-    target = Flag.parse("0|1|2")
+    real = Flag.merge_sign
+    target = Flag.parse(text)
+    monkeypatch.setattr(Flag, "merge_sign",
+                        lambda F, i: -real(F, i) if (F, i) == (target, j) else real(F, i))
 
-    def flipped(F):
-        out = real(F)
-        if F == target:
-            (sign, G), *rest = out
-            return [(-sign, G)] + rest
-        return out
 
-    monkeypatch.setattr(blowcx, "d_decomposition", flipped)
+def test_sign_error_in_a_decomposition_fails_d_check(monkeypatch, capsys):
+    # d(d psi) = 0 is checked on the columns, so one flipped sign in the column
+    # of 1|0|2 leaves -2 psi_{0,1,2} in d(d psi_{1|0|2}); the proof runs on the
+    # representative 0|1|2, whose column is untouched, so only 1|0|2 fails
+    _flip_merge_sign(monkeypatch, "1|0|2", 1)
     code, report = run_json(capsys, ["d-check", "--n", "2"])
     assert code == 1
     assert report["results"]["flags_checked"] == 13
-    failures = report["results"]["failures"]
-    assert [f["flag"] for f in failures] == ["0|1|2", "0|2|1", "1|0|2", "1|2|0", "2|0|1", "2|1|0"]
-    assert all(f["reason"].startswith("dd != 0") for f in failures)
-    assert "2 psi_0,1,2" in failures[0]["reason"]
+    assert report["results"]["failures"] == [
+        {"flag": "1|0|2", "reason": "dd != 0: -2 psi_0,1,2"}]
 
 
 def test_flipped_merge_sign_fails_d_check(monkeypatch, capsys):
@@ -609,26 +611,13 @@ def test_negated_solved_coefficient_fails_d_check(monkeypatch, capsys):
 def test_sign_error_in_a_decomposition_fails_cohomology(monkeypatch, capsys, argv):
     # a failed d-structure check while building the local complex is a check
     # failure, reported under the command's own name, not an internal error
-    from blowupforms import blowcx
-    from blowupforms.flagcomb import Flag
-
-    real = blowcx.d_decomposition
-    target = Flag.parse("0|1|2")
-
-    def flipped(F):
-        out = real(F)
-        if F == target:
-            (sign, G), *rest = out
-            return [(-sign, G)] + rest
-        return out
-
-    monkeypatch.setattr(blowcx, "d_decomposition", flipped)
+    _flip_merge_sign(monkeypatch, "1|0|2", 1)
     code, report = run_json(capsys, argv)
     assert code == 1
     assert "error" not in report
     assert report["command"] == f"cohomology-{argv[1]}"
     assert report["pass"] is False
-    assert report["results"]["failure"] == "d(psi_0|1|2): dd != 0: 2 psi_0,1,2"
+    assert report["results"]["failure"] == "d(psi_1|0|2): dd != 0: -2 psi_0,1,2"
 
 
 def test_budget_reports_partial(capsys):
@@ -660,10 +649,29 @@ def test_d_check_budget_is_checked_per_flag(monkeypatch, capsys):
     assert report["results"]["partial"] is True
 
 
-def test_dof_matrix_budget_is_checked_per_row(monkeypatch, capsys):
+def test_d_check_budget_enumerates_at_most_one_degree(monkeypatch, capsys):
+    # the flags are enumerated degree by degree as the budget takes them, so a
+    # spent budget builds no degree past the first
+    import blowupforms.cli as cli
+
+    calls = [0]
+    real_enumerate = cli.enumerate_flags
+
+    def counted(*args):
+        calls[0] += 1
+        return real_enumerate(*args)
+
+    monkeypatch.setattr(cli, "enumerate_flags", counted)
+    code, report = run_json(capsys, ["d-check", "--n", "4", "--budget-seconds", "0"])
+    assert code == 0
+    assert report["results"] == {"flags_checked": 0, "failures": [], "partial": True}
+    assert calls[0] <= 1
+
+
+def test_dof_matrix_budget_is_checked_per_degree(monkeypatch, capsys):
     # a fake clock that advances 1 s each time it is read: the budget reads it
-    # once at the start and once before each row, so with a 2.5 s budget the
-    # third row of the first degree finds the budget spent
+    # once at the start and once before each degree, so with a 1.5 s budget
+    # degree 1 finds the budget spent; a report lists only whole degrees
     import itertools
     import types
 
@@ -682,17 +690,18 @@ def test_dof_matrix_budget_is_checked_per_row(monkeypatch, capsys):
 
     monkeypatch.setattr(shadow, "dof_evaluate", counted)
     monkeypatch.setattr(cli, "time", fake_time())
-    code, report = run_json(capsys, ["dof-matrix", "--n", "2", "--budget-seconds", "2.5"])
+    code, report = run_json(capsys, ["dof-matrix", "--n", "2", "--budget-seconds", "1.5"])
     assert code == 0
     assert report["results"]["partial"] is True
-    assert [m["rows_computed"] for m in report["results"]["matrices"]] == [2]
-    assert calls[0] == 6  # the first row took the degree's one column: 6 DOFs of psi_0|1|2
-    # no row taken, no pairing: the columns are filled when the first row is taken
+    [degree] = report["results"]["matrices"]
+    assert degree["k"] == 0 and degree["identity"] is True
+    assert degree["rows_computed"] == degree["size"] == 6
+    # no degree taken, no pairing
     calls[0] = 0
     monkeypatch.setattr(cli, "time", fake_time())
     code, report = run_json(capsys, ["dof-matrix", "--n", "2", "--budget-seconds", "0"])
     assert report["results"]["partial"] is True
-    assert [m["rows_computed"] for m in report["results"]["matrices"]] == [0]
+    assert report["results"]["matrices"] == []
     assert calls[0] == 0
 
 

@@ -251,18 +251,14 @@ def test_gram_matrix_identity(nv):
 
 @pytest.mark.parametrize("nv", [3, 4])
 def test_gram_matrix_equals_the_per_pair_pairing(nv):
-    # gram_matrix fills every column from one column per composition at the first
-    # row taken; the reference evaluates each (G, F) pair directly, for every row
-    # set given: all rows, reversed, a strict subset, and the last row alone
+    # gram_matrix fills every column from one column per composition; the
+    # reference evaluates each (G, F) pair directly
     V = tuple(range(nv))
     for k in range(nv):
         flags = enumerate_flags(V, k)
         psi = [basis_element(F).form for F in flags]
         reference = [tuple(dof_evaluate(G, w) for w in psi) for G in flags]
         assert gram_matrix(V, k) == reference
-        assert gram_matrix(V, k, reversed(flags)) == reference[::-1]
-        assert gram_matrix(V, k, flags[1::3]) == reference[1::3]
-        assert gram_matrix(V, k, flags[-1:]) == reference[-1:]
 
 
 @pytest.mark.parametrize("nv", [4, 5])

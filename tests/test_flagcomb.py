@@ -2,7 +2,7 @@ import math
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowupforms.flagcomb import (
     ArrivalSequence,
@@ -196,6 +196,28 @@ def test_relabel_onto_a_cell():
     assert Flag.parse("2|0,1").relabel({0: 9, 1: 4, 2: 6}) == Flag.parse("6|4,9")
     with pytest.raises(ValueError):
         Flag.parse("0|1,2").relabel((3, 5, 3))
+
+
+@st.composite
+def relabelled_merges(draw):
+    """A flag on 2 to 8 vertices, an injective relabelling of them, and a merge index."""
+    V = draw(st.lists(st.integers(0, 20), min_size=2, max_size=8, unique=True))
+    order = draw(st.permutations(V))
+    cuts = sorted(draw(st.sets(st.integers(1, len(V) - 1), min_size=1)))
+    F = Flag([order[a:b] for a, b in zip([0, *cuts], [*cuts, len(V)])])
+    images = draw(st.lists(st.integers(0, 30), min_size=len(V), max_size=len(V), unique=True))
+    return F, dict(zip(V, images)), draw(st.integers(1, len(F.blocks) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_merges())
+# off the representatives A + B need not be ascending: here perm_sign(A + B) = -1
+@example((Flag.parse("0|1"), {0: 1, 1: 0}, 1))
+def test_merge_sign_relabelling_law(case):
+    # the law that lets the blow-up complex read each column off its own flag
+    F, sigma, j = case
+    assert F.relabel(sigma).merge_sign(j) == (
+        F.relabel_sign(sigma) * F.coarsen(j).relabel_sign(sigma) * F.merge_sign(j))
 
 
 @pytest.mark.parametrize("V", [(0, 1, 2, 3), (2, 5, 7, 9, 11)])

@@ -170,30 +170,27 @@ def test_global_flag_counts():
 
 
 def _all_spaces():
-    """Every assembled space: each bundled mesh, each degree, each rule that
-    applies (the named variants take 2D scalars only)."""
-    spaces = []
+    """Every assembled space with its (triangulation, k, rule): each bundled mesh,
+    each degree, each rule that applies (the named variants take 2D scalars only)."""
+    cases = []
     for name in SAMPLE_MESHES:
         tri = load_mesh(name)
         for k in range(tri.dimension + 1):
-            spaces.append(assemble(tri, k, "general-continuity"))
+            cases.append((tri, k, "general-continuity"))
             if tri.dimension == 2 and k == 0:
-                spaces += [assemble(tri, k, v) for v in GLUING_VARIANTS
-                           if v != "general-continuity"]
-    assert len(spaces) == 45
+                cases += [(tri, k, v) for v in GLUING_VARIANTS if v != "general-continuity"]
+    assert len(cases) == 45
     for doc in (MOBIUS_STRIP, NONMANIFOLD_FAN, RP2):
         tri = load_mesh(doc)
-        spaces += [assemble(tri, 0, rule)
-                   for rule in ("general", "edge-identified", "vertex-identified")]
-        spaces += [assemble(tri, k, "general") for k in (1, 2)]
-    return spaces
+        cases += [(tri, 0, rule) for rule in ("general", "edge-identified", "vertex-identified")]
+        cases += [(tri, k, "general") for k in (1, 2)]
+    return [(assemble(*case), case) for case in cases]
 
 
 def test_dof_numbering_and_row_pivots():
     # DOF ci * f_k + j is canonical flag j carried onto cell ci, and every
     # constraint row's largest index appears in no other row
-    for sp in _all_spaces():
-        tri, k = sp.triangulation, sp.k
+    for sp, (tri, k, rule) in _all_spaces():
         local = enumerate_flags(range(tri.dimension + 1), k)
         m = len(local)
         assert len(sp.dofs) == len(tri.cells) * m
@@ -202,7 +199,7 @@ def test_dof_numbering_and_row_pivots():
             for j, F in enumerate(local):
                 assert sp.dofs[ci * m + j] == (ci, F.relabel(dict(enumerate(cell))))
         for row in sp.constraints:
-            assert sum(max(row) in other for other in sp.constraints) == 1, (tri, k, sp.rule)
+            assert sum(max(row) in other for other in sp.constraints) == 1, (tri, k, rule)
 
 
 # -- gluing variants ------------------------------------------------------------------
@@ -274,7 +271,7 @@ def test_sum_zero_count_around_interior_vertex():
 
 def test_basis_annihilates_constraints():
     # on every assembled space; entries stay int
-    for sp in _all_spaces():
+    for sp, _ in _all_spaces():
         basis = sp.basis()
         for vec in basis:
             for row in sp.constraints:
