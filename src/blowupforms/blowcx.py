@@ -10,8 +10,6 @@ composition, and checks d(d psi_F) = 0 on the columns, for this complex and for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .flagcomb import Flag, enumerate_flags, standard_representative, vertex_set
 from .shadow import DecompositionFailed, d_decomposition
@@ -20,11 +18,13 @@ from .shadow import DecompositionFailed, d_decomposition
 MAX_VERTICES = 6
 
 
-@dataclass(frozen=True)
 class BlowupComplex:
-    cells: dict[int, list[Flag]]
-    # column c of d_k, {index in cells[k + 1]: +-1}: the signed coarsenings of cells[k][c]
-    coboundary: dict[int, list[dict[int, int]]]
+    __slots__ = ("cells", "coboundary")
+
+    def __init__(self, cells: dict[int, list[Flag]], coboundary: dict[int, list[dict[int, int]]]):
+        self.cells = cells
+        # column c of d_k, {index in cells[k + 1]: +-1}: the signed coarsenings of cells[k][c]
+        self.coboundary = coboundary
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -77,7 +77,7 @@ def build_blowup_complex(V) -> BlowupComplex:
     if len(V) > MAX_VERTICES:
         raise ValueError(f"blow-up complexes are supported for |V| <= {MAX_VERTICES}")
     n = len(V) - 1
-    cells = {k: enumerate_flags(V, k) for k in range(n + 1)}
+    cells = {k: list(enumerate_flags(V, k)) for k in range(n + 1)}
     _, columns, failures = decompose(F for k in range(n) for F in cells[k])
     for F, reason in failures.items():
         raise DecompositionFailed(f"d(psi_{F}): {reason}")

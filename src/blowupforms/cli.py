@@ -4,7 +4,8 @@ Every subcommand writes a machine-readable JSON report to stdout and a
 one-line human summary to stderr.  Exit codes: 0 when all asserted checks
 pass, 1 on a check failure or an internal error, 2 on usage errors, which
 include an unreadable or invalid mesh, an unknown gluing rule and a numeric
-option out of range.  A check fails only on a wrong result or on an
+option out of range, and 3 when a budget cut a suite short before any check
+failed (``EXIT_PARTIAL``).  A check fails only on a wrong result or on an
 ``ArithmeticError`` raised by the exact core (``DecompositionFailed``,
 ``IdentityFailed`` and the like); any other exception is a bug and exits 1
 with an ``"error"`` object naming the exception class.  An error after the
@@ -12,10 +13,15 @@ arguments parse still writes a JSON report, with ``"pass": false``.  Long
 suites accept ``--budget-seconds`` and report partial coverage instead of
 hanging; the budget is checked before each degree (``dof-matrix``), each
 flag (``d-check``) and each flag or candidate (``mc-verify``).  A partial
-report lists only what it checked in full.
+report lists only what it checked in full, and it is no pass: ``"pass"`` is
+false and the exit code 3, or 1 if a check failed before the cut.
 
 Each ``_cmd_*`` function returns ``(inputs, results, passed)``; ``run``
-alone times the command, writes the report and chooses the exit code.
+alone times the command, writes the report and chooses the exit code.  The
+module top imports the standard library only: each ``_cmd_*`` imports the
+layers it runs, so a call loads (and compiles) no layer its subcommand does
+not use.  A function-local import reads the module attribute at call time, so
+a wrapper or a test patch set on the defining module sees every call.
 
 ``d-check``, ``dof-matrix`` and ``whitney-check`` work once per orbit under
 relabelling of the vertices.  ``d-check`` verifies ``d(psi_R)`` in full for one
@@ -37,34 +43,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import __version__
-from .blowcx import MAX_VERTICES, betti_numbers, build_blowup_complex, decompose
-from .dof import first_mismatch
-from .flagcomb import Flag, enumerate_flags
-from .hiord import (
-    enumerate_experiments,
-    face_vanishing_check,
-    independence_rank,
-    pr_containment,
-    r1_reduction_check,
-)
-from .mesh import MeshError, global_cohomology, write_samples
-from .shadow import (
-    basis_element,
-    gram_matrix,
-    poisson_probability,
-    shadow_basis,
-    whitney_containment,
-)
-from .symexpr import (
-    RationalFn,
-    RationalForm,
-    form_latex,
-    form_to_json,
-    rational_fn_latex,
-    rational_fn_to_json,
-)
 
 SCHEMA = "blowup-report/1"
+# the exit code of a suite that a budget cut short before any check failed
+EXIT_PARTIAL = 3
 
 
 class Budget:
@@ -96,6 +78,9 @@ def _write_latex(path: str, header: str, rows: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_basis(args):
+    from .shadow import shadow_basis
+    from .symexpr import form_latex, form_to_json, rational_fn_to_json
+
     V = tuple(range(args.n + 1))
     ks = [args.k] if args.k is not None else list(range(args.n + 1))
     elems = [(k, elem) for k in ks for elem in shadow_basis(V, k)]
@@ -135,12 +120,16 @@ def _grid_values(elem, m: int):
 
 
 def _cmd_dof_matrix(args):
+    from .dof import first_mismatch
+    from .flagcomb import enumerate_flags
+    from .shadow import gram_matrix
+
     V = tuple(range(args.n + 1))
     budget = Budget(args.budget_seconds)
     ks = [args.k] if args.k is not None else list(range(args.n + 1))
     matrices = []
     for k in budget.take(ks):
-        flags = enumerate_flags(V, k)
+        flags = list(enumerate_flags(V, k))
         entry = {"k": k, "size": len(flags)}
         try:
             rows = gram_matrix(V, k)
@@ -163,9 +152,12 @@ def _cmd_dof_matrix(args):
 
 
 def _cmd_d_check(args):
+    from .blowcx import decompose
+    from .flagcomb import enumerate_flags
+
     V = tuple(range(args.n + 1))
     budget = Budget(args.budget_seconds)
-    # a generator, so that a spent budget stops before the next degree is enumerated
+    # lazy, flag by flag, so that a spent budget stops before the next flag is built
     flags = (F for k in range(args.n + 1) for F in enumerate_flags(V, k))
     taken, _, failed = decompose(budget.take(flags))
     failures = [{"flag": str(F), "reason": reason} for F, reason in failed.items()]
@@ -180,6 +172,8 @@ def _cmd_whitney_check(args):
     each flag (W0 | singletons...) to one of W's with block sign eps = 1, and
     phi_W0 to phi_W: W's identity is W0's, relabelled.
     """
+    from .shadow import whitney_containment
+
     V = tuple(range(args.n + 1))
     failures = []
     for size in range(1, len(V) + 1):
@@ -195,9 +189,13 @@ def _cmd_whitney_check(args):
 
 
 def _cmd_cohomology(args):
+    from .blowcx import betti_numbers, build_blowup_complex
+
     inputs = {"n": args.n} if args.mode == "local" else {"mesh": args.mesh, "rule": args.rule}
     try:
         if args.mode == "global":
+            from .mesh import global_cohomology
+
             rep = global_cohomology(args.mesh, args.rule)
             return inputs, rep, rep["dd_zero"] and rep["match"]
         cx = build_blowup_complex(tuple(range(args.n + 1)))
@@ -224,6 +222,16 @@ def _cmd_cohomology(args):
 
 
 def _cmd_higher_order(args):
+    from .flagcomb import enumerate_flags
+    from .hiord import (
+        enumerate_experiments,
+        face_vanishing_check,
+        independence_rank,
+        pr_containment,
+        r1_reduction_check,
+    )
+    from .symexpr import rational_fn_latex, rational_fn_to_json
+
     V = tuple(range(args.n + 1))
     cands = enumerate_experiments(V, args.r)
     checks = args.check
@@ -268,8 +276,12 @@ def _cmd_higher_order(args):
 
 
 def _cmd_mc_verify(args):
-    # mcoracle, and with it numpy, loads only on this path; its names are read at
-    # call time, so a wrapper set on the module after import still sees every call
+    from .flagcomb import enumerate_flags
+    from .hiord import enumerate_experiments
+    from .shadow import basis_element, poisson_probability
+
+    # mcoracle, and with it numpy, loads only on this path, and after the exact
+    # layers: loaded first, numpy raised the run's peak RSS by about 0.4 MiB
     from . import mcoracle
 
     budget = Budget(args.budget_seconds)
@@ -342,7 +354,7 @@ def _z_summary(details: list[dict]) -> dict:
             "above_2sigma": sum(abs(z) > 2 for z in zs)}
 
 
-def _mc_prob_case(kind: str, obj, probability: RationalFn, rates: dict[int, Fraction], args,
+def _mc_prob_case(kind: str, obj, probability, rates: dict[int, Fraction], args,
                   trial: int) -> dict:
     from . import mcoracle
 
@@ -367,7 +379,7 @@ def _mc_prob_case(kind: str, obj, probability: RationalFn, rates: dict[int, Frac
     }
 
 
-def _mc_dof_case(flag: Flag, form: RationalForm, args, trial: int) -> dict:
+def _mc_dof_case(flag, form, args, trial: int) -> dict:
     from . import mcoracle
 
     exact = 1.0
@@ -389,6 +401,8 @@ def _mc_dof_case(flag: Flag, form: RationalForm, args, trial: int) -> dict:
 
 
 def _cmd_emit_samples(args):
+    from .mesh import write_samples
+
     return {"outdir": args.outdir}, {"files": write_samples(args.outdir)}, True
 
 
@@ -400,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="blowup",
         description="Exact blow-up Whitney form computations and verifications",
+        epilog="exit codes: 0 all checks pass; 1 a check failed, or an internal error; "
+               "2 a usage error; 3 a budget cut the suite short before any check failed",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -479,9 +495,12 @@ def _out_of_range(args) -> str | None:
             return f"--{name.replace('_', '-')} must be at least {low}, got {value}"
     if getattr(args, "k", None) is not None and args.k > args.n:
         return f"--k must be at most --n ({args.n}), got {args.k}"
-    if args.cmd == "cohomology" and args.mode == "local" and args.n >= MAX_VERTICES:
-        return (f"--n must be at most {MAX_VERTICES - 1}: blow-up complexes are built "
-                f"for |V| <= {MAX_VERTICES}, got {args.n}")
+    if args.cmd == "cohomology" and args.mode == "local":
+        from .blowcx import MAX_VERTICES
+
+        if args.n >= MAX_VERTICES:
+            return (f"--n must be at most {MAX_VERTICES - 1}: blow-up complexes are built "
+                    f"for |V| <= {MAX_VERTICES}, got {args.n}")
     return None
 
 
@@ -510,13 +529,20 @@ def run(argv) -> int:
         command = args.cmd
         inputs = {k: v for k, v in vars(args).items() if k not in ("cmd", "fn")}
         outcome = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = 2 if isinstance(exc, (MeshError, OSError)) else 1
+        # a MeshError comes only from a loaded mesh module, so none is loaded to ask
+        mesh = sys.modules.get(f"{__package__}.mesh")
+        usage = isinstance(exc, OSError) or mesh is not None and isinstance(exc, mesh.MeshError)
+        code = 2 if usage else 1
         status = f"error: {type(exc).__name__}: {exc}"
     else:
         command = f"cohomology-{args.mode}" if args.cmd == "cohomology" else args.cmd
         outcome = {"results": results}
-        code = 0 if passed else 1
-        status = "pass" if passed else "FAIL"
+        if not passed:
+            code, status = 1, "FAIL"
+        elif results.get("partial"):
+            code, status = EXIT_PARTIAL, "partial: cut short by the budget"
+        else:
+            code, status = 0, "pass"
     report = {
         "schema": SCHEMA,
         "version": __version__,

@@ -14,8 +14,7 @@ layouts byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 
 def vertex_set(ids) -> tuple[int, ...]:
@@ -180,27 +179,38 @@ class Flag:
         return (len(self.blocks), self.blocks) < (len(other.blocks), other.blocks)
 
 
-def enumerate_flags(V, k: int) -> list[Flag]:
-    """All flags on V with the given k, in canonical lexicographic order."""
+def enumerate_flags(V, k: int):
+    """All flags on V with the given k, lazily, in canonical lexicographic order.
+
+    Nothing is sorted: the first block runs over the subsets in tuple order, by
+    a depth-first walk that extends a prefix before it moves on to the next
+    element, and the blocks after it recurse on the (sorted) vertices left.  A
+    caller that indexes the flags, or walks them twice, takes ``list(...)``.
+    """
     vs = vertex_set(V)
     n = len(vs) - 1
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range for |V|={len(vs)}")
+
+    def subsets(elems: tuple[int, ...], most: int):
+        # nonempty subsets of at most `most` elements, in tuple order
+        for i, v in enumerate(elems):
+            yield (v,)
+            if most > 1:
+                for tail in subsets(elems[i + 1:], most - 1):
+                    yield (v,) + tail
 
     def ordered_partitions(elems: tuple[int, ...], parts: int):
         # a first block that leaves at least parts - 1 elements, then the rest
         if parts == 1:
             yield (elems,)
             return
-        for size in range(1, len(elems) - parts + 2):
-            for first in combinations(elems, size):
-                rest = tuple(v for v in elems if v not in first)
-                for tail in ordered_partitions(rest, parts - 1):
-                    yield (first,) + tail
+        for first in subsets(elems, len(elems) - parts + 1):
+            rest = tuple(v for v in elems if v not in first)
+            for tail in ordered_partitions(rest, parts - 1):
+                yield (first,) + tail
 
-    out = [Flag(p) for p in ordered_partitions(vs, len(vs) - k)]
-    out.sort()
-    return out
+    return (Flag(p) for p in ordered_partitions(vs, len(vs) - k))
 
 
 def standard_representative(flag: Flag) -> tuple[Flag, dict[int, int]]:
@@ -233,7 +243,6 @@ def push_forward(column: dict, sigma) -> dict:
     return {X.relabel(sigma): X.relabel_sign(sigma) * c for X, c in column.items()}
 
 
-@dataclass(frozen=True)
 class ArrivalSequence:
     """Outcome record of a repeated receive-r-then-silence experiment.
 
@@ -243,19 +252,28 @@ class ArrivalSequence:
     r:      number of particles received per round.
     """
 
-    r: int
-    rounds: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("r", "rounds")
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int, rounds: tuple[tuple[tuple[int, int], ...], ...]):
+        self.r = r
+        self.rounds = rounds
+        if r < 1:
             raise ValueError("degree r must be positive")
         seen: set[int] = set()
-        for rnd, sil in zip(self.rounds, self.silenced):
-            if sum(c for _, c in rnd) != self.r:
-                raise ValueError(f"round counts must sum to r={self.r}")
+        for rnd, sil in zip(rounds, self.silenced):
+            if sum(c for _, c in rnd) != r:
+                raise ValueError(f"round counts must sum to r={r}")
             if seen.intersection(sil):
                 raise ValueError("a source must not be hit after the round that silenced it")
             seen.update(sil)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ArrivalSequence):
+            return NotImplemented
+        return (self.r, self.rounds) == (other.r, other.rounds)
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.rounds))
 
     @property
     def silenced(self) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,6 @@ space.  The r = 1 case reproduces the blow-up Whitney 0-form basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
@@ -19,10 +18,12 @@ from .shadow import IdentityFailed, shadow_basis
 from .symexpr import Poly, RationalFn, _den_scale, face_limit
 
 
-@dataclass(frozen=True)
 class HigherBasisCandidate:
-    sequence: ArrivalSequence
-    probability: RationalFn
+    __slots__ = ("sequence", "probability")
+
+    def __init__(self, sequence: ArrivalSequence, probability: RationalFn):
+        self.sequence = sequence
+        self.probability = probability
 
     @property
     def flag(self) -> Flag:

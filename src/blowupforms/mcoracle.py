@@ -28,7 +28,6 @@ that re-run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -62,32 +61,34 @@ class ExtrapolationUnstable(ArithmeticError):
     """Two-epsilon estimates of a limiting face integral disagree."""
 
 
-@dataclass(frozen=True)
 class SimulationConfig:
     """Rates per vertex id (positive rationals), sample count, and an int or int-tuple seed."""
 
-    rates: dict[int, Fraction]
-    samples: int
-    seed: int | tuple[int, ...]
-
-    def __post_init__(self):
-        if self.samples < 1:
+    def __init__(self, rates: dict[int, Fraction], samples: int, seed: int | tuple[int, ...]):
+        if samples < 1:
             raise ValueError("samples must be >= 1")
-        if any(r <= 0 for r in self.rates.values()):
+        if any(r <= 0 for r in rates.values()):
             raise ValueError("rates must be positive")
+        self.rates = rates
+        self.samples = samples
+        self.seed = seed
 
     def rng(self) -> np.random.Generator:
         return generator(self.seed)
 
 
-@dataclass(frozen=True)
 class Estimate:
-    mean: float
-    stderr: float
-    samples: int
+    def __init__(self, mean: float, stderr: float, samples: int):
+        self.mean = mean
+        self.stderr = stderr
+        self.samples = samples
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
 class FaceEstimate(Estimate):
     """A face integral's estimate with ``bias``, the spread between the
     estimates at the two ``FACE_EPS`` before extrapolation.  It is not the
@@ -95,7 +96,9 @@ class FaceEstimate(Estimate):
     upper bound on it; on a DOF it is still far larger than the sampling
     noise that ``stderr`` measures."""
 
-    bias: float
+    def __init__(self, mean: float, stderr: float, samples: int, bias: float):
+        super().__init__(mean, stderr, samples)
+        self.bias = bias
 
 
 def _hit_estimate(hits: int, n: int) -> Estimate:

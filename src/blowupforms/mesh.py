@@ -28,7 +28,6 @@ impose stars {first: 1, other: -1}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -208,19 +207,22 @@ def load_mesh(source) -> Triangulation:
 def global_flags(tri: Triangulation, k: int) -> list[tuple[int, Flag]]:
     """Per-cell flags with global vertex ids: entry ci * f_k + j is canonical flag j
     relabelled onto cell ci, an increasing map, so each cell's flags stay in order."""
-    local = enumerate_flags(range(tri.dimension + 1), k)
+    local = list(enumerate_flags(range(tri.dimension + 1), k))  # walked once per cell
     return [(ci, F.relabel(cell)) for ci, cell in enumerate(tri.cells) for F in local]
 
 
 # -- assembly -----------------------------------------------------------------
 
-@dataclass
 class GlobalSpace:
     """Constrained global DOF space for one form degree under one rule."""
 
-    dofs: list[tuple[int, Flag]]
-    constraints: list[dict[int, int]]
-    skipped_boundary_faces: int
+    __slots__ = ("dofs", "constraints", "skipped_boundary_faces")
+
+    def __init__(self, dofs: list[tuple[int, Flag]], constraints: list[dict[int, int]],
+                 skipped_boundary_faces: int):
+        self.dofs = dofs
+        self.constraints = constraints
+        self.skipped_boundary_faces = skipped_boundary_faces
 
     @property
     def dim(self) -> int:

@@ -14,7 +14,6 @@ simplex is compared after tangential restriction to the slice l_V = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -86,11 +85,13 @@ def poisson_probability(flag: Flag) -> RationalFn:
     return p(flag.block_sizes)
 
 
-@dataclass(frozen=True)
 class ShadowBasisElement:
-    flag: Flag
-    form: RationalForm
-    probability: RationalFn
+    __slots__ = ("flag", "form", "probability")
+
+    def __init__(self, flag: Flag, form: RationalForm, probability: RationalFn):
+        self.flag = flag
+        self.form = form
+        self.probability = probability
 
 
 def flag_omega(flag: Flag) -> RationalForm:
@@ -119,7 +120,7 @@ def gram_matrix(V, k: int) -> list[tuple[Fraction, ...]]:
     once per ``standard_representative`` R and carried by ``push_forward`` to
     each column F = R.relabel(sigma).
     """
-    flags = enumerate_flags(V, k)
+    flags = list(enumerate_flags(V, k))
     nonzero, columns = {}, []  # per representative R: {H: dof_evaluate(H, psi_R)}, zeros left out
     for F in flags:
         R, sigma = standard_representative(F)

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import json
 import os
@@ -53,7 +52,7 @@ def test_dof_matrix_names_the_first_mismatch(monkeypatch, capsys):
 
     def doubled(F):
         e = real(F)
-        return dataclasses.replace(e, form=e.form * 2)
+        return shadow.ShadowBasisElement(flag=e.flag, form=e.form * 2, probability=e.probability)
 
     monkeypatch.setattr(shadow, "basis_element", doubled)
     code, report = run_json(capsys, ["dof-matrix", "--n", "1", "--assert-identity"])
@@ -124,17 +123,17 @@ def test_whitney_check(capsys):
 
 def test_whitney_check_carries_a_failure_to_its_subset_size(monkeypatch, capsys):
     # whitney-check proves W = 0,1 for every W of size 2, so its failure is theirs
-    import blowupforms.cli as cli
+    from blowupforms import shadow
     from blowupforms.shadow import IdentityFailed
 
-    real = cli.whitney_containment
+    real = shadow.whitney_containment
 
     def failing(W, V):
         if len(W) == 2:
             raise IdentityFailed(f"sum of psi over 2 flags != phi_{W}")
         return real(W, V)
 
-    monkeypatch.setattr(cli, "whitney_containment", failing)
+    monkeypatch.setattr(shadow, "whitney_containment", failing)
     code, report = run_json(capsys, ["whitney-check", "--n", "3"])
     assert code == 1
     assert report["results"]["subsets_checked"] == 15
@@ -159,7 +158,6 @@ def test_whitney_check_carries_a_failure_to_its_subset_size(monkeypatch, capsys)
 ])
 def test_exact_suites_work_once_per_orbit(monkeypatch, capsys, argv, expected):
     # a slide back to per-member work fails here, not only in the benchmark
-    import blowupforms.cli as cli
     from blowupforms import blowcx, shadow
 
     calls = collections.Counter()
@@ -170,7 +168,7 @@ def test_exact_suites_work_once_per_orbit(monkeypatch, capsys, argv, expected):
             return fn(*args)
         return counted
 
-    for module, name in [(cli, "whitney_containment"), (shadow, "basis_element"),
+    for module, name in [(shadow, "whitney_containment"), (shadow, "basis_element"),
                          (shadow, "dof_evaluate"), (blowcx, "d_decomposition")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     code, _ = run_json(capsys, argv.split())
@@ -253,7 +251,7 @@ def test_mc_verify_small(capsys):
 
 def test_mc_verify_dof_builds_each_basis_element_once(monkeypatch, capsys):
     # the --rates trials of a flag share one basis element
-    import blowupforms.cli as cli
+    from blowupforms import shadow
     from blowupforms.shadow import basis_element
 
     built = []
@@ -262,7 +260,7 @@ def test_mc_verify_dof_builds_each_basis_element_once(monkeypatch, capsys):
         built.append(flag)
         return basis_element(flag)
 
-    monkeypatch.setattr(cli, "basis_element", counted)
+    monkeypatch.setattr(shadow, "basis_element", counted)
     code, report = run_json(capsys, ["mc-verify", "--target", "dof", "--n", "1",
                                      "--samples", "2000", "--rates", "3"])
     assert code == 0 and report["results"]["cases"] == 9
@@ -278,7 +276,9 @@ def test_mc_verify_rerun_draws_from_a_fresh_stream(monkeypatch, capsys):
     def missing(flag, cfg):
         seeds.append(cfg.seed)
         est = estimate_pF(flag, cfg)
-        return est if len(seeds) % 2 == 0 else dataclasses.replace(est, mean=est.mean + 1)
+        if len(seeds) % 2 == 0:
+            return est
+        return mcoracle.Estimate(mean=est.mean + 1, stderr=est.stderr, samples=est.samples)
 
     monkeypatch.setattr(mcoracle, "estimate_pF", missing)
     _, report = run_json(capsys, ["mc-verify", "--target", "pF", "--n", "1", "--samples", "100",
@@ -364,6 +364,64 @@ print(json.dumps(loaded))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"import": False, "local": False, "global": False,
                                        "mc-verify": True}
+
+
+# a fresh interpreter that runs one call, its report sent to stderr, and prints
+# the modules loaded; with no arguments it only imports the CLI
+_MODULES_PROBE = """
+import sys
+out, sys.stdout = sys.stdout, sys.stderr
+if sys.argv[1:]:
+    from blowupforms.cli import run
+    run(sys.argv[1:])
+else:
+    import blowupforms.cli
+out.write(" ".join(sys.modules))
+"""
+# the layers no call of the exact core needs, and those only the mesh and degree-r
+# commands need
+_NOT_EXACT = {"blowupforms.mesh", "blowupforms.hiord", "blowupforms.mcoracle", "numpy"}
+_NOT_COMPLEX = _NOT_EXACT | {"blowupforms.blowcx", "blowupforms.linalg"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    proc = _fresh_python("import sys; print(*sys.modules)")  # what python -c pass loads
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def _added_modules(bare, *argv):
+    proc = _fresh_python(_MODULES_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split()) - bare
+
+
+def test_importing_the_cli_loads_no_layer(bare_modules):
+    added = _added_modules(bare_modules)
+    assert {m for m in added if m.startswith("blowupforms")} == {"blowupforms", "blowupforms.cli"}
+    assert not added & {"dataclasses", "inspect"}
+
+
+# what each call must not load, besides dataclasses
+_ABSENT = {
+    "whitney-check --n 1": _NOT_COMPLEX,
+    "dof-matrix --n 1": _NOT_COMPLEX,
+    "d-check --n 1": _NOT_EXACT,
+    "cohomology local --n 1": _NOT_EXACT,
+    "basis --n 1": _NOT_COMPLEX,
+    "higher-order --n 1 --r 1": {"blowupforms.mesh", "blowupforms.mcoracle", "numpy"},
+    "cohomology global --mesh triangle-pair": {"blowupforms.hiord", "blowupforms.mcoracle"},
+    "mc-verify --target pF --n 1 --samples 10": {"blowupforms.mesh"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_ABSENT))
+def test_each_call_loads_only_what_its_subcommand_runs(bare_modules, argv):
+    added = _added_modules(bare_modules, *argv.split())
+    assert not added & (_ABSENT[argv] | {"dataclasses"})
+    if argv.startswith("mc-verify"):
+        assert "numpy" in added  # the probe sees what a call loads
 
 
 def test_emit_samples(tmp_path, capsys):
@@ -496,12 +554,12 @@ def test_unknown_rule_is_usage_error(capsys):
 
 
 def test_internal_error_exits_1_with_report(monkeypatch, capsys):
-    import blowupforms.cli as cli
+    from blowupforms import shadow
 
     def broken(V, k):
         raise ZeroDivisionError("bug")
 
-    monkeypatch.setattr(cli, "shadow_basis", broken)
+    monkeypatch.setattr(shadow, "shadow_basis", broken)
     code, report = _error_exit(capsys, ["basis", "--n", "1"])
     assert code == 1
     assert report["error"] == {"type": "ZeroDivisionError", "message": "bug"}
@@ -509,8 +567,8 @@ def test_internal_error_exits_1_with_report(monkeypatch, capsys):
 
 @pytest.mark.parametrize("target, exc, argv", [
     ("blowcx.d_decomposition", TypeError("bug"), ["d-check", "--n", "1"]),
-    ("cli.whitney_containment", KeyError("bug"), ["whitney-check", "--n", "1"]),
-    ("cli.pr_containment", KeyError("bug"),
+    ("shadow.whitney_containment", KeyError("bug"), ["whitney-check", "--n", "1"]),
+    ("hiord.pr_containment", KeyError("bug"),
      ["higher-order", "--n", "1", "--r", "2", "--check", "containment"]),
 ], ids=["d_decomposition", "whitney_containment", "pr_containment"])
 def test_kernel_bug_is_an_internal_error_not_a_check_failure(monkeypatch, capsys, target, exc,
@@ -621,8 +679,43 @@ def test_sign_error_in_a_decomposition_fails_cohomology(monkeypatch, capsys, arg
 
 
 def test_budget_reports_partial(capsys):
-    code, report = run_json(capsys, ["d-check", "--n", "3", "--budget-seconds", "0"])
+    # a run the budget cut short is no pass, even when nothing it checked failed
+    for argv in (["d-check", "--n", "3"], ["dof-matrix", "--n", "3", "--assert-identity"],
+                 ["mc-verify", "--target", "pF", "--n", "2", "--samples", "1000"]):
+        code, report = run_json(capsys, argv + ["--budget-seconds", "0"])
+        assert code == 3, argv
+        assert report["pass"] is False
+        assert report["results"]["partial"] is True
+
+
+def test_failure_before_the_budget_cut_exits_1(monkeypatch, capsys):
+    # a fake clock that advances 1 s per flag taken, and every proof failing:
+    # the failures found before the cut decide the exit code
+    import types
+
+    import blowupforms.cli as cli
+    from blowupforms import blowcx
+    from blowupforms.shadow import DecompositionFailed
+
+    clock = [0.0]
+    real_representative = blowcx.standard_representative
+
+    def slow_representative(F):
+        clock[0] += 1.0
+        return real_representative(F)
+
+    def failed(F):
+        raise DecompositionFailed(f"coefficient 2 for {F}")
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+        monotonic=lambda: clock[0], time=cli.time.time))
+    monkeypatch.setattr(blowcx, "standard_representative", slow_representative)
+    monkeypatch.setattr(blowcx, "d_decomposition", failed)
+    code, report = run_json(capsys, ["d-check", "--n", "2", "--budget-seconds", "2.5"])
+    assert code == 1
+    assert report["pass"] is False
     assert report["results"]["partial"] is True
+    assert len(report["results"]["failures"]) == report["results"]["flags_checked"] == 3
 
 
 def test_d_check_budget_is_checked_per_flag(monkeypatch, capsys):
@@ -644,7 +737,7 @@ def test_d_check_budget_is_checked_per_flag(monkeypatch, capsys):
         monotonic=lambda: clock[0], time=cli.time.time))
     monkeypatch.setattr(blowcx, "standard_representative", slow_representative)
     code, report = run_json(capsys, ["d-check", "--n", "2", "--budget-seconds", "2.5"])
-    assert code == 0
+    assert code == 3
     assert report["results"]["flags_checked"] == 3
     assert report["results"]["partial"] is True
 
@@ -652,18 +745,18 @@ def test_d_check_budget_is_checked_per_flag(monkeypatch, capsys):
 def test_d_check_budget_enumerates_at_most_one_degree(monkeypatch, capsys):
     # the flags are enumerated degree by degree as the budget takes them, so a
     # spent budget builds no degree past the first
-    import blowupforms.cli as cli
+    from blowupforms import flagcomb
 
     calls = [0]
-    real_enumerate = cli.enumerate_flags
+    real_enumerate = flagcomb.enumerate_flags
 
     def counted(*args):
         calls[0] += 1
         return real_enumerate(*args)
 
-    monkeypatch.setattr(cli, "enumerate_flags", counted)
+    monkeypatch.setattr(flagcomb, "enumerate_flags", counted)
     code, report = run_json(capsys, ["d-check", "--n", "4", "--budget-seconds", "0"])
-    assert code == 0
+    assert code == 3
     assert report["results"] == {"flags_checked": 0, "failures": [], "partial": True}
     assert calls[0] <= 1
 
@@ -691,7 +784,7 @@ def test_dof_matrix_budget_is_checked_per_degree(monkeypatch, capsys):
     monkeypatch.setattr(shadow, "dof_evaluate", counted)
     monkeypatch.setattr(cli, "time", fake_time())
     code, report = run_json(capsys, ["dof-matrix", "--n", "2", "--budget-seconds", "1.5"])
-    assert code == 0
+    assert code == 3
     assert report["results"]["partial"] is True
     [degree] = report["results"]["matrices"]
     assert degree["k"] == 0 and degree["identity"] is True

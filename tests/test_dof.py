@@ -255,7 +255,7 @@ def test_gram_matrix_equals_the_per_pair_pairing(nv):
     # reference evaluates each (G, F) pair directly
     V = tuple(range(nv))
     for k in range(nv):
-        flags = enumerate_flags(V, k)
+        flags = list(enumerate_flags(V, k))
         psi = [basis_element(F).form for F in flags]
         reference = [tuple(dof_evaluate(G, w) for w in psi) for G in flags]
         assert gram_matrix(V, k) == reference
@@ -267,7 +267,7 @@ def test_orbit_pairing_of_psi_equals_the_per_pair_column(nv):
     # relabelling; the reference pairs psi_R with every row, zeros included
     V = tuple(range(nv))
     for k in range(nv):
-        flags = enumerate_flags(V, k)
+        flags = list(enumerate_flags(V, k))
         for R in {standard_representative(F)[0] for F in flags}:
             psi = basis_element(R).form
             column = orbit_pairing(R, psi, flags)
@@ -288,7 +288,7 @@ def test_orbit_pairing_carries_values_with_both_signs(nv):
     interleave = dict(zip(V, V[::2] + V[1::2]))
     carried = 0
     for k in range(nv):
-        flags = enumerate_flags(V, k)
+        flags = list(enumerate_flags(V, k))
         reps = {standard_representative(F)[0] for F in flags}
         for R in reps | {R.relabel(interleave) for R in reps}:
             stabiliser = [{u: v for b, p in zip(R.blocks, images) for u, v in zip(b, p)}
@@ -307,15 +307,14 @@ def test_orbit_pairing_carries_values_with_both_signs(nv):
 
 def test_gram_matrix_detects_non_identity(monkeypatch):
     # sabotaged basis (every form doubled) must trip the unisolvence check
-    import dataclasses
-
     import blowupforms.shadow as shadow_mod
 
     orig = shadow_mod.basis_element
 
     def doubled(F):
         e = orig(F)
-        return dataclasses.replace(e, form=e.form * 2)
+        return shadow_mod.ShadowBasisElement(flag=e.flag, form=e.form * 2,
+                                             probability=e.probability)
 
     monkeypatch.setattr(shadow_mod, "basis_element", doubled)
     assert first_mismatch(gram_matrix((0, 1), 0)) == (0, 0, 2)

@@ -77,7 +77,7 @@ def oracle(flag, form) -> Fraction:
 def test_oracle_gram_matrix_is_the_identity(n):
     V = tuple(range(n + 1))
     for k in range(n + 1):
-        flags = enumerate_flags(V, k)
+        flags = list(enumerate_flags(V, k))
         psi = [basis_element(F).form for F in flags]
         rows = [tuple(oracle(G, form) for form in psi) for G in flags]
         assert rows == [tuple(int(i == j) for j in range(len(flags)))

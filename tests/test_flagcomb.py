@@ -60,18 +60,18 @@ def cycle_parity_sign(perm):
 # -- flag enumeration -----------------------------------------------------------
 
 def test_single_vertex():
-    assert enumerate_flags((0,), 0) == [Flag([(0,)])]
+    assert list(enumerate_flags((0,), 0)) == [Flag([(0,)])]
 
 
 def test_six_flags_on_triangle_k1():
-    flags = enumerate_flags((0, 1, 2), 1)
+    flags = list(enumerate_flags((0, 1, 2), 1))
     assert len(flags) == 6
     expected = {"0,1|2", "0,2|1", "1,2|0", "0|1,2", "1|0,2", "2|0,1"}
     assert {str(F) for F in flags} == expected
 
 
 def test_24_vertices_of_permutahedron():
-    assert len(enumerate_flags((0, 1, 2, 3), 0)) == 24
+    assert len(list(enumerate_flags((0, 1, 2, 3), 0))) == 24
 
 
 @pytest.mark.parametrize("nv", [2, 3, 4, 5])
@@ -80,7 +80,7 @@ def test_census_matches_stirling_and_brute_force(nv):
     total = 0
     for k in range(nv):
         m = nv - k
-        count = len(enumerate_flags(V, k))
+        count = len(list(enumerate_flags(V, k)))
         assert count == stirling2(nv, m) * math.factorial(m)
         assert count == brute_force_ordered_partitions(V, m)
         total += count
@@ -88,9 +88,14 @@ def test_census_matches_stirling_and_brute_force(nv):
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
-    flags = enumerate_flags((0, 1, 2, 3), 1)
-    assert flags == sorted(flags)
-    assert len(set(flags)) == len(flags)
+    # flags come lazily, one at a time, already in canonical order: nothing is sorted
+    for nv in range(1, 7):
+        for k in range(nv):
+            flags = enumerate_flags(range(nv), k)
+            assert iter(flags) is flags
+            listed = list(flags)
+            assert listed == sorted(listed)
+            assert len(set(listed)) == len(listed)
 
 
 def test_k_out_of_range():

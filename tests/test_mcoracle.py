@@ -415,7 +415,7 @@ def test_dof_face_integration_bridge_n2():
     from blowupforms.dof import dof_evaluate
 
     cfg = SimulationConfig(rates={0: Fraction(1)}, samples=3000, seed=41)
-    flags = enumerate_flags((0, 1, 2), 1)
+    flags = list(enumerate_flags((0, 1, 2), 1))
     for F in flags:
         psi = basis_element(F).form
         for probe in flags:
