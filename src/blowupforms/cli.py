@@ -132,19 +132,19 @@ def _cmd_dof_matrix(args):
         flags = list(enumerate_flags(V, k))
         entry = {"k": k, "size": len(flags)}
         try:
-            rows = gram_matrix(V, k)
+            columns = gram_matrix(V, k)
         except ArithmeticError as exc:  # DivergentLimit, NonPolynomialResidue
             entry.update(flags=[str(F) for F in flags], identity=False, failure=str(exc))
         else:
-            bad = first_mismatch(rows)
-            entry.update(rows_computed=len(rows), flags=[str(F) for F in flags],
+            bad = first_mismatch(flags, columns)
+            entry.update(rows_computed=len(columns), flags=[str(F) for F in flags],
                          identity=bad is None)
             if bad is not None:
                 i, j, x = bad
                 entry["first_mismatch"] = {"row": str(flags[i]), "column": str(flags[j]),
                                            "value": str(x)}
             if args.matrices:
-                entry["entries"] = [[str(x) for x in row] for row in rows]
+                entry["entries"] = [[str(col.get(G, 0)) for col in columns] for G in flags]
         matrices.append(entry)
     ok = all(entry["identity"] for entry in matrices)
     results = {"matrices": matrices, "partial": budget.partial, "identity_all": ok}

@@ -5,10 +5,11 @@ block simplices Theta_F = prod_j T_{V_j}, takes the limit toward the
 corresponding blow-up face with ``symexpr.face_limit`` (every block
 infinitesimal relative to the one before it, all steps in one pass), and
 integrates exactly.  The restriction drops the radial differentials d l_{V_j}
-with ``symexpr.reduce_mod_dlv``, the one tangential reduction, which
-equality on the simplex uses too.  Orientation conventions: each block
-simplex carries the ascending-vertex orientation with the block-maximal
-coordinate eliminated, and Theta_F is oriented as the product in block order.
+with ``symexpr.reduce_mod_dlv``, as equality on the simplex does.  Modulo
+d l_B, dlambda_i = l_B dtheta_i for i in a block B; the radial factor l_B tends
+to itself and is 1 on T_B, so the limit counts its order and never multiplies
+it in.  Each block simplex carries the ascending-vertex orientation with the
+block-maximal coordinate eliminated, and Theta_F is the product in block order.
 
 The integral is one closed formula, the Dirichlet integral (Eisenberg and
 Malvern, IJNME 7, 1973).  Let eta_B be the reduced wedge of a block B with
@@ -26,7 +27,7 @@ import math
 from fractions import Fraction
 
 from .flagcomb import Flag, perm_sign
-from .symexpr import Poly, RationalFn, RationalForm, face_limit, reduce_mod_dlv
+from .symexpr import RationalFn, RationalForm, face_limit, reduce_mod_dlv
 
 
 class NonPolynomialResidue(ArithmeticError):
@@ -38,15 +39,14 @@ def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
 
     Steps: (1) keep only components tangential to Theta_F: ``reduce_mod_dlv``
     rewrites each block-maximal dlambda modulo d l_B of its block B, and a
-    singleton block's dlambda, purely radial, drops; (2) take coefficients
-    against dtheta: modulo d l_B, dlambda_i = l_B dtheta_i for i in B, so the
-    coefficient of each dlambda_W is multiplied once by prod_{i in W} l_{B(i)};
-    (3) take each coefficient's ``face_limit`` toward the face of F, skipping
-    the coefficients whose limit is zero; (4) restrict each block to its
+    singleton block's dlambda, purely radial, drops; (2) take the ``face_limit``
+    of each coefficient f_W with radial set W, skipping zero limits: against
+    dtheta the coefficient is f_W prod_{i in W} l_{B(i)}, and each l_{B(i)}
+    tends to itself, which is 1 on Theta_F; (3) restrict each block to its
     simplex (full-block subset sums drop; singleton-block variables pin to 1).
 
     The returned form reuses the lambda indices as coordinates theta_i on
-    Theta_F.  DivergentLimit propagates from step (3).
+    Theta_F.  DivergentLimit propagates from step (2).
     """
     if form.degree != flag.k:
         raise ValueError(f"form degree {form.degree} != flag k {flag.k}")
@@ -54,14 +54,10 @@ def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
     if foreign:
         raise ValueError(f"form uses variables {sorted(foreign)} outside the flag's vertex set")
     blocks = flag.blocks
-    radius = {i: Poly.subset_sum(b) for b in blocks for i in b}
     full = {frozenset(b) for b in blocks}
     out: dict[frozenset, RationalFn] = {}
     for W, f in reduce_mod_dlv(form, blocks).terms.items():
-        scale = Poly.const(1)
-        for i in W:
-            scale = scale * radius[i]
-        g = face_limit(f * scale, flag)
+        g = face_limit(f, flag, W)
         if g.is_zero():
             continue
         num = g.num
@@ -102,8 +98,11 @@ def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
     return total
 
 
-def first_mismatch(rows) -> tuple[int, int, object] | None:
-    """The first entry ``(i, j, value)`` of a DOF/basis pairing off the identity, or None."""
-    return next(((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
-                 if x != (1 if i == j else 0)), None)
+def first_mismatch(flags, columns) -> tuple[int, int, object] | None:
+    """The first entry ``(i, j, value)``, row-major, of a DOF/basis pairing off the
+    identity, or None.  Column j is ``{G: value}`` over its nonzero rows G."""
+    row = {G: i for i, G in enumerate(flags)}
+    # {F: 0, **col}: a column that leaves out its own row has 0 on the diagonal
+    return min(((row[G], j, x) for j, (F, col) in enumerate(zip(flags, columns))
+                for G, x in {F: 0, **col}.items() if x != (1 if G == F else 0)), default=None)
 

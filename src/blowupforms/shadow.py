@@ -112,13 +112,11 @@ def shadow_basis(V, k: int) -> list[ShadowBasisElement]:
     return [basis_element(F) for F in enumerate_flags(V, k)]
 
 
-def gram_matrix(V, k: int) -> list[tuple[Fraction, ...]]:
-    """The DOF/basis pairing on V in degree k: entry (G, F) is dof_evaluate(G, psi_F).
-
-    Rows and columns are all flags, in canonical order; unisolvence makes the
-    matrix the identity.  The nonzero values dof_evaluate(H, psi_R) are paired
-    once per ``standard_representative`` R and carried by ``push_forward`` to
-    each column F = R.relabel(sigma).
+def gram_matrix(V, k: int) -> list[dict[Flag, Fraction]]:
+    """The DOF/basis pairing on V in degree k: column F is {G: dof_evaluate(G, psi_F)},
+    nonzero rows only, for every flag F in canonical order; unisolvence makes it the
+    identity.  Each psi_R is paired once per ``standard_representative`` R, and
+    ``push_forward`` carries its column to each F = R.relabel(sigma).
     """
     flags = list(enumerate_flags(V, k))
     nonzero, columns = {}, []  # per representative R: {H: dof_evaluate(H, psi_R)}, zeros left out
@@ -127,7 +125,7 @@ def gram_matrix(V, k: int) -> list[tuple[Fraction, ...]]:
         if R not in nonzero:
             nonzero[R] = orbit_pairing(R, basis_element(R).form, flags)
         columns.append(push_forward(nonzero[R], sigma))
-    return [tuple(col.get(G, 0) for col in columns) for G in flags]
+    return columns
 
 
 def orbit_pairing(R: Flag, form: RationalForm, rows) -> dict[Flag, Fraction]:

@@ -409,14 +409,14 @@ class RationalFn:
         return f"({self.num!r}) / ({' '.join(dbits)})"
 
 
-def face_limit(f: RationalFn, flag: Flag) -> RationalFn:
-    """The limit of f toward the blow-up face of ``flag``, taken in one pass.
+def face_limit(f: RationalFn, flag: Flag, radial=()) -> RationalFn:
+    """lim(f P) / P toward the blow-up face of ``flag``, taken in one pass, where
+    P = prod_{i in radial} l_{B(i)} and B(i) is the block of vertex i.
 
     The face is reached by a sequential degeneration: for j = m-1 down to 1
     (m blocks), every variable in blocks j, j+1, ... is scaled by a common
     eps -> 0+, so each block becomes infinitesimal relative to the one before
-    it.  The scaled variables survive as angular coordinates.  A variable
-    outside the flag counts as block 0, so it is never scaled.
+    it.  A variable outside the flag counts as block 0, so it is never scaled.
 
     Let lo(S) be the first block that S meets.  Then l_S has order 1 in every
     step j <= lo(S), order 0 in the others, and tends to l_{S & V_lo(S)}.  The
@@ -424,11 +424,10 @@ def face_limit(f: RationalFn, flag: Flag) -> RationalFn:
     order exceeds the accumulated denominator order gives zero, and one with
     a lower order raises DivergentLimit.
 
-    Nothing is cancelled between steps, and nothing needs to be.  A common
-    factor l_T of numerator and denominator has the same order and the same
-    least-order part (the truncation of l_T) on both sides in every step, so
-    it changes neither the order difference nor the limit: both are
-    properties of the function, not of how it is written.
+    In a step, P has order |radial & scaled|: l_{B(i)} has order 1 exactly when
+    B(i) is scaled, and tends to itself.  Nothing is cancelled between steps, and
+    nothing needs to be: a common factor of numerator and denominator changes
+    neither the order difference nor the limit, both properties of the function.
     """
     blocks = flag.blocks
     if f.num.is_zero() or len(blocks) == 1:
@@ -441,7 +440,7 @@ def face_limit(f: RationalFn, flag: Flag) -> RationalFn:
         scaled |= frozenset(blocks[j])
         orders = num.epsilon_split(scaled)
         a = min(orders)
-        b = sum(e for S, e in f.den.items() if lo[S] >= j)
+        b = sum(e for S, e in f.den.items() if lo[S] >= j) - len(scaled.intersection(radial))
         if a > b:
             return RationalFn.zero()
         if a < b:

@@ -55,6 +55,11 @@ def integrate_monomial_simplex(W, exponents: dict[int, int]) -> Fraction:
     return Fraction(num, math.factorial(n + total))
 
 
+def dense_rows(flags, columns) -> list[tuple]:
+    """Sparse pairing columns ``{G: value}``, one per flag, as dense rows over ``flags``."""
+    return [tuple(col.get(G, 0) for col in columns) for G in flags]
+
+
 def is_homogeneous(f: RationalFn, d: int) -> bool:
     """True iff f(t*lambda) = t^d f(lambda) identically."""
     if f.is_zero():

@@ -72,8 +72,9 @@ def test_criterion_2_unisolvence():
     t0 = time.time()
     ok = True
     for nv in (2, 3, 4, 5):
+        V = tuple(range(nv))
         for k in range(nv):
-            ok = ok and first_mismatch(gram_matrix(tuple(range(nv)), k)) is None
+            ok = ok and first_mismatch(list(enumerate_flags(V, k)), gram_matrix(V, k)) is None
     report(2, "DOF/basis pairing is the identity for n in {1,2,3,4}", ok, t0, 60)
 
 

@@ -26,8 +26,8 @@ from blowupforms.shadow import (
     orbit_pairing,
     whitney_form,
 )
-from blowupforms.symexpr import Poly, RationalFn, RationalForm
-from form_helpers import d_lambda, integrate_monomial_simplex, relabel_form, var_fn
+from blowupforms.symexpr import Poly, RationalFn, RationalForm, face_limit, reduce_mod_dlv
+from form_helpers import d_lambda, dense_rows, integrate_monomial_simplex, relabel_form, var_fn
 
 
 # -- independent quadrature oracle -------------------------------------------------
@@ -244,8 +244,9 @@ def test_dof_evaluate_relabelling_law(nv):
 def test_gram_matrix_identity(nv):
     V = tuple(range(nv))
     for k in range(nv):
-        m = gram_matrix(V, k)
-        assert first_mismatch(m) is None
+        flags, columns = list(enumerate_flags(V, k)), gram_matrix(V, k)
+        assert first_mismatch(flags, columns) is None
+        m = dense_rows(flags, columns)
         assert all(len(row) == len(m) for row in m)
 
 
@@ -258,7 +259,7 @@ def test_gram_matrix_equals_the_per_pair_pairing(nv):
         flags = list(enumerate_flags(V, k))
         psi = [basis_element(F).form for F in flags]
         reference = [tuple(dof_evaluate(G, w) for w in psi) for G in flags]
-        assert gram_matrix(V, k) == reference
+        assert dense_rows(flags, gram_matrix(V, k)) == reference
 
 
 @pytest.mark.parametrize("nv", [4, 5])
@@ -317,7 +318,67 @@ def test_gram_matrix_detects_non_identity(monkeypatch):
                                              probability=e.probability)
 
     monkeypatch.setattr(shadow_mod, "basis_element", doubled)
-    assert first_mismatch(gram_matrix((0, 1), 0)) == (0, 0, 2)
+    assert first_mismatch(list(enumerate_flags((0, 1), 0)), gram_matrix((0, 1), 0)) == (0, 0, 2)
+
+
+def test_first_mismatch_is_row_major():
+    # mismatches at (row 1, column 0) and (row 0, column 1): the first in row-major
+    # order is (0, 1), where a column-major scan would name (1, 0)
+    F0, F1 = enumerate_flags((0, 1), 0)
+    assert first_mismatch([F0, F1], [{F0: 1, F1: 3}, {F0: 5, F1: 1}]) == (0, 1, 5)
+    assert first_mismatch([F0, F1], [{F0: 1}, {}]) == (1, 1, 0)
+    assert first_mismatch([F0, F1], [{F0: 1}, {F1: 1}]) is None
+
+
+def _multiply_then_limit(form, flag):
+    """``restrict_to_theta`` with the radial factors multiplied in: each coefficient
+    times prod_{i in W} l_{B(i)} as a polynomial, then the limit with no radial set."""
+    blocks = flag.blocks
+    full = {frozenset(b) for b in blocks}
+    out = {}
+    for W, f in reduce_mod_dlv(form, blocks).terms.items():
+        scale = Poly.const(1)
+        for i in W:
+            scale = scale * Poly.subset_sum(next(b for b in blocks if i in b))
+        g = face_limit(f * scale, flag)
+        if g.is_zero():
+            continue
+        num = g.num
+        for b in blocks:
+            if len(b) == 1:
+                num = num.substitute_one(b[0])
+        out[W] = RationalFn(num, {S: e for S, e in g.den.items() if S not in full})
+    return RationalForm(flag.k, out)
+
+
+@pytest.mark.parametrize("nv", [2, 3, 4])
+def test_radial_order_shift_equals_multiplying_the_radial_factors(nv, monkeypatch):
+    # on psi_R and lambda_v phi_W, for every flag: equal DOFs, and equal values at
+    # rational points of Theta_F, where each block's theta sum to 1.  Not term by
+    # term: the product can keep a factor l_B, which is 1 on B's simplex
+    import blowupforms.dof as dof_mod
+
+    V = tuple(range(nv))
+    pairs, kept_factor = 0, 0
+    for k in range(nv):
+        flags = list(enumerate_flags(V, k))
+        forms = [basis_element(R).form for R in {standard_representative(F)[0] for F in flags}]
+        forms += [whitney_form(W) * var_fn(v) for W in combinations(V, k + 1) for v in V]
+        for F in flags:
+            points = [{v: Fraction(w(v), sum(map(w, b))) for b in F.blocks for v in b}
+                      for w in (lambda v: v + 1, lambda v: 2 ** v + v * v)]
+            for form in forms:
+                new, old = restrict_to_theta(form, F), _multiply_then_limit(form, F)
+                for W in new.terms.keys() | old.terms.keys():
+                    for p in points:
+                        assert new.coefficient(W).evaluate(p) == old.coefficient(W).evaluate(p)
+                kept_factor += new != old
+                value = dof_evaluate(F, form)
+                with monkeypatch.context() as m:
+                    m.setattr(dof_mod, "restrict_to_theta", _multiply_then_limit)
+                    assert dof_evaluate(F, form) == value, (F, form)
+                pairs += 1
+    assert (pairs, kept_factor) == {2: (13, 2), 3: (130, 9), 4: (1651, 40)}[nv]
 
 
 def test_divergent_limit_propagates():
