@@ -5,7 +5,7 @@ block simplices Theta_F = prod_j T_{V_j}, takes the limit toward the
 corresponding blow-up face with ``symexpr.face_limit`` (every block
 infinitesimal relative to the one before it, all steps in one pass), and
 integrates exactly.  The restriction drops the radial differentials d l_{V_j}
-with ``symexpr.reduce_mod_dlv``, as equality on the simplex does.  Modulo
+with ``symexpr.reduce_mod_dlv``.  Modulo
 d l_B, dlambda_i = l_B dtheta_i for i in a block B; the radial factor l_B tends
 to itself and is 1 on T_B, so the limit counts its order and never multiplies
 it in.  Each block simplex carries the ascending-vertex orientation with the

@@ -7,8 +7,15 @@ basis forms
 
     psi_F = p_F * omega_F,   omega_F = wedge_j omega_{V_j}  (block order).
 
-All identities asserted here are exact; anything that only holds on the
-simplex is compared after tangential restriction to the slice l_V = 1.
+Every identity asserted here is an exact equality of rational forms in
+R^{n+1}.  For the forms compared, that is equality on the simplex T_V.  With
+E = sum_v lambda_v d/dlambda_v the Euler field:
+* i_E psi_F = 0, since each phi_V is (|V| - 1)! i_E dlambda_V;
+* L_E psi_F = 0, by the homogenization (coefficients of degree -k);
+* so i_E d(psi_F) = L_E psi_F - d i_E psi_F = 0, and L_E d(psi_F) = 0;
+  phi_W / l_V^{|W|} is basic and invariant likewise;
+* a basic, invariant form is the pull-back of its restriction to the slice
+  l_V = 1 along lambda -> lambda / l_V, so that restriction fixes it.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .flagcomb import (
     standard_representative,
     vertex_set,
 )
-from .symexpr import Poly, RationalFn, RationalForm, forms_equal_on_simplex
+from .symexpr import Poly, RationalFn, RationalForm
 
 
 class DecompositionFailed(ArithmeticError):
@@ -156,11 +163,10 @@ def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:
     """Write d(psi_F) as a signed sum of psi over one-merge coarsenings, in merge order.
 
     The coefficients are solved for by applying the dual degrees of freedom,
-    then the full identity is verified symbolically on the simplex; each
-    coefficient must equal the closed-form ``Flag.merge_sign``.  Top-degree
-    flags return the empty list.
+    each must equal the closed-form ``Flag.merge_sign``, and then the full
+    identity is verified as an exact equality of forms (see the module
+    docstring).  Top-degree flags return the empty list.
     """
-    V = flag.vertices
     if flag.k == flag.n:
         return []
     dpsi = basis_element(flag).form.exterior_derivative()
@@ -174,7 +180,7 @@ def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:
                 f"coefficient {c} for {Fj} in d(psi_{flag}), closed-form sign {sign}")
         out.append((sign, Fj))
         recon = recon + basis_element(Fj).form * sign
-    if not forms_equal_on_simplex(dpsi, recon, V):
+    if dpsi != recon:
         raise DecompositionFailed(f"d(psi_{flag}) != signed sum of coarsenings")
     return out
 
@@ -183,7 +189,8 @@ def whitney_containment(W, V) -> list[Flag]:
     """Flags whose psi sum reproduces the classical Whitney form phi_W on T_V.
 
     These are the flags with first block W followed by the singletons of
-    V - W in every order; the identity is verified before returning.
+    V - W in every order.  Their sum is verified to equal phi_W / l_V^{|W|}
+    exactly, which is phi_W on T_V, before returning.
     """
     W = vertex_set(W)
     V = vertex_set(V)
@@ -195,6 +202,6 @@ def whitney_containment(W, V) -> list[Flag]:
     total = RationalForm.zero(len(W) - 1)
     for F in flags:
         total = total + basis_element(F).form
-    if not forms_equal_on_simplex(total, whitney_form(W), V):
+    if total != whitney_form(W) * RationalFn.one().over_subset_sum(V, len(W)):
         raise IdentityFailed(f"sum of psi over {len(flags)} flags != phi_{W}")
     return flags

@@ -572,28 +572,6 @@ class RationalForm:
         return " + ".join(bits)
 
 
-# ---------------------------------------------------------------------------
-# equality on the simplex slice l_V = 1
-# ---------------------------------------------------------------------------
-
-def vanishes_on_slice(f: RationalFn, V) -> bool:
-    """True iff f is identically zero on the slice l_V = 1.
-
-    Splits the numerator into dilation-homogeneous components and
-    rehomogenizes with powers of l_V; the result is zero as a rational
-    function iff the restriction to the slice vanishes.
-    """
-    if f.num.is_zero():
-        return True
-    comps = f.num.epsilon_split(f.num.variables())
-    top = max(comps)
-    lv = Poly.subset_sum(V)
-    total = Poly.zero()
-    for d, p in comps.items():
-        total = total + p * lv ** (top - d)
-    return total.is_zero()
-
-
 def reduce_mod_dlv(form: RationalForm, blocks) -> RationalForm:
     """Rewrite modulo d(l_B) for each block B: dlambda_{max B} -> -sum of the others.
 
@@ -602,7 +580,7 @@ def reduce_mod_dlv(form: RationalForm, blocks) -> RationalForm:
     drops.  Moving the substituted dlambda_i from the slot of max B to its
     own slot passes the members of W strictly between i and max B.  The
     blocks are disjoint, so substituting block by block is substituting all
-    at once.
+    at once.  This is the tangential step of ``dof.restrict_to_theta``.
     """
     terms = form.terms
     for B in blocks:
@@ -624,16 +602,6 @@ def reduce_mod_dlv(form: RationalForm, blocks) -> RationalForm:
                 out[key] = contrib if s is None else s + contrib
         terms = out
     return RationalForm(form.degree, terms)
-
-
-def forms_equal_on_simplex(a: RationalForm, b: RationalForm, V) -> bool:
-    """Exact equality of two forms as forms on the simplex T_V.
-
-    Both sides are restricted to vectors tangent to the slice l_V = 1 and
-    the coefficients are compared after rehomogenization.
-    """
-    diff = reduce_mod_dlv(a - b, [V])
-    return all(vanishes_on_slice(f, V) for f in diff.terms.values())
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,14 @@ def test_whitney_check(capsys):
     assert report["results"]["subsets_checked"] == 7
 
 
+def test_whitney_check_on_6_vertices(capsys):
+    # the only 6-vertex Whitney containment in these tests: one W per subset size, relabelled
+    code, report = run_json(capsys, ["whitney-check", "--n", "5"])
+    assert code == 0
+    assert report["results"]["subsets_checked"] == 63
+    assert report["results"]["failures"] == []
+
+
 def test_whitney_check_carries_a_failure_to_its_subset_size(monkeypatch, capsys):
     # whitney-check proves W = 0,1 for every W of size 2, so its failure is theirs
     from blowupforms import shadow

@@ -172,8 +172,9 @@ _N3_REPS = sorted({standard_representative(F)[0] for k in range(4)
 
 @pytest.mark.parametrize("flag", _D_FLAGS + _N3_REPS, ids=str)
 def test_d_psi_is_the_merge_signed_sum_of_coarsenings(flag):
-    # d is taken in sympy, so neither RationalForm.exterior_derivative nor
-    # forms_equal_on_simplex is trusted; only psi's coefficients come from shadow
+    # d is taken in sympy and both sides are pulled back to the slice here, so neither
+    # RationalForm.exterior_derivative nor its equality is trusted; only psi's
+    # coefficients come from shadow
     V, n = flag.vertices, flag.n
     lam = {v: LAM[v] for v in V}
     lhs = _on_slice(_d(_at(basis_element(flag).form, lam), V), n)

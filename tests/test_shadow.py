@@ -20,11 +20,9 @@ from blowupforms.symexpr import (
     RationalFn,
     RationalForm,
     face_limit,
-    forms_equal_on_simplex,
 )
 from form_helpers import (
     contract_tautological,
-    d_lambda,
     is_homogeneous,
     relabel_fn,
     relabel_form,
@@ -207,13 +205,11 @@ def test_d_decomposition_012_structure():
 
 
 def test_d_of_affine_identity():
-    # psi_012 + psi_021 = lambda_0, so the d's agree with d(lambda_0)
+    # psi_012 + psi_021 = lambda_0 / l_012 exactly (lambda_0 on the simplex), and so do their d's
     s = basis_element(Flag.parse("0|1|2")).form + basis_element(Flag.parse("0|2|1")).form
-    assert forms_equal_on_simplex(
-        s, RationalForm.function(var_fn(0)), (0, 1, 2)
-    )
-    ds = s.exterior_derivative()
-    assert forms_equal_on_simplex(ds, d_lambda(0), (0, 1, 2))
+    lam0 = RationalForm.function(var_fn(0).over_subset_sum((0, 1, 2)))
+    assert s == lam0
+    assert s.exterior_derivative() == lam0.exterior_derivative()
 
 
 @pytest.mark.parametrize("nv", [2, 3, 4])
@@ -233,6 +229,72 @@ def test_dd_zero_symbolically(nv):
         for F in enumerate_flags(V, k):
             dd = basis_element(F).form.exterior_derivative().exterior_derivative()
             assert dd.is_zero()
+
+
+def _standard_flags(nv, all_up_to=4):
+    """Every flag on {0..nv-1}, or above ``all_up_to`` vertices only the standard
+    representatives."""
+    flags = [F for k in range(nv) for F in enumerate_flags(range(nv), k)]
+    return flags if nv <= all_up_to else sorted({standard_representative(F)[0] for F in flags})
+
+
+def _basic_and_invariant(form: RationalForm, V) -> bool:
+    """i_E form = 0 for E = sum_{v in V} lambda_v d/dlambda_v, and L_E form = 0:
+    each coefficient of a k-form is homogeneous of degree -k."""
+    return (contract_tautological(form, V).is_zero()
+            and all(is_homogeneous(f, -form.degree) for f in form.terms.values()))
+
+
+@pytest.mark.parametrize("nv", range(1, 6))
+def test_compared_forms_are_basic_and_dilation_invariant(nv):
+    """The lemma behind shadow's exact comparisons: psi_F, d(psi_F) and
+    phi_W / l_V^{|W|} are pull-backs of their restrictions to the slice l_V = 1,
+    so equal on the simplex means equal as rational forms."""
+    V = tuple(range(nv))
+    for F in _standard_flags(nv):
+        psi = basis_element(F).form
+        assert _basic_and_invariant(psi, V), F
+        assert _basic_and_invariant(psi.exterior_derivative(), V), F
+    for size in range(1, nv + 1):
+        for W in itertools.combinations(V, size):
+            form = whitney_form(W) * RationalFn.one().over_subset_sum(V, size)
+            assert _basic_and_invariant(form, V), W
+    assert not _basic_and_invariant(whitney_form(V), V)  # basic, but its coefficients have degree 1
+
+
+@pytest.mark.parametrize("nv", range(1, 6))
+def test_omega_of_every_standard_representative_is_closed(nv):
+    # fact 1 behind Flag.merge_sign: d(psi_F) = dp_F ^ omega_F
+    for R in _standard_flags(nv, all_up_to=0):
+        assert flag_omega(R).exterior_derivative().is_zero(), R
+
+
+def _d_subset_sum(S) -> RationalForm:
+    """The 1-form dl_S = sum_{v in S} dlambda_v."""
+    return RationalForm(1, {frozenset((v,)): RationalFn.one() for v in S})
+
+
+def _merge_lemma_rhs(A, B) -> RationalForm:
+    """perm_sign(A + B) (-1)^|A| m (l_A^|A| l_B^|B| / l_{A u B}^{|A|+|B|})
+    (dl_A / l_A - dl_B / l_B) ^ omega_A ^ omega_B, m = (|A|+|B|-1)! / ((|A|-1)! (|B|-1)!)."""
+    a, b = len(A), len(B)
+    m = math.factorial(a + b - 1) // (math.factorial(a - 1) * math.factorial(b - 1))
+    ratio = RationalFn(Poly.subset_sum(A) ** a * Poly.subset_sum(B) ** b)
+    ratio = ratio.over_subset_sum(A + B, a + b) * (perm_sign(A + B) * (-1) ** a * m)
+    radial = (_d_subset_sum(A) * RationalFn.one().over_subset_sum(A)
+              - _d_subset_sum(B) * RationalFn.one().over_subset_sum(B))
+    return radial.wedge(omega_form(A)).wedge(omega_form(B)) * ratio
+
+
+_SPLITS = [(A, tuple(v for v in range(nv) if v not in A))
+           for nv in range(2, 6) for size in range(1, nv)
+           for A in itertools.combinations(range(nv), size)]
+
+
+@pytest.mark.parametrize("A,B", _SPLITS, ids=lambda blocks: ",".join(map(str, blocks)))
+def test_merge_lemma(A, B):
+    # fact 2 behind Flag.merge_sign, an exact identity in R^{|A|+|B|}
+    assert omega_form(A + B) == _merge_lemma_rhs(A, B)
 
 
 # -- relabelling ---------------------------------------------------------------------

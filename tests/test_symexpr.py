@@ -13,9 +13,7 @@ from blowupforms.symexpr import (
     RationalForm,
     _probe,
     face_limit,
-    forms_equal_on_simplex,
     reduce_mod_dlv,
-    vanishes_on_slice,
 )
 from form_helpers import contract_tautological, d_lambda, is_homogeneous, substitute_one, var_fn
 
@@ -524,23 +522,6 @@ def test_is_homogeneous_examples():
     mixed = var_fn(0) + RationalFn(Poly.var(0) * Poly.var(1))
     assert not is_homogeneous(mixed, 1)
     assert not is_homogeneous(mixed, 2)
-
-
-def test_vanishes_on_slice():
-    V = (0, 1, 2)
-    f = var_fn(0) - RationalFn(Poly.var(0), {l(0, 1, 2): 1})
-    assert vanishes_on_slice(f, V)
-    assert not vanishes_on_slice(var_fn(0), V)
-
-
-def test_forms_equal_on_simplex_uses_tangential_part():
-    V = (0, 1, 2)
-    # d(l_V) restricts to zero on the simplex
-    lv = RationalFn(Poly.subset_sum(V))
-    dlv = RationalForm.function(lv).exterior_derivative()
-    assert forms_equal_on_simplex(dlv, RationalForm.zero(1), V)
-    d0 = d_lambda(0)
-    assert not forms_equal_on_simplex(d0, RationalForm.zero(1), V)
 
 
 FLAGS_UP_TO_3 = [F for n in range(4) for k in range(n + 1)
