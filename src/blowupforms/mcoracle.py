@@ -6,11 +6,15 @@ expected values.  Draws are made only for what can still count.  A flag's
 first block completes at an Erlang time, -log of a product of uniforms
 (each drawn as 1 - u, in (0, 1], so the log is never of 0), for every
 sample, and each later block only for the samples whose completion times
-are still in flag order.  The samples run in chunks of ``CHUNK``, so a run
-holds the arrays of one chunk, not of all n samples.  An arrival sequence
-draws no array at all: its rounds are chains of conditional binomials, one
-link per source, and the samples whose counts still match after a link
-with success probability q are Binomial(alive, q), one scalar draw.  The
+are still in flag order.  The samples run in chunks of ``CHUNK``, in one
+workspace of chunk arrays that the process allocates once and every flag
+race reuses, so a run holds the arrays of one chunk, not of all n samples,
+and does not fault in fresh pages for each block.  The workspace is state
+of the process, which is safe because estimates never run concurrently: the
+package starts no threads.  An arrival sequence draws no array at all: its
+rounds are chains of conditional binomials, one link per source, and the
+samples whose counts still match after a link with success probability q
+are Binomial(alive, q), one scalar draw.  The
 samples are i.i.d., so a sample's index carries no information and the
 estimate needs only the number that survive.  Never build a samples x
 columns matrix and reduce it along axis 1: on 100 000 rows of 2-3 columns
@@ -29,6 +33,7 @@ that re-run.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import comb
 
@@ -43,7 +48,9 @@ RNG_ALGORITHM = "numpy.random.SFC64"
 # within which their estimates must agree (beyond sampling noise)
 FACE_EPS = (1e-3, 1e-4)
 FACE_RTOL = 1e-2
-# samples per chunk of a flag race: the most any run holds in memory at once
+# samples per chunk of a flag race: the most any run holds in memory at once.
+# It fixes which uniforms go to which block, so changing it changes every
+# estimate of more than one chunk
 CHUNK = 1 << 16
 
 
@@ -107,6 +114,14 @@ def _hit_estimate(hits: int, n: int) -> Estimate:
     return Estimate(mean=mean, stderr=float(np.sqrt(mean * (1.0 - mean) / n)), samples=n)
 
 
+@cache
+def _chunk_workspace() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of one chunk that every flag race of the process reuses: the
+    surviving samples' times, a block's times, a block's extra uniform
+    factors, and the in-order mask (about 1.6 MB)."""
+    return np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK, dtype=bool)
+
+
 def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
     """Estimate the probability that blocks complete in flag order.
 
@@ -121,10 +136,15 @@ def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
     nothing.
 
     The samples run in chunks of ``CHUNK`` and the hits are summed across
-    chunks, so the memory held is that of one chunk, not of n samples: at
-    most two float arrays and a mask of a chunk are live at once, except
-    while a later block of two or more vertices multiplies its uniforms,
-    when the next factor is briefly a third float array.
+    chunks.  Every draw and every ufunc writes into slices of one workspace,
+    ``_chunk_workspace()``, allocated once per process and reused by every
+    chunk of every estimate; fresh arrays of a chunk would come from mmap or
+    from a heap top that malloc trims back, and fault in zeroed pages on
+    every block.  So an estimate allocates no float array of samples: its one
+    transient array is the index of the survivors that each middle block's
+    compaction builds, at most a chunk of intp.  The workspace is state of
+    the process; estimates never run concurrently, as the package starts no
+    threads.
     """
     n = cfg.samples
     if len(flag.blocks) == 1:
@@ -132,28 +152,29 @@ def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
     rng = cfg.rng()
     first, *middle, last = [(len(block), float(sum(cfg.rates[v] for v in block)))
                             for block in flag.blocks]
+    prev_buf, times_buf, factor_buf, mask_buf = _chunk_workspace()
 
-    def completion_times(block, size: int) -> np.ndarray:
+    def completion_times(block, out: np.ndarray) -> np.ndarray:
         vertices, rate = block
-        t = rng.random(size)
-        np.subtract(1.0, t, out=t)
+        rng.random(out=out)
+        np.subtract(1.0, out, out=out)
+        factor = factor_buf[:out.size]
         for _ in range(vertices - 1):
-            u = rng.random(size)
-            t *= np.subtract(1.0, u, out=u)
-        np.log(t, out=t)
-        t /= -rate
-        return t
+            rng.random(out=factor)
+            np.multiply(out, np.subtract(1.0, factor, out=factor), out=out)
+        np.log(out, out=out)
+        np.divide(out, -rate, out=out)
+        return out
 
     def chunk_hits(size: int) -> int:
-        prev = completion_times(first, size)
+        prev = completion_times(first, prev_buf[:size])
         for block in middle:
-            t = completion_times(block, prev.size)
-            in_order = prev <= t
-            # release the old times before compacting, so that at most two
-            # time arrays and one mask are live at once
-            del prev
-            prev = np.extract(in_order, t)
-        return int(np.count_nonzero(prev <= completion_times(last, prev.size)))
+            t = completion_times(block, times_buf[:prev.size])
+            kept = np.flatnonzero(np.less_equal(prev, t, out=mask_buf[:prev.size]))
+            # mode="clip" writes straight into ``out``; "raise" takes a copy first
+            prev = np.take(t, kept, out=prev_buf[:kept.size], mode="clip")
+        t = completion_times(last, times_buf[:prev.size])
+        return int(np.count_nonzero(np.less_equal(prev, t, out=mask_buf[:prev.size])))
 
     hits = sum(chunk_hits(min(CHUNK, n - start)) for start in range(0, n, CHUNK))
     return _hit_estimate(hits, n)

@@ -465,9 +465,10 @@ class RationalForm:
 
     Terms are keyed by sorted index subsets W, representing the ascending
     wedge of the dlambda_w; the coefficient sign absorbs any reordering.
+    The terms are never changed after construction.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "terms", "_variables")
 
     def __init__(self, degree: int, terms=None):
         self.degree = degree
@@ -479,6 +480,7 @@ class RationalForm:
             if not f.is_zero():
                 t[W] = f
         self.terms = t
+        self._variables = None
 
     @staticmethod
     def zero(degree: int = 0) -> "RationalForm":
@@ -554,10 +556,13 @@ class RationalForm:
         return RationalForm(self.degree + 1, out)
 
     def variables(self) -> frozenset[int]:
-        out = frozenset()
-        for W, f in self.terms.items():
-            out |= W | f.variables()
-        return out
+        """Every index in a dlambda or a coefficient, found on the first call."""
+        if self._variables is None:
+            out = frozenset()
+            for W, f in self.terms.items():
+                out |= W | f.variables()
+            self._variables = out
+        return self._variables
 
     def coefficient(self, W) -> RationalFn:
         return self.terms.get(frozenset(W), RationalFn.zero())

@@ -395,3 +395,17 @@ def test_divergent_limit_propagates():
 def test_foreign_variables_rejected():
     with pytest.raises(ValueError):
         restrict_to_theta(RationalForm.function(var_fn(7)), Flag.parse("0|1"))
+
+
+@pytest.mark.parametrize("form, home, away", [
+    (RationalForm.function(var_fn(2)), "0|1|2", "0|1"),
+    (d_lambda(2), "0|1,2", "0,1"),
+])
+def test_foreign_variables_rejected_on_every_call(form, home, away):
+    # a form finds its variables once, in a coefficient or a dlambda, but
+    # every call checks them against its own flag
+    dof_evaluate(Flag.parse(home), form)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"variables \[2\] outside"):
+            dof_evaluate(Flag.parse(away), form)
+    dof_evaluate(Flag.parse(home), form)

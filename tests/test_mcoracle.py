@@ -15,6 +15,7 @@ from blowupforms.mcoracle import (
     Estimate,
     ExtrapolationUnstable,
     SimulationConfig,
+    _chunk_workspace,
     check_concordance,
     concordant,
     estimate_face_integral,
@@ -209,6 +210,58 @@ def test_pF_matches_matrix_form(seed, samples):
             (F, cfg)
 
 
+def allocating_estimate_pF(flag, cfg):
+    """estimate_pF with fresh arrays for every block of every chunk: the same
+    draws in the same order and the same float operations, so the same
+    estimate bit for bit; only the allocations differ."""
+    n = cfg.samples
+    if len(flag.blocks) == 1:
+        return Estimate(mean=1.0, stderr=0.0, samples=n)
+    rng = cfg.rng()
+    first, *middle, last = [(len(block), float(sum(cfg.rates[v] for v in block)))
+                            for block in flag.blocks]
+
+    def completion_times(block, size):
+        vertices, rate = block
+        t = rng.random(size)
+        np.subtract(1.0, t, out=t)
+        for _ in range(vertices - 1):
+            u = rng.random(size)
+            t *= np.subtract(1.0, u, out=u)
+        np.log(t, out=t)
+        t /= -rate
+        return t
+
+    def chunk_hits(size):
+        prev = completion_times(first, size)
+        for block in middle:
+            t = completion_times(block, prev.size)
+            prev = np.extract(prev <= t, t)
+        return int(np.count_nonzero(prev <= completion_times(last, prev.size)))
+
+    mean = sum(chunk_hits(min(CHUNK, n - start)) for start in range(0, n, CHUNK)) / n
+    return Estimate(mean=mean, stderr=float(np.sqrt(mean * (1.0 - mean) / n)), samples=n)
+
+
+@pytest.mark.parametrize("seed", [7, 20240801])
+@pytest.mark.parametrize("samples", [CHUNK + 7, 2 * CHUNK + 7])
+def test_pF_equals_the_allocating_kernel(seed, samples):
+    # the reused chunk workspace changes no draw and no float operation: every
+    # flag on 2-4 vertices, across chunk boundaries, estimates exactly as with
+    # fresh arrays; consecutive flags have different block shapes, and the
+    # second pass, in reverse order, must repeat the first, so a tail left in
+    # the workspace by a larger block or chunk would show
+    rng = generator(seed)
+    cases = [(F, SimulationConfig(rates=random_rates(rng, F.vertices), samples=samples,
+                                  seed=(seed, i)))
+             for i, F in enumerate(ALL_FLAGS)]
+    first = [estimate_pF(F, cfg) for F, cfg in cases]
+    for (F, cfg), est in zip(cases, first):
+        assert vars(est) == vars(allocating_estimate_pF(F, cfg)), (F, cfg.rates)
+    for (F, cfg), est in reversed(list(zip(cases, first))):
+        assert vars(estimate_pF(F, cfg)) == vars(est), (F, cfg.rates)
+
+
 class RecordingBinomials:
     """A generator whose scalar binomial draws keep every trial, recording each
     draw's (trials, q) so the law of the thinning chain can be checked."""
@@ -310,7 +363,6 @@ HIGHER_222_000_111 = ArrivalSequence(r=3, rounds=(((2, 3),), ((0, 3), (1, 0)), (
 
 
 @pytest.mark.parametrize("estimate, obj", [
-    (estimate_pF, Flag.parse("0|1|2")),
     (estimate_higher, HIGHER_222_000_111),
 ])
 def test_estimate_peak_memory(estimate, obj):
@@ -319,19 +371,30 @@ def test_estimate_peak_memory(estimate, obj):
     assert peak <= 2.5, peak
 
 
-def test_pF_peak_memory_while_summing_gaps():
-    # the middle block multiplies two uniforms, so the second is briefly a third
-    # float array beside the first block's times and the running product
-    peak = peak_floats_per_sample(estimate_pF, Flag.parse("0|1,2|3"), EQUAL4)
-    assert peak <= 3.25, peak
+def test_pF_workspace_is_one_chunk():
+    # every flag race of the process draws into the same three float arrays
+    # and one mask of a chunk
+    estimate_pF(Flag.parse("0|1"), SimulationConfig(rates=EQUAL3, samples=1, seed=0))
+    workspace = _chunk_workspace()
+    assert workspace is _chunk_workspace()
+    assert [(a.dtype, a.shape) for a in workspace] == \
+        [(np.float64, (CHUNK,))] * 3 + [(np.bool_, (CHUNK,))]
 
 
-def test_pF_memory_is_one_chunk():
-    # the samples run in chunks, so ten chunks hold no more than one
-    F = Flag.parse("0|1,2|3")
-    one = traced_peak(estimate_pF, F, EQUAL4, CHUNK)
-    ten = traced_peak(estimate_pF, F, EQUAL4, 10 * CHUNK)
-    assert ten <= 1.1 * one, (one, ten)
+@pytest.mark.parametrize("flag, rates, bound", [
+    ("0|1,2", EQUAL3, 64 * 1024),
+    ("0|1|2", EQUAL3, 64 * 1024 + 8 * CHUNK),
+    ("0|1,2|3", EQUAL4, 64 * 1024 + 8 * CHUNK),
+])
+def test_pF_allocates_no_float_array_of_samples(flag, rates, bound):
+    # once the workspace exists, 200 000 samples allocate no float array: a
+    # flag of two blocks allocates under 64 KiB, and a middle block's
+    # compaction adds only the survivors' index, at most a chunk of intp;
+    # the same estimate with fresh arrays breaks each bound
+    F = Flag.parse(flag)
+    peak = traced_peak(estimate_pF, F, rates, 200_000)
+    assert peak < bound, peak
+    assert traced_peak(allocating_estimate_pF, F, rates, 200_000) > bound
 
 
 def test_higher_allocates_no_sample_array():
@@ -341,14 +404,16 @@ def test_higher_allocates_no_sample_array():
 
 
 class ZeroUniforms:
-    """A generator whose uniforms are all 0.0, recording each draw's size."""
+    """A generator whose uniforms are all 0.0, drawn into ``out`` as the
+    workspace kernel draws them, recording each draw's size."""
 
     def __init__(self):
         self.sizes = []
 
-    def random(self, size):
-        self.sizes.append(size)
-        return np.zeros(size)
+    def random(self, size=None, out=None):
+        self.sizes.append(out.size)
+        out.fill(0.0)
+        return out
 
 
 def zero_uniform_estimate(flag, rates, samples):
