@@ -2,25 +2,20 @@
 
 Simulates the Poisson ensembles directly in 64-bit floats, firewalled from
 the exact core: exact rationals cross the boundary only as float rates and
-expected values.  Draws are made only for what can still count.  A flag's
-first block completes at an Erlang time, -log of a product of uniforms
-(each drawn as 1 - u, in (0, 1], so the log is never of 0), for every
-sample, and each later block only for the samples whose completion times
-are still in flag order.  The samples run in chunks of ``CHUNK``, in one
-workspace of chunk arrays that the process allocates once and every flag
-race reuses, so a run holds the arrays of one chunk, not of all n samples,
-and does not fault in fresh pages for each block.  The workspace is state
-of the process, which is safe because estimates never run concurrently: the
-package starts no threads.  An arrival sequence draws no array at all: its
-rounds are chains of conditional binomials, one link per source, and the
-samples whose counts still match after a link with success probability q
-are Binomial(alive, q), one scalar draw.  The
-samples are i.i.d., so a sample's index carries no information and the
-estimate needs only the number that survive.  Never build a samples x
-columns matrix and reduce it along axis 1: on 100 000 rows of 2-3 columns
-``np.all(..., axis=1)`` costs about ten times a chain of 1-D tests.  This
-is the one module of the package that imports numpy, and ``generator`` the
-one place that builds its SFC64 generator.
+expected values.  The samples are i.i.d., so a sample's index carries no
+information and a probability's estimate needs only the number of samples
+that hit.  Both races are therefore run on populations, never on arrays of
+samples.  A flag's blocks finish in flag order or not according to the
+block labels of the merged arrivals alone: the labels are i.i.d. with odds
+l_{V_j} over the running blocks' rates and independent of the arrival times
+(competing exponentials), so the race runs on its embedded jump chain, and
+each occupied state splits its samples by one scalar multinomial draw.  An
+arrival sequence's rounds are chains of conditional binomials, one link per
+source, and the samples whose counts still match after a link with success
+probability q are Binomial(alive, q), one scalar draw.  Either way the hits
+are Binomial(n, p), the law of the per-sample race, and the draws do not
+grow with n.  This is the one module of the package that imports numpy,
+and ``generator`` the one place that builds its SFC64 generator.
 The CLI seeds each case with (seed, trial, *label bytes), so every estimate
 is reproducible from (seed, samples) and the case label, in any process.
 
@@ -33,7 +28,6 @@ that re-run.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import permutations
 from math import comb
 
@@ -48,10 +42,6 @@ RNG_ALGORITHM = "numpy.random.SFC64"
 # within which their estimates must agree (beyond sampling noise)
 FACE_EPS = (1e-3, 1e-4)
 FACE_RTOL = 1e-2
-# samples per chunk of a flag race: the most any run holds in memory at once.
-# It fixes which uniforms go to which block, so changing it changes every
-# estimate of more than one chunk
-CHUNK = 1 << 16
 
 
 def generator(seed) -> np.random.Generator:
@@ -114,69 +104,56 @@ def _hit_estimate(hits: int, n: int) -> Estimate:
     return Estimate(mean=mean, stderr=float(np.sqrt(mean * (1.0 - mean) / n)), samples=n)
 
 
-@cache
-def _chunk_workspace() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays of one chunk that every flag race of the process reuses: the
-    surviving samples' times, a block's times, a block's extra uniform
-    factors, and the in-order mask (about 1.6 MB)."""
-    return np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK, dtype=bool)
-
-
 def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
     """Estimate the probability that blocks complete in flag order.
 
-    Block j completes at the |V_j|-th arrival of its merged process of rate
-    l_{V_j}: an Erlang time, which is -log of a product of |V_j| uniforms
-    over l_{V_j} (Devroye 1986, IX.3).  Each uniform is drawn as 1 - u with
-    u in [0, 1), so the product lies in (0, 1] and its log is finite.  The
-    first block is drawn for every sample, each later block only for the
-    samples whose times are still in order, and the hits are the samples in
-    order after the last block, counted without compacting.  Ties count as
-    satisfied.  A single block is in order with probability 1 and draws
-    nothing.
-
-    The samples run in chunks of ``CHUNK`` and the hits are summed across
-    chunks.  Every draw and every ufunc writes into slices of one workspace,
-    ``_chunk_workspace()``, allocated once per process and reused by every
-    chunk of every estimate; fresh arrays of a chunk would come from mmap or
-    from a heap top that malloc trims back, and fault in zeroed pages on
-    every block.  So an estimate allocates no float array of samples: its one
-    transient array is the index of the survivors that each middle block's
-    compaction builds, at most a chunk of intp.  The workspace is state of
-    the process; estimates never run concurrently, as the package starts no
-    threads.
+    Block j is a Poisson process of rate l_{V_j}, the sum of its vertices'
+    rates, and completes at its |V_j|-th arrival.  Merged, the blocks'
+    arrivals carry labels that are i.i.d., label j with probability l_{V_j}
+    over the sum of the running blocks' rates, and independent of the
+    arrival times (competing exponentials); a completed block drops out, by
+    memorylessness.  So the completion order is a function of the label
+    sequence alone (ties have probability 0), and the race runs on its
+    embedded jump chain.  A state is (i, counts): block i must complete
+    next, and ``counts`` holds the arrivals so far of blocks i, i + 1, ....
+    Each step, the ``alive`` samples in each occupied state split over the
+    next label by one scalar Multinomial(alive, l_{V_j} / sum_{j' >= i}
+    l_{V_j'}) draw.  The samples whose arrival fills a later block first are
+    out of order and drop.  Those that fill block i move on to block i + 1,
+    or hit if i is the second to last block, since the last one then
+    completes last.  The samples in a state step independently, so the
+    split is the per-sample chains grouped by state, and the hits are
+    Binomial(n, p_F), the law of the per-sample race, drawn in one
+    multinomial per state whatever n is.  A single block is in order with
+    probability 1 and draws nothing.
     """
     n = cfg.samples
     if len(flag.blocks) == 1:
         return _hit_estimate(n, n)
     rng = cfg.rng()
-    first, *middle, last = [(len(block), float(sum(cfg.rates[v] for v in block)))
-                            for block in flag.blocks]
-    prev_buf, times_buf, factor_buf, mask_buf = _chunk_workspace()
-
-    def completion_times(block, out: np.ndarray) -> np.ndarray:
-        vertices, rate = block
-        rng.random(out=out)
-        np.subtract(1.0, out, out=out)
-        factor = factor_buf[:out.size]
-        for _ in range(vertices - 1):
-            rng.random(out=factor)
-            np.multiply(out, np.subtract(1.0, factor, out=factor), out=out)
-        np.log(out, out=out)
-        np.divide(out, -rate, out=out)
-        return out
-
-    def chunk_hits(size: int) -> int:
-        prev = completion_times(first, prev_buf[:size])
-        for block in middle:
-            t = completion_times(block, times_buf[:prev.size])
-            kept = np.flatnonzero(np.less_equal(prev, t, out=mask_buf[:prev.size]))
-            # mode="clip" writes straight into ``out``; "raise" takes a copy first
-            prev = np.take(t, kept, out=prev_buf[:kept.size], mode="clip")
-        t = completion_times(last, times_buf[:prev.size])
-        return int(np.count_nonzero(np.less_equal(prev, t, out=mask_buf[:prev.size])))
-
-    hits = sum(chunk_hits(min(CHUNK, n - start)) for start in range(0, n, CHUNK))
+    sizes = [len(block) for block in flag.blocks]
+    rates = np.array([float(sum(cfg.rates[v] for v in block)) for block in flag.blocks])
+    odds = [rates[i:] / rates[i:].sum() for i in range(len(sizes) - 1)]
+    hits = 0
+    # the occupied states after the same number of arrivals, with their samples
+    level = {(0, (0,) * len(sizes)): n}
+    while level:
+        after = {}
+        for (i, counts), alive in level.items():
+            for j, moved in enumerate(rng.multinomial(alive, odds[i]).tolist()):
+                if not moved:
+                    continue
+                if counts[j] + 1 < sizes[i + j]:
+                    state = (i, counts[:j] + (counts[j] + 1,) + counts[j + 1:])
+                elif j:  # a later block completes first: out of order
+                    continue
+                elif i + 2 == len(sizes):
+                    hits += moved
+                    continue
+                else:
+                    state = (i + 1, counts[1:])
+                after[state] = after.get(state, 0) + moved
+        level = after
     return _hit_estimate(hits, n)
 
 

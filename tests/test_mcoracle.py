@@ -1,9 +1,9 @@
 import tracemalloc
-import warnings
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import factorial, prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,11 +11,9 @@ import pytest
 from blowupforms.flagcomb import ArrivalSequence, Flag, enumerate_flags
 from blowupforms.hiord import enumerate_experiments
 from blowupforms.mcoracle import (
-    CHUNK,
     Estimate,
     ExtrapolationUnstable,
     SimulationConfig,
-    _chunk_workspace,
     check_concordance,
     concordant,
     estimate_face_integral,
@@ -126,7 +124,7 @@ def test_impossible_sequence_estimates_zero():
     assert est.mean == 0.0
 
 
-# -- the survivor-only estimators against their (samples x columns) matrix form ----
+# -- the population estimators against their per-sample (samples x columns) form --
 
 def matrix_indicator(hits):
     n = hits.shape[0]
@@ -136,7 +134,7 @@ def matrix_indicator(hits):
 
 def uniform_product_times(rng, size, n):
     """A block of ``size`` vertices completes at -log of a product of ``size``
-    uniforms, each drawn as 1 - u and multiplied in estimate_pF's order."""
+    uniforms (an Erlang time), each drawn as 1 - u so the log is finite."""
     t = 1.0 - rng.random(n)
     for _ in range(size - 1):
         t *= 1.0 - rng.random(n)
@@ -193,75 +191,6 @@ ALL_SEQUENCES = [(c.sequence, c.flag.vertices) for nv in (2, 3) for r in (1, 2, 
                  for c in enumerate_experiments(tuple(range(nv)), r)]
 
 
-@pytest.mark.parametrize("seed", [7, 20240801])
-@pytest.mark.parametrize("samples", [1, 500])
-def test_pF_matches_matrix_form(seed, samples):
-    # with at most two blocks and fewer samples than a chunk, every block is
-    # drawn for every sample, as in the matrix form with the same uniforms:
-    # same draws, same booleans, so the estimates agree exactly (a single
-    # block draws nothing and estimates 1)
-    rng = generator(seed)
-    flags = [F for F in ALL_FLAGS if len(F.blocks) <= 2]
-    assert len(ALL_FLAGS) == 91 and {len(F.blocks) for F in flags} == {1, 2}
-    for i, F in enumerate(flags):
-        cfg = SimulationConfig(rates=random_rates(rng, F.vertices), samples=samples,
-                               seed=(seed, i))
-        assert estimate_pF(F, cfg) == matrix_estimate_pF(F, cfg, uniform_product_times), \
-            (F, cfg)
-
-
-def allocating_estimate_pF(flag, cfg):
-    """estimate_pF with fresh arrays for every block of every chunk: the same
-    draws in the same order and the same float operations, so the same
-    estimate bit for bit; only the allocations differ."""
-    n = cfg.samples
-    if len(flag.blocks) == 1:
-        return Estimate(mean=1.0, stderr=0.0, samples=n)
-    rng = cfg.rng()
-    first, *middle, last = [(len(block), float(sum(cfg.rates[v] for v in block)))
-                            for block in flag.blocks]
-
-    def completion_times(block, size):
-        vertices, rate = block
-        t = rng.random(size)
-        np.subtract(1.0, t, out=t)
-        for _ in range(vertices - 1):
-            u = rng.random(size)
-            t *= np.subtract(1.0, u, out=u)
-        np.log(t, out=t)
-        t /= -rate
-        return t
-
-    def chunk_hits(size):
-        prev = completion_times(first, size)
-        for block in middle:
-            t = completion_times(block, prev.size)
-            prev = np.extract(prev <= t, t)
-        return int(np.count_nonzero(prev <= completion_times(last, prev.size)))
-
-    mean = sum(chunk_hits(min(CHUNK, n - start)) for start in range(0, n, CHUNK)) / n
-    return Estimate(mean=mean, stderr=float(np.sqrt(mean * (1.0 - mean) / n)), samples=n)
-
-
-@pytest.mark.parametrize("seed", [7, 20240801])
-@pytest.mark.parametrize("samples", [CHUNK + 7, 2 * CHUNK + 7])
-def test_pF_equals_the_allocating_kernel(seed, samples):
-    # the reused chunk workspace changes no draw and no float operation: every
-    # flag on 2-4 vertices, across chunk boundaries, estimates exactly as with
-    # fresh arrays; consecutive flags have different block shapes, and the
-    # second pass, in reverse order, must repeat the first, so a tail left in
-    # the workspace by a larger block or chunk would show
-    rng = generator(seed)
-    cases = [(F, SimulationConfig(rates=random_rates(rng, F.vertices), samples=samples,
-                                  seed=(seed, i)))
-             for i, F in enumerate(ALL_FLAGS)]
-    first = [estimate_pF(F, cfg) for F, cfg in cases]
-    for (F, cfg), est in zip(cases, first):
-        assert vars(est) == vars(allocating_estimate_pF(F, cfg)), (F, cfg.rates)
-    for (F, cfg), est in reversed(list(zip(cases, first))):
-        assert vars(estimate_pF(F, cfg)) == vars(est), (F, cfg.rates)
-
-
 class RecordingBinomials:
     """A generator whose scalar binomial draws keep every trial, recording each
     draw's (trials, q) so the law of the thinning chain can be checked."""
@@ -314,6 +243,86 @@ def test_higher_chain_is_the_multinomial(seed):
     assert fake.calls == [(10, pytest.approx(1 / 9, rel=1e-12))]
 
 
+class ExpectedSplits:
+    """A generator whose multinomial draws split ``alive`` samples by their
+    expectation alive * p, as floats, recording each draw's (alive, p): the
+    chain's hits / n is then the exact probability of a hit."""
+
+    def __init__(self):
+        self.calls = []
+
+    def multinomial(self, alive, p):
+        self.calls.append((alive, p))
+        return alive * np.asarray(p)
+
+
+def expected_split_estimate(flag, rates, samples):
+    fake = ExpectedSplits()
+    cfg = SimulationConfig(rates=rates, samples=samples, seed=0)
+    object.__setattr__(cfg, "rng", lambda: fake)
+    return estimate_pF(flag, cfg), fake.calls
+
+
+FLAGS_2_TO_5 = [F for nv in (2, 3, 4, 5) for k in range(nv)
+                for F in enumerate_flags(tuple(range(nv)), k)]
+
+
+@pytest.mark.parametrize("seed", [7, 20240801, 3])
+def test_pF_chain_is_the_flag_probability(seed):
+    # split by their expectations, the jump chain's samples hit in the exact
+    # proportion p_F: in flag order, a block of l_{V_j} fills at its |V_j|-th
+    # label, and a later block that fills first drops its samples
+    rng = generator(seed)
+    assert len(FLAGS_2_TO_5) == 632
+    for F in FLAGS_2_TO_5:
+        rates = random_rates(rng, F.vertices)
+        est, calls = expected_split_estimate(F, rates, 10)
+        exact = float(poisson_probability(F).evaluate(rates))
+        assert est.mean == pytest.approx(exact, rel=1e-12, abs=0), (F, rates)
+        # one draw per state (i, counts): counts below |V_j| for every j >= i
+        sizes = [len(block) for block in F.blocks]
+        assert est.samples == 10
+        assert len(calls) == sum(prod(sizes[i:]) for i in range(len(sizes) - 1)), F
+
+
+def test_pF_draws_do_not_grow_with_samples():
+    # one scalar draw per occupied state and arrival: the same draws for ten
+    # samples as for a billion, and a real generator draws no more
+    F = Flag.parse("0,1|2|3,4")
+    rates = {v: Fraction(v + 1, 3) for v in range(5)}
+    _, few = expected_split_estimate(F, rates, 10)
+    _, many = expected_split_estimate(F, rates, 10 ** 9)
+    assert len(few) == len(many) == 4 + 2
+    rng = generator(5)
+    draws = []
+
+    def multinomial(alive, p):
+        draws.append(alive)
+        return rng.multinomial(alive, p)
+
+    cfg = SimulationConfig(rates=rates, samples=10 ** 9, seed=0)
+    object.__setattr__(cfg, "rng", lambda: SimpleNamespace(multinomial=multinomial))
+    est = estimate_pF(F, cfg)
+    assert draws[0] == 10 ** 9 and len(draws) <= len(many)
+    exact = float(poisson_probability(F).evaluate(rates))
+    assert abs(est.mean - exact) <= 4 * est.stderr
+
+
+def test_pF_matches_the_erlang_race_in_law():
+    # five vertices in up to five blocks: the chain, with real multinomial
+    # draws, against every block drawn as an Erlang time for every sample
+    rng = generator(17)
+    samples = 100_000
+    for i, flag in enumerate(["0|1|2|3|4", "0,1|2|3,4", "0|1,2,3|4", "0,1,2|3,4"]):
+        F = Flag.parse(flag)
+        rates = random_rates(rng, F.vertices)
+        a = estimate_pF(F, SimulationConfig(rates=rates, samples=samples, seed=(17, i)))
+        b = matrix_estimate_pF(F, SimulationConfig(rates=rates, samples=samples,
+                                                   seed=(17, i, 1)), uniform_product_times)
+        assert a.samples == b.samples == samples
+        assert abs(a.mean - b.mean) <= 4 * (a.stderr ** 2 + b.stderr ** 2) ** 0.5, (F, rates)
+
+
 @pytest.mark.parametrize("seed", [7, 20240801])
 def test_estimators_match_matrix_forms_in_law(seed):
     # different draws, the same law: each survivor-only estimate lies within
@@ -353,10 +362,8 @@ def traced_peak(estimate, obj, rates, samples):
 
 
 def peak_floats_per_sample(estimate, obj, rates, samples=200_000):
-    """The peak traced memory of ``estimate`` in float64 arrays of the samples
-    of one chunk: the samples run a chunk at a time, so a chunk's arrays, not
-    the whole run's, are what a bound on live arrays counts."""
-    return traced_peak(estimate, obj, rates, samples) / (8 * min(samples, CHUNK))
+    """The peak traced memory of ``estimate`` in float64 arrays of its samples."""
+    return traced_peak(estimate, obj, rates, samples) / (8 * samples)
 
 
 HIGHER_222_000_111 = ArrivalSequence(r=3, rounds=(((2, 3),), ((0, 3), (1, 0)), ((1, 3),)))
@@ -371,81 +378,16 @@ def test_estimate_peak_memory(estimate, obj):
     assert peak <= 2.5, peak
 
 
-def test_pF_workspace_is_one_chunk():
-    # every flag race of the process draws into the same three float arrays
-    # and one mask of a chunk
-    estimate_pF(Flag.parse("0|1"), SimulationConfig(rates=EQUAL3, samples=1, seed=0))
-    workspace = _chunk_workspace()
-    assert workspace is _chunk_workspace()
-    assert [(a.dtype, a.shape) for a in workspace] == \
-        [(np.float64, (CHUNK,))] * 3 + [(np.bool_, (CHUNK,))]
-
-
-@pytest.mark.parametrize("flag, rates, bound", [
-    ("0|1,2", EQUAL3, 64 * 1024),
-    ("0|1|2", EQUAL3, 64 * 1024 + 8 * CHUNK),
-    ("0|1,2|3", EQUAL4, 64 * 1024 + 8 * CHUNK),
-])
-def test_pF_allocates_no_float_array_of_samples(flag, rates, bound):
-    # once the workspace exists, 200 000 samples allocate no float array: a
-    # flag of two blocks allocates under 64 KiB, and a middle block's
-    # compaction adds only the survivors' index, at most a chunk of intp;
-    # the same estimate with fresh arrays breaks each bound
-    F = Flag.parse(flag)
-    peak = traced_peak(estimate_pF, F, rates, 200_000)
-    assert peak < bound, peak
-    assert traced_peak(allocating_estimate_pF, F, rates, 200_000) > bound
-
-
 def test_higher_allocates_no_sample_array():
     # one scalar binomial per link: a million samples allocate no array of them
     peak = traced_peak(estimate_higher, HIGHER_222_000_111, EQUAL3, 1_000_000)
     assert peak < 64 * 1024, peak
 
 
-class ZeroUniforms:
-    """A generator whose uniforms are all 0.0, drawn into ``out`` as the
-    workspace kernel draws them, recording each draw's size."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def random(self, size=None, out=None):
-        self.sizes.append(out.size)
-        out.fill(0.0)
-        return out
-
-
-def zero_uniform_estimate(flag, rates, samples):
-    fake = ZeroUniforms()
-    cfg = SimulationConfig(rates=rates, samples=samples, seed=0)
-    object.__setattr__(cfg, "rng", lambda: fake)
-    return estimate_pF(flag, cfg), fake.sizes
-
-
-def test_pF_log_of_a_zero_uniform_is_finite():
-    # a uniform of 0.0 enters the product as 1 - 0.0 = 1, so every block
-    # completes at time 0 with no log of 0: the times tie, which counts as in order
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        est, _ = zero_uniform_estimate(Flag.parse("0|1,2|3"), EQUAL4, 100)
-    assert est == Estimate(mean=1.0, stderr=0.0, samples=100)
-
-
-@pytest.mark.parametrize("samples", [CHUNK + 1, 2 * CHUNK + 7])
-def test_pF_chunks_cover_every_sample(samples):
-    F = Flag.parse("0|1|2")
-    # all-zero uniforms put every sample in order, so the estimate is exactly 1
-    # only if every sample of every chunk, the last partial one too, is counted
-    est, sizes = zero_uniform_estimate(F, EQUAL3, samples)
-    assert est == Estimate(mean=1.0, stderr=0.0, samples=samples)
-    assert max(sizes) == CHUNK and sum(sizes) == 3 * samples
-    # and in law, chunked draws agree with the Gamma matrix form
-    a = estimate_pF(F, SimulationConfig(rates=EQUAL3, samples=samples, seed=71))
-    b = matrix_estimate_pF(F, SimulationConfig(rates=EQUAL3, samples=samples, seed=72),
-                           gamma_times)
-    assert a.samples == b.samples == samples
-    assert abs(a.mean - b.mean) <= 4 * (a.stderr ** 2 + b.stderr ** 2) ** 0.5
+def test_pF_allocates_no_sample_array():
+    # one scalar multinomial per state: a million samples allocate no array of them
+    peak = traced_peak(estimate_pF, Flag.parse("0|1|2,3"), EQUAL4, 1_000_000)
+    assert peak < 64 * 1024, peak
 
 
 def test_face_integral_duality():
