@@ -428,6 +428,15 @@ def face_limit(f: RationalFn, flag: Flag, radial=()) -> RationalFn:
     B(i) is scaled, and tends to itself.  Nothing is cancelled between steps, and
     nothing needs to be: a common factor of numerator and denominator changes
     neither the order difference nor the limit, both properties of the function.
+
+    On p_F = ``poisson_probability(F)`` the limit is the Poisson race's own
+    (a reading, not how it is computed).  Toward G's face every rate in G's
+    block g is scaled by eps^g, so F's block V_j completes on the time scale
+    of lo_j, the first G-block it meets, at rate l_{V_j & G_lo}.  Faster
+    blocks complete first, so the limit is 0 unless lo_j never decreases
+    along F; otherwise it is the product over each run of equal lo of the
+    chance that the run's blocks complete in order, block j needing |V_j|
+    arrivals at rate l_{V_j & G_lo}.
     """
     blocks = flag.blocks
     if f.num.is_zero() or len(blocks) == 1:

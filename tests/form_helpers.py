@@ -2,6 +2,8 @@
 
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import groupby
 
 from blowupforms.flagcomb import Flag, perm_sign, vertex_set
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
@@ -149,4 +151,43 @@ def word_sum_probability(flag: Flag) -> RationalFn:
             den[active] = den.get(active, 0) + 1
             remaining[label] -= 1
         total = total + RationalFn(num, den)
+    return total
+
+
+def ordered_race(counts, rates) -> Fraction:
+    """The chance that blocks complete in order when block j needs ``counts[j]``
+    arrivals of a Poisson process of rate ``rates[j]``: ``poisson_probability``'s
+    first-step recursion, with the counts and the rates decoupled."""
+
+    @cache
+    def p(left: tuple[int, ...]) -> Fraction:
+        if not any(left):
+            return Fraction(1)
+        first = next(j for j, c in enumerate(left) if c)
+        live = sum(r for r, c in zip(rates, left) if c)
+        return sum((rates[j] * p(left[:j] + (c - 1,) + left[j + 1:])
+                    for j, c in enumerate(left) if c >= 2 or j == first), Fraction(0)) / live
+
+    return p(tuple(counts))
+
+
+def race_limit(F: Flag, G: Flag, rates: dict) -> Fraction:
+    """lim p_F toward the face of G at ``rates``, read off the Poisson race.
+
+    Toward G's face every rate in G's block g is scaled by eps^g, so F's block
+    V_j completes on the time scale of lo_j, the first G-block it meets, at
+    rate l_{V_j & G_lo}; the slower vertices' arrivals come too late to count.
+    Faster blocks complete first, so the limit is 0 unless lo_j never
+    decreases along F.  Otherwise it is the product over each run of equal lo
+    of that run's race, block j needing |V_j| arrivals at rate l_{V_j & G_lo}.
+    """
+    g = {v: i for i, b in enumerate(G.blocks) for v in b}
+    lo = [min(g[v] for v in b) for b in F.blocks]
+    if any(a > b for a, b in zip(lo, lo[1:])):
+        return Fraction(0)
+    total = Fraction(1)
+    for low, run in groupby(zip(lo, F.blocks), key=lambda pair: pair[0]):
+        blocks = [b for _, b in run]
+        total *= ordered_race([len(b) for b in blocks],
+                              [sum(rates[v] for v in b if g[v] == low) for b in blocks])
     return total

@@ -302,7 +302,7 @@ def test_mc_verify_rerun_draws_from_a_fresh_stream(monkeypatch, capsys):
 def test_mc_verify_z_summary_is_opt_in(capsys):
     argv = ["mc-verify", "--target", "all", "--n", "1", "--samples", "2000", "--seed", "9"]
     _, plain = run_json(capsys, argv)
-    assert "z_summary" not in plain["results"]
+    assert "z_summary" not in plain["results"] and "details" not in plain["results"]
     _, verbose = run_json(capsys, argv + ["--verbose-cases"])
     details = verbose["results"]["details"]
     zs = [(d["estimate"] - d["exact"]) / d["stderr"] for d in details if d["stderr"] > 0]
@@ -314,21 +314,6 @@ def test_mc_verify_z_summary_is_opt_in(capsys):
                                "--verbose-cases"])
     assert dof["results"]["z_summary"] == {"cases": 0, "max_abs_z": None, "mean_z": None,
                                            "above_2sigma": 0}
-
-
-def test_mc_verify_dof_bias_is_opt_in(capsys):
-    # --verbose-cases adds each DOF case's two-epsilon spread; the records are
-    # otherwise those of the default report, which has no bias
-    argv = ["mc-verify", "--target", "dof", "--n", "1", "--samples", "2000"]
-    _, verbose = run_json(capsys, argv + ["--verbose-cases"])
-    details = verbose["results"]["details"]
-    assert details and all(d["bias"] >= 0 for d in details)
-    assert any(d["bias"] > 0 for d in details)
-    _, plain = run_json(capsys, argv)
-    assert "details" not in plain["results"]
-    _, pF = run_json(capsys, ["mc-verify", "--target", "pF", "--n", "1", "--samples", "100",
-                              "--verbose-cases"])
-    assert not any("bias" in d for d in pF["results"]["details"])
 
 
 def test_mc_verify_results_do_not_depend_on_the_hash_seed():
@@ -347,11 +332,25 @@ def test_mc_verify_results_do_not_depend_on_the_hash_seed():
 
 def _fresh_python(code, *argv, **env):
     """Run ``python -c code *argv`` in a new interpreter that imports this checkout's package."""
+    return _python("-c", code, *argv, **env)
+
+
+def _python(*args, **env):
+    """Run ``python *args`` in a new interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *argv],
+    return subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, check=False)
+
+
+def test_module_runs_as_a_script():
+    # ``python -m blowupforms.cli`` runs the CLI without installing the package
+    proc = _python("-m", "blowupforms.cli", "d-check", "--n", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+    usage = _python("-m", "blowupforms.cli", "d-check")
+    assert usage.returncode == 2 and not usage.stdout
 
 
 def test_only_mc_verify_loads_numpy():
@@ -716,7 +715,7 @@ def test_failure_before_the_budget_cut_exits_1(monkeypatch, capsys):
         raise DecompositionFailed(f"coefficient 2 for {F}")
 
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(
-        monotonic=lambda: clock[0], time=cli.time.time))
+        monotonic=lambda: clock[0], perf_counter=cli.time.perf_counter))
     monkeypatch.setattr(blowcx, "standard_representative", slow_representative)
     monkeypatch.setattr(blowcx, "d_decomposition", failed)
     code, report = run_json(capsys, ["d-check", "--n", "2", "--budget-seconds", "2.5"])
@@ -742,7 +741,7 @@ def test_d_check_budget_is_checked_per_flag(monkeypatch, capsys):
         return real_representative(F)
 
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(
-        monotonic=lambda: clock[0], time=cli.time.time))
+        monotonic=lambda: clock[0], perf_counter=cli.time.perf_counter))
     monkeypatch.setattr(blowcx, "standard_representative", slow_representative)
     code, report = run_json(capsys, ["d-check", "--n", "2", "--budget-seconds", "2.5"])
     assert code == 3
@@ -787,7 +786,8 @@ def test_dof_matrix_budget_is_checked_per_degree(monkeypatch, capsys):
         return real_dof_evaluate(*args)
 
     def fake_time():
-        return types.SimpleNamespace(monotonic=itertools.count().__next__, time=cli.time.time)
+        return types.SimpleNamespace(monotonic=itertools.count().__next__,
+                                     perf_counter=cli.time.perf_counter)
 
     monkeypatch.setattr(shadow, "dof_evaluate", counted)
     monkeypatch.setattr(cli, "time", fake_time())

@@ -15,7 +15,15 @@ from blowupforms.symexpr import (
     face_limit,
     reduce_mod_dlv,
 )
-from form_helpers import contract_tautological, d_lambda, is_homogeneous, substitute_one, var_fn
+from blowupforms.shadow import poisson_probability
+from form_helpers import (
+    contract_tautological,
+    d_lambda,
+    is_homogeneous,
+    race_limit,
+    substitute_one,
+    var_fn,
+)
 
 try:
     import sympy
@@ -493,6 +501,24 @@ def _flag_witnesses() -> list[RationalFn]:
 def test_flag_limit_matches_sympy(fs):
     for f, flag in zip(fs, FLAGS4):
         _assert_limit_matches_sympy(f, flag)
+
+
+def test_flag_limit_of_p_F_is_the_race_limit():
+    # lim p_F toward G's face, exactly, against the Poisson race read off (F, G),
+    # on every pair of flags on up to 4 vertices at two rational points
+    points = [{v: Fraction(v + 1, 2) for v in range(4)},
+              {v: Fraction(7, 2 * v + 3) for v in range(4)}]
+    nonzero = 0
+    for n in range(1, 5):
+        flags = [F for k in range(n) for F in enumerate_flags(tuple(range(n)), k)]
+        for F in flags:
+            p = poisson_probability(F)
+            for G in flags:
+                limit = face_limit(p, G)
+                for point in points:
+                    assert limit.evaluate(point) == race_limit(F, G, point), (F, G, point)
+                nonzero += not limit.is_zero()
+    assert nonzero == 1 + 7 + 85 + 1615  # on 1, 2, 3 and 4 vertices; the pairs number 5 804
 
 
 @settings(max_examples=40, deadline=None)
