@@ -2,11 +2,13 @@
 
 A triangulation is combinatorial only (no coordinates): cells are ascending
 vertex tuples and every face of every cell carries the ascending orientation.
-Signs are local and read off the cells: ``Triangulation.orient_star`` orients
-the cells around a face K by walking across the facets that contain K, over
-the whole mesh to decide orientability and over the star of every face of
-codimension at least two to find pinch points.  Each walk starts each of its
-components at +1; another start sign would only rescale the row a star gives.
+The loader accepts homology manifolds only: the link of every face (its
+star with the face removed) must have the rational Betti numbers of a ball
+on the boundary and of a sphere inside.  Signs are local and read off the
+cells: ``Triangulation.orient_star`` orients the cells around a face K by
+walking across the facets that contain K, and over the whole mesh decides
+orientability.  Each walk starts each of its components at +1; another
+start sign would only rescale the row a star gives.
 
 The DOFs of a cell are the k-flags of {0..n}, in canonical order, relabelled
 onto the ascending cell: the DOF of cell ci and canonical flag j has index
@@ -72,8 +74,8 @@ class Triangulation:
     """Combinatorial simplicial mesh with its full face lattice."""
 
     def __init__(self, dimension: int, cells, manifold: str = "boundary"):
-        if manifold not in ("closed", "boundary", "none"):
-            raise MeshError(f"manifold must be closed/boundary/none, got {manifold!r}")
+        if manifold not in ("closed", "boundary"):
+            raise MeshError(f"manifold must be closed/boundary, got {manifold!r}")
         if not _nonneg_int(dimension):
             raise MeshError(f"dimension must be a non-negative integer, got {dimension!r}")
         if not 1 <= dimension < MAX_VERTICES:
@@ -109,47 +111,41 @@ class Triangulation:
         self.faces: dict[int, list[tuple[int, ...]]] = {
             d: sorted(f for f in self.cofaces if len(f) == d + 1) for d in range(dimension + 1)}
 
-        facets = self.faces[self.dimension - 1]
-        over = [f for f in facets if len(self.cofaces[f]) > 2]
-        self.boundary_facets = {f for f in facets if len(self.cofaces[f]) == 1}
+        self.boundary_facets = {f for f in self.faces[dimension - 1] if len(self.cofaces[f]) == 1}
         self._boundary_faces = {f for bf in self.boundary_facets
                                 for d in range(len(bf) + 1) for f in combinations(bf, d)}
-        if over and manifold != "none":
-            raise MeshError(f"facet {over[0]} borders {len(self.cofaces[over[0]])} cells; "
-                            "pass manifold='none' to accept non-manifold input")
         if manifold == "closed" and self.boundary_facets:
             raise MeshError("mesh declared closed but has boundary facets")
+        # every link a homology ball on the boundary and a sphere inside, largest faces first
+        for d in reversed(range(dimension)):
+            for K in self.faces[d]:
+                want = [1] + [0] * (dimension - d - 1)
+                want[-1] += not self.is_boundary_face(K)
+                got = _betti([_opposite(K, self.cells[ci]) for ci in self.cofaces[K]])
+                if got != want:
+                    name = f"vertex {K[0]}" if len(K) == 1 else f"face {K}"
+                    raise MeshError(f"{name} has a link with Betti numbers {got}, not {want}")
         # each cell's facets f, with the sign of f followed by the opposite vertex
         self._facet_signs = [{f: perm_sign(f + _opposite(f, c)) for f in combinations(c, dimension)}
                             for c in self.cells]
-        # a face of codimension >= 2 whose star falls apart across its facets,
-        # the largest first: two tetrahedra on one edge name the edge
-        pinched = [K for d in reversed(range(self.dimension - 1)) for K in self.faces[d]
-                   if self.orient_star(K)[1] > 1]
-        if pinched and manifold != "none":
-            K = pinched[0]
-            name = f"vertex {K[0]}" if len(K) == 1 else f"face {K}"
-            raise MeshError(f"{name} has a disconnected link (pinch point)")
-        self.nonmanifold = bool(over or pinched)
-        self.orientable = not self.orient_star(())[2]
+        self.orientable = not self.orient_star(())[1]
 
     # -- structure ------------------------------------------------------------
 
-    def orient_star(self, K: tuple[int, ...]) -> tuple[dict[int, int], int, bool]:
+    def orient_star(self, K: tuple[int, ...]) -> tuple[dict[int, int], bool]:
         """Orient the cells of star(K) (all cells for K = ()) across the facets containing K.
 
         Neighbours induce opposite orientations on their common facet; the first cell
-        of each component is +1.  Returns each cell's sign, the number of components,
-        and whether a cell was reached with both signs.
+        of each component is +1.  Returns each cell's sign and whether a cell was
+        reached with both signs.
         """
         star = self.cofaces[K] if K else range(len(self.cells))
         inside = set(K)
         sign: dict[int, int] = {}
-        components, conflict = 0, False
+        conflict = False
         for start in star:
             if start in sign:
                 continue
-            components += 1
             sign[start] = 1
             stack = [start]
             while stack:
@@ -164,7 +160,7 @@ class Triangulation:
                             stack.append(cj)
                         elif cj != ci and sign[cj] != want:
                             conflict = True
-        return sign, components, conflict
+        return sign, conflict
 
     def is_boundary_face(self, face: tuple[int, ...]) -> bool:
         """True iff ``face`` lies in some boundary facet."""
@@ -178,7 +174,7 @@ class Triangulation:
 def load_mesh(source) -> Triangulation:
     """Build a triangulation from a JSON document, dict, file path, or name.
 
-    Schema: {"dimension": n, "cells": [[v, ...], ...], "manifold": "closed"|"boundary"|"none"}.
+    Schema: {"dimension": n, "cells": [[v, ...], ...], "manifold": "closed"|"boundary"}.
     Other keys are ignored.  Bundled sample names (see SAMPLE_MESHES) are accepted directly.
     """
     if isinstance(source, Triangulation):
@@ -335,7 +331,7 @@ def global_cohomology(tri_or_source, rule: str) -> dict:
         "betti_simplicial": list(simplicial),
         "rule": rule,
         "orientable": tri.orientable,
-        "nonmanifold": tri.nonmanifold,
+        "nonmanifold": False,  # every loaded mesh is a homology manifold
         "skipped_boundary_faces": spaces[0].skipped_boundary_faces,
         "dd_zero": True,
     }
@@ -367,16 +363,17 @@ def global_cohomology(tri_or_source, rule: str) -> dict:
 
 def simplicial_cohomology(tri_or_source) -> tuple[int, ...]:
     """Betti numbers of the simplicial cochain complex (ascending orientation)."""
-    tri = load_mesh(tri_or_source)
-    n = tri.dimension
-    ranks = []
-    for d in range(n):
-        lower = {f: i for i, f in enumerate(tri.faces[d])}
-        ranks.append(linalg.rank([
-            {lower[f[:pos] + f[pos + 1:]]: (-1) ** pos for pos in range(len(f))}
-            for f in tri.faces[d + 1]
-        ]))
-    return tuple(linalg.betti([len(tri.faces[d]) for d in range(n + 1)], ranks))
+    return tuple(_betti(load_mesh(tri_or_source).cells))
+
+
+def _betti(cells) -> list[int]:
+    """Rational Betti numbers of the complex spanned by ``cells``, ascending vertex
+    tuples of one size; each boundary row is keyed by the faces themselves."""
+    faces = [dict.fromkeys(f for c in cells for f in combinations(c, d + 1))
+             for d in range(len(cells[0]))]
+    ranks = [linalg.rank([{f[:pos] + f[pos + 1:]: (-1) ** pos for pos in range(len(f))}
+                          for f in upper]) for upper in faces[1:]]
+    return linalg.betti([len(f) for f in faces], ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import groupby
 
-from blowupforms.flagcomb import Flag, perm_sign, vertex_set
+from blowupforms.flagcomb import ArrivalSequence, Flag, perm_sign, vertex_set
 from blowupforms.symexpr import Poly, RationalFn, RationalForm
 
 
@@ -190,4 +190,28 @@ def race_limit(F: Flag, G: Flag, rates: dict) -> Fraction:
         blocks = [b for _, b in run]
         total *= ordered_race([len(b) for b in blocks],
                               [sum(rates[v] for v in b if g[v] == low) for b in blocks])
+    return total
+
+
+def round_limit(seq: ArrivalSequence, G: Flag, rates: dict) -> Fraction:
+    """lim of a higher-order candidate's probability toward the face of G at
+    ``rates``, taken round by round.
+
+    The probability is the product over rounds of (r! / prod r_i!) prod
+    (lambda_i / l_A)^{r_i}, A the round's active set.  Toward G's face,
+    lambda_i / l_A tends to lambda_i / l_{A & G_lo} for i in G_lo, the first
+    G-block that A meets, and to 0 for i in a later block, which is scaled
+    faster.  Each factor lies in [0, 1], so the limit is the product of the
+    round limits.
+    """
+    g = {v: i for i, b in enumerate(G.blocks) for v in b}
+    total = Fraction(1)
+    for rnd in seq.rounds:
+        low = min(g[v] for v, _ in rnd)
+        rate = sum(rates[v] for v, _ in rnd if g[v] == low)
+        total *= math.factorial(seq.r)
+        for v, c in rnd:
+            if c and g[v] != low:
+                return Fraction(0)
+            total *= (rates[v] / rate) ** c / math.factorial(c)
     return total

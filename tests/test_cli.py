@@ -510,6 +510,9 @@ def test_mesh_dimension_out_of_range_is_usage_error(tmp_path, capsys, doc, limit
 @pytest.mark.parametrize("cells, face", [
     ([[0, 1, 2, 3], [0, 4, 5, 6]], "vertex 0"),
     ([[0, 1, 2, 3], [0, 1, 4, 5]], "face (0, 1)"),
+    # the cone over an annulus: every star is connected, but the link of 6 is no disk
+    ([[0, 1, 2, 6], [0, 1, 5, 6], [0, 3, 5, 6], [1, 2, 4, 6], [2, 3, 4, 6], [3, 4, 5, 6]],
+     "vertex 6"),
 ])
 def test_3d_pinch_is_usage_error(tmp_path, capsys, cells, face):
     # two tetrahedra sharing only a vertex, or only an edge
@@ -519,7 +522,17 @@ def test_3d_pinch_is_usage_error(tmp_path, capsys, cells, face):
         capsys, ["cohomology", "global", "--mesh", str(path), "--rule", "general"])
     assert code == 2
     assert report["error"]["type"] == "MeshError"
-    assert report["error"]["message"].startswith(f"{face} has a disconnected link")
+    assert report["error"]["message"].startswith(f"{face} has a link with Betti numbers")
+
+
+def test_manifold_none_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(
+        {"dimension": 2, "cells": [[0, 1, 2], [0, 1, 3], [0, 1, 4]], "manifold": "none"}))
+    code, report = _error_exit(capsys, ["cohomology", "global", "--mesh", str(path)])
+    assert code == 2
+    assert report["error"] == {"type": "MeshError",
+                               "message": "manifold must be closed/boundary, got 'none'"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,8 +11,8 @@ from blowupforms.hiord import (
     pr_containment,
     r1_reduction_check,
 )
-from blowupforms.symexpr import Poly, RationalFn
-from form_helpers import is_homogeneous
+from blowupforms.symexpr import Poly, RationalFn, face_limit
+from form_helpers import is_homogeneous, round_limit
 
 
 def l(*ids):
@@ -169,3 +169,28 @@ def test_face_vanishing_examples():
     # any candidate survives on the all-of-V face
     for c in cands.values():
         assert face_vanishing_check(c, Flag.parse("0,1,2"))
+
+
+@pytest.mark.parametrize("n, r, nonzero", [(2, 2, 36), (2, 3, 49), (3, 2, 348)])
+def test_candidate_limit_is_the_round_wise_limit(n, r, nonzero):
+    # the limit of every candidate of `higher-order --n n --r r` toward every
+    # face, exactly, against the product of its per-round limits, at two points;
+    # a candidate's numerator is one monomial, so the limit is also checked on
+    # c + 2 c' for consecutive candidates, whose numerator parts differ in order
+    V = tuple(range(n + 1))
+    faces = [G for k in range(len(V)) for G in enumerate_flags(V, k)]
+    points = [{v: Fraction(v + 1, 2) for v in V}, {v: Fraction(7, 2 * v + 3) for v in V}]
+    cands = enumerate_experiments(V, r)
+    count = 0
+    for c, c2 in zip(cands, cands[1:] + cands[:1]):
+        pair = c.probability + c2.probability * 2
+        for G in faces:
+            limit = face_limit(c.probability, G)
+            limit2 = face_limit(pair, G)
+            for point in points:
+                want = round_limit(c.sequence, G, point)
+                assert limit.evaluate(point) == want, (c.sequence, G)
+                assert limit2.evaluate(point) == want + 2 * round_limit(c2.sequence, G, point), \
+                    (c.sequence, c2.sequence, G)
+            count += not limit.is_zero()
+    assert count == nonzero

@@ -1,8 +1,10 @@
 import json
 import random
 import re
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from blowupforms.flagcomb import enumerate_flags
 from blowupforms.mesh import (
@@ -20,18 +22,16 @@ from blowupforms.mesh import (
 )
 
 MOBIUS_STRIP = {"dimension": 2, "cells": [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]]}
-NONMANIFOLD_FAN = {"dimension": 2, "cells": [[0, 1, 2], [0, 1, 3], [0, 1, 4]], "manifold": "none"}
 # the 6-vertex real projective plane (the hemi-icosahedron)
 RP2 = {"dimension": 2, "manifold": "closed", "cells": [
     [1, 2, 4], [1, 2, 6], [1, 3, 5], [1, 3, 6], [1, 4, 5],
     [2, 3, 4], [2, 3, 5], [2, 5, 6], [3, 4, 6], [4, 5, 6]]}
-
-
-def _pinched_octahedra() -> dict:
-    """Two octahedra sharing only vertex 0, accepted under manifold 'none'."""
-    octahedron = SAMPLE_MESHES["octahedron"]["cells"]
-    return {"dimension": 2, "manifold": "none",
-            "cells": octahedron + [[v + 5 if v else 0 for v in c] for c in octahedron]}
+# the tetrahedron subdivided at an interior vertex 4, whose link is a 2-sphere
+SUBDIVIDED_TET = {"dimension": 3, "cells": [[0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4]]}
+# the cone from vertex 6 over an annulus: no facet borders three cells and the
+# star of every face is connected, yet the link of vertex 6 is no disk
+ANNULUS_CONE = {"dimension": 3, "cells": [[0, 1, 2, 6], [0, 1, 5, 6], [0, 3, 5, 6],
+                                          [1, 2, 4, 6], [2, 3, 4, 6], [3, 4, 5, 6]]}
 
 
 def _klein_bottle(m: int) -> dict:
@@ -95,12 +95,38 @@ def test_duplicate_cells_rejected():
         Triangulation(2, [[0, 1, 2], [2, 1, 0]])
 
 
+def _refused(message: str):
+    """Expect a MeshError whose message is exactly ``message``."""
+    return pytest.raises(MeshError, match=f"^{re.escape(message)}$")
+
+
+NONMANIFOLD_FAN = {"dimension": 2, "cells": [[0, 1, 2], [0, 1, 3], [0, 1, 4]]}
+FAN_MESSAGE = "face (0, 1) has a link with Betti numbers [3], not [2]"
+
+
 def test_nonmanifold_rejected_unless_allowed():
-    cells = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
-    with pytest.raises(MeshError):
-        Triangulation(2, cells)
-    tri = Triangulation(2, cells, manifold="none")
-    assert tri.nonmanifold
+    # three triangles on one edge: the edge's link is three points, not two;
+    # no manifold value allows it, and "none" is itself refused
+    with _refused(FAN_MESSAGE):
+        Triangulation(2, NONMANIFOLD_FAN["cells"])
+    for manifold in ("none", "bogus"):
+        with pytest.raises(MeshError, match="^manifold must be closed/boundary"):
+            Triangulation(2, NONMANIFOLD_FAN["cells"], manifold=manifold)
+        with pytest.raises(MeshError, match="^manifold must be closed/boundary"):
+            load_mesh({**MOBIUS_STRIP, "manifold": manifold})
+
+
+def test_nonmanifold_verbatim_mode():
+    # the fan once got a verbatim sum-zero row and a wrong H^0 of 2; now no
+    # rule assembles it, with or without a manifold declaration
+    for rule in ("general", "edge-identified"):
+        with _refused(FAN_MESSAGE):
+            global_cohomology(NONMANIFOLD_FAN, rule)
+        for manifold in ("closed", "boundary"):
+            with pytest.raises(MeshError):
+                global_cohomology({**NONMANIFOLD_FAN, "manifold": manifold}, rule)
+        with pytest.raises(MeshError, match="^manifold must be closed/boundary"):
+            global_cohomology({**NONMANIFOLD_FAN, "manifold": "none"}, rule)
 
 
 def test_closed_declaration_checked():
@@ -110,41 +136,43 @@ def test_closed_declaration_checked():
 
 def test_pinched_vertex_link_rejected():
     cells = [[0, 1, 2], [0, 3, 4]]
-    with pytest.raises(MeshError):
+    with _refused("vertex 0 has a link with Betti numbers [2, 0], not [1, 0]"):
         Triangulation(2, cells)
 
 
 # two tetrahedra sharing only vertex 0, and two sharing only the edge 01: no
-# facet borders three cells, but the star of the shared face falls apart
+# facet borders three cells, but the link of the shared face falls apart
 TET_PINCHES = [([[0, 1, 2, 3], [0, 4, 5, 6]], "vertex 0"),
                ([[0, 1, 2, 3], [0, 1, 4, 5]], "face (0, 1)")]
 
 
 @pytest.mark.parametrize("cells, face", TET_PINCHES)
-def test_3d_pinch_rejected_unless_allowed(cells, face):
-    with pytest.raises(MeshError, match=rf"^{re.escape(face)} has a disconnected link"):
+def test_3d_pinch_rejected(cells, face):
+    with pytest.raises(MeshError, match=rf"^{re.escape(face)} has a link with Betti numbers \[2, "):
         Triangulation(3, cells)
-    assert Triangulation(3, cells, manifold="none").nonmanifold
+
+
+def test_annulus_vertex_link_rejected():
+    with _refused("vertex 6 has a link with Betti numbers [1, 1, 0], not [1, 0, 0]"):
+        load_mesh(ANNULUS_CONE)
 
 
 def test_bundled_meshes_load_as_manifolds():
     assert len(SAMPLE_MESHES) == 8
     for name in SAMPLE_MESHES:
-        assert not load_mesh(name).nonmanifold, name
+        load_mesh(name)
+    # the report keeps its key; a mesh that loads is a homology manifold
+    assert global_cohomology("triangle-pair", "general")["nonmanifold"] is False
 
 
-def test_accepted_pinch_vertex_is_reported_nonmanifold():
+def test_pinched_octahedra_rejected():
     # two octahedra sharing only vertex 0: no facet borders three cells, but
-    # the star of vertex 0 falls into two components
+    # the link of vertex 0 is two circles; each octahedron alone loads
     octahedron = SAMPLE_MESHES["octahedron"]["cells"]
-    doc = _pinched_octahedra()
-    assert Triangulation(2, [[0, 1, 2], [0, 3, 4]], manifold="none").nonmanifold
-    assert not Triangulation(2, octahedron, manifold="none").nonmanifold
-    rep = global_cohomology(doc, "general")
-    assert rep["nonmanifold"] is True
-    assert rep["betti_blowup"] == [2, 0, 1]
-    assert rep["betti_simplicial"] == [1, 0, 2]
-    assert rep["match"] is False
+    cells = octahedron + [[v + 5 if v else 0 for v in c] for c in octahedron]
+    with _refused("vertex 0 has a link with Betti numbers [2, 2], not [1, 1]"):
+        Triangulation(2, cells)
+    Triangulation(2, octahedron)
 
 
 def test_load_from_file(tmp_path):
@@ -180,7 +208,7 @@ def _all_spaces():
             if tri.dimension == 2 and k == 0:
                 cases += [(tri, k, v) for v in GLUING_VARIANTS if v != "general-continuity"]
     assert len(cases) == 45
-    for doc in (MOBIUS_STRIP, NONMANIFOLD_FAN, RP2):
+    for doc in (MOBIUS_STRIP, _klein_bottle(3), RP2):
         tri = load_mesh(doc)
         cases += [(tri, 0, rule) for rule in ("general", "edge-identified", "vertex-identified")]
         cases += [(tri, k, "general") for k in (1, 2)]
@@ -325,7 +353,7 @@ def test_general_rule_non_orientable_surfaces_match_simplicial(doc, betti):
 
 GAUGE_CASES = [(doc, "general") for doc in (
     "triangle-pair", "fan-disk", "torus-7", "octahedron", "tet-pair",
-    MOBIUS_STRIP, NONMANIFOLD_FAN, RP2, _pinched_octahedra())]
+    MOBIUS_STRIP, _klein_bottle(4), RP2, SUBDIVIDED_TET)]
 GAUGE_CASES += [(doc, "edge-identified") for doc in ("torus-7", MOBIUS_STRIP)]
 
 
@@ -342,20 +370,20 @@ def test_supplied_orientation_is_a_gauge(monkeypatch):
     rng = random.Random(13)
 
     def rescaled(self, K):
-        signs, components, conflict = walk(self, K)
+        signs, conflict = walk(self, K)
         t = rng.choice((1, -1))
-        return {ci: t * s for ci, s in signs.items()}, components, conflict
+        return {ci: t * s for ci, s in signs.items()}, conflict
 
     monkeypatch.setattr(Triangulation, "orient_star", rescaled)
     for _ in range(2):
         assert _gauge_reports() == want
 
     def one_flipped(self, K):
-        signs, components, conflict = walk(self, K)
+        signs, conflict = walk(self, K)
         if len(signs) > 1:
             ci = rng.choice(sorted(signs))
             signs[ci] = -signs[ci]
-        return signs, components, conflict
+        return signs, conflict
 
     monkeypatch.setattr(Triangulation, "orient_star", one_flipped)
     assert global_cohomology("torus-7", "general") != want[GAUGE_CASES.index(("torus-7", "general"))]
@@ -368,19 +396,17 @@ def test_supplied_orientation_is_a_gauge(monkeypatch):
 
 def test_orient_star_components_and_conflicts():
     mobius = load_mesh(MOBIUS_STRIP)
-    signs, components, conflict = mobius.orient_star(())
-    assert sorted(signs) == list(range(5)) and components == 1 and conflict
+    signs, conflict = mobius.orient_star(())
+    assert sorted(signs) == list(range(5)) and conflict
     for v in mobius.vertices:
-        _, components, conflict = mobius.orient_star((v,))
-        assert components == 1 and not conflict
+        assert not mobius.orient_star((v,))[1]
     torus = load_mesh("torus-7")
-    signs, components, conflict = torus.orient_star(())
+    signs, conflict = torus.orient_star(())
     assert sorted(signs) == list(range(14)) and signs[0] == 1
-    assert components == 1 and not conflict
+    assert not conflict
     # each component starts at +1
-    bowtie = Triangulation(2, [[0, 1, 2], [0, 3, 4]], manifold="none")
-    assert bowtie.orient_star((0,)) == ({0: 1, 1: 1}, 2, False)
-    assert bowtie.orient_star(())[1:] == (2, False)
+    two_pieces = Triangulation(2, [[0, 1, 2], [3, 4, 5]])
+    assert two_pieces.orient_star(()) == ({0: 1, 1: 1}, False)
 
 
 def test_h0_counts_components_under_both_rules():
@@ -439,12 +465,113 @@ def test_sign_error_in_local_coboundary_fails_dd_zero(monkeypatch):
     assert rep["dd_zero"] is False
 
 
-def test_nonmanifold_verbatim_mode():
-    # three triangles around one edge: accepted with manifold="none",
-    # constraints applied verbatim, report marked non-manifold
-    # a codimension-one face with three cofaces gets a single verbatim
-    # sum-zero row, which does not force constancy across the three pages
-    rep = global_cohomology(NONMANIFOLD_FAN, "general")
-    assert rep["nonmanifold"] is True
-    assert rep["dd_zero"] is True
-    assert rep["betti_blowup"][0] == 2
+# -- the link rule against assembly, and against the former rule ----------------------
+
+def _star_rule(dimension: int, cells) -> bool:
+    """The loader's former manifold test: no facet borders more than two cells,
+    and the cells around each face of codimension at least two stay connected
+    across the facets that contain the face."""
+    cofaces: dict[tuple, list[int]] = {}
+    for ci, c in enumerate(cells):
+        for size in range(1, dimension + 1):
+            for f in combinations(c, size):
+                cofaces.setdefault(f, []).append(ci)
+    if any(len(star) > 2 for f, star in cofaces.items() if len(f) == dimension):
+        return False
+    for K, star in cofaces.items():
+        if len(K) == dimension:
+            continue
+        reached, stack = {star[0]}, [star[0]]
+        while stack:
+            for f in combinations(cells[stack.pop()], dimension):
+                if set(K) <= set(f):
+                    new = set(cofaces[f]) - reached
+                    reached |= new
+                    stack += sorted(new)
+        if len(reached) < len(star):
+            return False
+    return True
+
+
+@st.composite
+def pure_complexes(draw) -> dict:
+    """A pure complex of dimension 1-3 on at most 9 vertices, or the cone from
+    vertex 8 over a 2D one, where the link of the apex is the whole base."""
+    if draw(st.booleans()):
+        base = draw(st.lists(st.frozensets(st.integers(0, 7), min_size=3, max_size=3),
+                             min_size=1, max_size=10, unique=True))
+        return {"dimension": 3, "cells": [sorted(c) + [8] for c in base]}
+    n = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.frozensets(st.integers(0, 8), min_size=n + 1, max_size=n + 1),
+                          min_size=1, max_size=10, unique=True))
+    return {"dimension": n, "cells": [sorted(c) for c in cells]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(pure_complexes())
+@example(ANNULUS_CONE)
+def test_loader_refuses_what_general_assembly_would_get_wrong(doc):
+    # a mesh either is refused with its face named, or gets the simplicial
+    # Betti numbers under the general rule; in 1D and 2D the link rule
+    # accepts exactly what the former facet-count and star test accepted
+    try:
+        tri = load_mesh(doc)
+    except MeshError as exc:
+        assert re.match(r"^(vertex \d+|face \([\d, ]+\)) has a link with Betti numbers", str(exc))
+        accepted = False
+    else:
+        rep = global_cohomology(tri, "general")
+        assert rep["match"] and rep["dd_zero"], rep
+        accepted = True
+    if doc["dimension"] < 3:
+        assert accepted == _star_rule(doc["dimension"], [tuple(c) for c in doc["cells"]])
+
+
+def _stellar(cells, K, w):
+    """Stellar subdivision of the face K at the new vertex w: each cell c that
+    contains K becomes the cells c - {v} + {w}, v in K."""
+    out = [c for c in cells if not set(K) <= set(c)]
+    return out + [sorted(set(c) - {v} | {w}) for c in cells if set(K) <= set(c) for v in K]
+
+
+def _flip(cells, f, a, b):
+    """The bistellar flip across the facet f of the cells f + {a} and f + {b}:
+    they become the cells f - {v} + {a, b}, v in f (a 2-2 flip in 2D)."""
+    out = [c for c in cells if sorted(c) not in (sorted(f + (a,)), sorted(f + (b,)))]
+    return out + [sorted(set(f) - {v} | {a, b}) for v in f]
+
+
+def _random_move(doc: dict, rnd) -> dict:
+    """One stellar subdivision of a face of dimension >= 1, or one flip across an
+    interior facet whose opposite vertices span no edge yet."""
+    tri = load_mesh(doc)
+    cells = [list(c) for c in tri.cells]
+    flips = [(f, *(v for ci in tri.cofaces[f] for v in tri.cells[ci] if v not in f))
+             for f in tri.faces[tri.dimension - 1] if len(tri.cofaces[f]) == 2]
+    flips = [(f, a, b) for f, a, b in flips if tuple(sorted((a, b))) not in tri.cofaces]
+    if flips and rnd.random() < 0.5:
+        return {**doc, "cells": _flip(cells, *rnd.choice(flips))}
+    K = rnd.choice([K for d in range(1, tri.dimension + 1) for K in tri.faces[d]])
+    return {**doc, "cells": _stellar(cells, K, max(tri.vertices) + 1)}
+
+
+@pytest.mark.parametrize("base", ["torus-7", "octahedron", "tet-pair", "mobius"])
+@settings(max_examples=4, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_pachner_moves_keep_the_cohomology(base, rnd):
+    # stellar subdivisions and flips change the mesh, not its topology: after
+    # every move it loads, and the general rule gives its simplicial Betti
+    # numbers, which stay those of the base; the 2D variants keep their H^0,
+    # except cell-discontinuous, whose H^0 counts the cells
+    doc = MOBIUS_STRIP if base == "mobius" else SAMPLE_MESHES[base]
+    want = list(simplicial_cohomology(doc))
+    variants = [v for v in GLUING_VARIANTS if v != "general-continuity" and doc["dimension"] == 2]
+    h0 = {rule: global_cohomology(doc, rule)["betti_blowup"] for rule in variants}
+    for _ in range(3):
+        doc = _random_move(doc, rnd)
+        rep = global_cohomology(doc, "general")
+        assert rep["dd_zero"] and rep["betti_blowup"] == rep["betti_simplicial"] == want
+        for rule in variants:
+            rep = global_cohomology(doc, rule)
+            assert rep["match"], rule
+            assert rule == "cell-discontinuous" or rep["betti_blowup"] == h0[rule], rule
