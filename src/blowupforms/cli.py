@@ -360,18 +360,16 @@ def _mc_prob_case(kind: str, obj, probability, rates: dict[int, Fraction], args,
 
     exact = float(probability.evaluate(rates))
     label = str(obj) if kind == "pF" else obj.sequence.compact()
-    seed = (args.seed, trial, *label.encode())
 
-    def run(samples: int, attempt: int):
-        # the 10x re-run draws from a stream of its own: its seed ends in 256, which
-        # no label byte reaches, so it shares no draw with the run that missed
-        cfg = mcoracle.SimulationConfig(rates=rates, samples=samples,
-                                        seed=(*seed, 256) if attempt else seed)
+    def run(samples: int, seed: tuple[int, ...]):
+        cfg = mcoracle.SimulationConfig(rates=rates, samples=samples, seed=seed)
         if kind == "pF":
             return mcoracle.estimate_pF(obj, cfg)
         return mcoracle.estimate_higher(obj.sequence, cfg)
 
-    est, escalated, ok = mcoracle.check_concordance(run, exact, args.samples)
+    # a seed ends in a label byte, never in 256, so each re-run has a stream of its own
+    est, escalated, ok = mcoracle.check_concordance(
+        run, exact, args.samples, (args.seed, trial, *label.encode()))
     return {
         "kind": kind, "case": label, "rates": {str(v): str(r) for v, r in rates.items()},
         "exact": exact, "estimate": est.mean, "stderr": est.stderr,
@@ -476,6 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 # the smallest accepted value of each numeric option
 _LOWEST = {"n": 0, "k": 0, "r": 1, "samples": 1, "rates": 1, "eval_grid": 0, "seed": 0,
            "budget_seconds": 0}
+# numpy counts samples in 64 bits, and a missed case re-runs at 10x --samples
+_MOST_SAMPLES = (2 ** 63 - 1) // 10
 
 
 def _out_of_range(args) -> str | None:
@@ -488,6 +488,9 @@ def _out_of_range(args) -> str | None:
         value = getattr(args, name, None)
         if value is not None and not value >= low:  # NaN too
             return f"--{name.replace('_', '-')} must be at least {low}, got {value}"
+    if getattr(args, "samples", None) is not None and args.samples > _MOST_SAMPLES:
+        return (f"--samples must be at most {_MOST_SAMPLES}: a missed case re-runs "
+                f"at 10x the samples in 64 bits, got {args.samples}")
     if getattr(args, "k", None) is not None and args.k > args.n:
         return f"--k must be at most --n ({args.n}), got {args.k}"
     if args.cmd == "cohomology" and args.mode == "local":

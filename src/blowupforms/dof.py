@@ -1,15 +1,17 @@
 """Degrees of freedom: one face limit plus exact integration.
 
-The functional attached to a flag F restricts a k-form to the product of
-block simplices Theta_F = prod_j T_{V_j}, takes the limit toward the
-corresponding blow-up face with ``symexpr.face_limit`` (every block
-infinitesimal relative to the one before it, all steps in one pass), and
-integrates exactly.  The restriction drops the radial differentials d l_{V_j}
-with ``symexpr.reduce_mod_dlv``.  Modulo
-d l_B, dlambda_i = l_B dtheta_i for i in a block B; the radial factor l_B tends
-to itself and is 1 on T_B, so the limit counts its order and never multiplies
-it in.  Each block simplex carries the ascending-vertex orientation with the
-block-maximal coordinate eliminated, and Theta_F is the product in block order.
+The functional attached to a flag F works in two steps.  ``restrict_to_theta``
+pulls a k-form back to the product of block simplices Theta_F = prod_j T_{V_j}
+and takes the limit toward the corresponding blow-up face with
+``symexpr.face_limit`` (every block infinitesimal relative to the one before
+it, all steps in one pass).  The pull-back drops the radial differentials
+d l_{V_j} with ``symexpr.reduce_mod_dlv``, which leaves Theta_F's one
+coefficient.  Modulo d l_B, dlambda_i = l_B dtheta_i for i in a block B; the
+radial factor l_B tends to itself and is 1 on T_B, so the limit counts its
+order and never multiplies it in.  ``dof_evaluate`` then integrates that
+coefficient over Theta_F exactly.  Each block simplex carries the
+ascending-vertex orientation with the block-maximal coordinate eliminated, and
+Theta_F is the product in block order.
 
 The integral is one closed formula, the Dirichlet integral (Eisenberg and
 Malvern, IJNME 7, 1973).  Let eta_B be the reduced wedge of a block B with
@@ -27,7 +29,7 @@ import math
 from fractions import Fraction
 
 from .flagcomb import Flag, perm_sign
-from .symexpr import RationalFn, RationalForm, face_limit, reduce_mod_dlv
+from .symexpr import RationalForm, face_limit, reduce_mod_dlv
 
 
 class NonPolynomialResidue(ArithmeticError):
@@ -40,54 +42,49 @@ def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
     Steps: (1) keep only components tangential to Theta_F: ``reduce_mod_dlv``
     rewrites each block-maximal dlambda modulo d l_B of its block B, and a
     singleton block's dlambda, purely radial, drops; (2) take the ``face_limit``
-    of each coefficient f_W with radial set W, skipping zero limits: against
-    dtheta the coefficient is f_W prod_{i in W} l_{B(i)}, and each l_{B(i)}
-    tends to itself, which is 1 on Theta_F; (3) restrict each block to its
-    simplex (full-block subset sums drop; singleton-block variables pin to 1).
+    of each coefficient f_W with radial set W: against dtheta the coefficient is
+    f_W prod_{i in W} l_{B(i)}, and each l_{B(i)} tends to itself, which is 1 on
+    Theta_F.  After step (1) no dlambda_{max B} is left, so the only k-subset W
+    is T_F, the non-maximal vertices of F's blocks: Theta_F is k-dimensional and
+    the result has at most one coefficient, keyed by T_F.
 
     The returned form reuses the lambda indices as coordinates theta_i on
-    Theta_F.  DivergentLimit propagates from step (2).
+    Theta_F; its coefficient is not yet restricted to the block simplices
+    (see ``dof_evaluate``).  DivergentLimit propagates from step (2).
     """
     if form.degree != flag.k:
         raise ValueError(f"form degree {form.degree} != flag k {flag.k}")
     foreign = form.variables() - set(flag.vertices)
     if foreign:
         raise ValueError(f"form uses variables {sorted(foreign)} outside the flag's vertex set")
-    blocks = flag.blocks
-    full = {frozenset(b) for b in blocks}
-    out: dict[frozenset, RationalFn] = {}
-    for W, f in reduce_mod_dlv(form, blocks).terms.items():
-        g = face_limit(f, flag, W)
-        if g.is_zero():
-            continue
-        num = g.num
-        for b in blocks:
-            if len(b) == 1:
-                num = num.substitute_one(b[0])
-        out[W] = RationalFn(num, {S: e for S, e in g.den.items() if S not in full})
-    return RationalForm(flag.k, out)
+    return RationalForm(flag.k, {W: face_limit(f, flag, W)
+                                 for W, f in reduce_mod_dlv(form, flag.blocks).terms.items()})
 
 
 def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
     """The degree of freedom: restrict to Theta_F, then integrate exactly.
 
-    Requires the restricted coefficients to be polynomial (the class covered
-    by blow-up basis forms, classical Whitney forms, and the higher-order
-    scalar candidates); otherwise NonPolynomialResidue is raised.
+    On Theta_F each full-block sum l_{V_j} is 1, so those denominator factors
+    drop; a singleton block integrates by the Dirichlet formula with n = 0, to 1.
+    Any other factor raises NonPolynomialResidue.  The input class is forms with
+    homogeneous coefficients, as every form the package builds has (blow-up
+    basis forms, classical Whitney forms, the higher-order scalar candidates);
+    a non-homogeneous coefficient can keep a factor that only pinning a
+    singleton variable to 1 would cancel, and raises too.
     """
     restricted = restrict_to_theta(form, flag)
     blocks = flag.blocks
+    full = {frozenset(b) for b in blocks}
     block_of = {i: j for j, b in enumerate(blocks) for i in b}
+    # the blocks' (-1)^n, and the reordering of ascending T_F into block order
+    sign = (-1) ** flag.k * perm_sign(tuple(v for b in blocks for v in b[:-1]))
     total = Fraction(0)
-    for W, f in restricted.terms.items():
-        if f.den:
+    for f in restricted.terms.values():
+        left = [S for S in f.den if S not in full]
+        if left:
             raise NonPolynomialResidue(
-                f"restriction to {flag} left denominator factors {sorted(map(sorted, f.den))}"
+                f"restriction to {flag} left denominator factors {sorted(map(sorted, left))}"
             )
-        # no dlambda_{max B} is left, so |W & B| <= |B| - 1 with sum |W| = k: equality per block
-        target = tuple(v for b in blocks for v in sorted(W & frozenset(b)))
-        # the blocks' (-1)^n, and the reordering of ascending W into block order
-        sign = (-1) ** flag.k * perm_sign(target)
         for mono, coeff in f.num.terms.items():
             num = sign * coeff
             degree = [len(b) - 1 for b in blocks]

@@ -272,16 +272,19 @@ def concordant(est: Estimate, exact: float) -> bool:
     return abs(est.mean - exact) <= 3 * stderr
 
 
-def check_concordance(run, exact: float, samples: int) -> tuple[Estimate, bool, bool]:
+def check_concordance(run, exact: float, samples: int,
+                      seed: tuple[int, ...]) -> tuple[Estimate, bool, bool]:
     """Apply the concordance rule to one case; returns (estimate, escalated, ok).
 
-    ``run(samples, attempt)`` draws one estimate; ``attempt`` is 0 for the
-    first run and 1 for the single re-run at 10x the samples.
+    ``run(samples, seed)`` draws one estimate.  The first run draws under
+    ``seed``; the single re-run, at 10x the samples, under ``(*seed, 256)``.
+    The re-run's stream is disjoint from every first run's unless some first-run
+    seed is another one with 256 appended; it is enough that none ends in 256.
     """
-    est = run(samples, 0)
+    est = run(samples, seed)
     if concordant(est, exact):
         return est, False, True
-    est = run(10 * samples, 1)
+    est = run(10 * samples, (*seed, 256))
     return est, True, concordant(est, exact)
 
 

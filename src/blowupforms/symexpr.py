@@ -202,18 +202,6 @@ class Poly:
             total = val if total is None else total + val
         return 0 if total is None else total
 
-    def substitute_one(self, v: int) -> "Poly":
-        """Substitute lambda_v -> 1."""
-        t: dict[Mono, int | Fraction] = {}
-        for m, c in self.terms.items():
-            key = tuple((w, e) for w, e in m if w != v)
-            s = t.get(key, 0) + c
-            if s:
-                t[key] = s
-            else:
-                t.pop(key, None)
-        return Poly(t)
-
     def epsilon_split(self, scaled: frozenset[int]) -> dict[int, "Poly"]:
         """Group terms by their order in eps under lambda_i -> eps*lambda_i, i in scaled."""
         comps: dict[int, dict] = {}

@@ -76,7 +76,9 @@ def is_homogeneous(f: RationalFn, d: int) -> bool:
 def substitute_one(f: RationalFn, v: int) -> RationalFn:
     """Substitute lambda_v -> 1 (drops singleton denominator factors {v})."""
     den = {S: e for S, e in f.den.items() if S != frozenset((v,))}
-    return RationalFn(f.num.substitute_one(v), den)
+    num = sum((Poly({tuple((w, e) for w, e in m if w != v): c}) for m, c in f.num.terms.items()),
+              Poly.zero())
+    return RationalFn(num, den)
 
 
 def relabel_poly(p: Poly, perm: dict[int, int]) -> Poly:

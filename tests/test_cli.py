@@ -299,6 +299,37 @@ def test_mc_verify_rerun_draws_from_a_fresh_stream(monkeypatch, capsys):
         assert draws.isdisjoint(mcoracle.generator(first).random(1000).tolist()), (first, rerun)
 
 
+def test_mc_verify_samples_bound(monkeypatch, capsys):
+    # numpy counts samples in 64 bits and a missed case re-runs at 10x --samples:
+    # one above the bound is a usage error that names it, and at the bound a case
+    # runs, and so does its forced re-run
+    import blowupforms.mcoracle as mcoracle
+
+    bound = (2 ** 63 - 1) // 10
+    argv = ["mc-verify", "--target", "pF", "--n", "1", "--samples"]
+    assert run(argv + [str(bound + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--samples must be at most {bound}" in captured.err
+    code, report = run_json(capsys, argv + [str(bound)])
+    assert code == 0 and report["pass"] is True
+
+    samples = []
+    estimate_pF = mcoracle.estimate_pF
+
+    def missing(flag, cfg):
+        samples.append(cfg.samples)
+        est = estimate_pF(flag, cfg)
+        if len(samples) % 2 == 0:
+            return est
+        return mcoracle.Estimate(mean=est.mean + 1, stderr=est.stderr, samples=est.samples)
+
+    monkeypatch.setattr(mcoracle, "estimate_pF", missing)
+    code, report = run_json(capsys, argv + [str(bound), "--rates", "1"])
+    assert report["results"]["escalated"] == report["results"]["cases"] == 3
+    assert samples == [bound, 10 * bound] * 3
+    assert report["results"]["failures"] == []
+
+
 def test_mc_verify_z_summary_is_opt_in(capsys):
     argv = ["mc-verify", "--target", "all", "--n", "1", "--samples", "2000", "--seed", "9"]
     _, plain = run_json(capsys, argv)

@@ -103,8 +103,10 @@ def test_restrict_scalar_vertex_values():
     lam0 = RationalForm.function(var_fn(0))
     at_120 = restrict_to_theta(lam0, Flag.parse("1|2|0"))
     assert at_120.is_zero()
-    at_012 = restrict_to_theta(lam0, Flag.parse("0|1|2"))
-    assert at_012.coefficient(()) == RationalFn.one()
+    # lambda_0 restricts to theta_0, which is 1 on Theta_F: every block is a singleton
+    F = Flag.parse("0|1|2")
+    assert restrict_to_theta(lam0, F).coefficient(()).evaluate({0: 1, 1: 1, 2: 1}) == 1
+    assert dof_evaluate(F, lam0) == 1
 
 
 def test_nonpolynomial_residue_raised():
@@ -112,6 +114,23 @@ def test_nonpolynomial_residue_raised():
     bad = RationalForm(1, {frozenset((1,)): RationalFn(Poly.const(1), {frozenset((1,)): 1})})
     with pytest.raises(NonPolynomialResidue):
         dof_evaluate(F, bad)
+
+
+@pytest.mark.parametrize("num, want", [
+    # homogeneous: the subset sum l_23 divides the numerator before any limit
+    (Poly.var(0) * Poly.var(2) + Poly.var(0) * Poly.var(3), Fraction(1, 2)),
+    # not homogeneous: l_23 divides it only once lambda_0, a singleton block, is 1
+    (Poly.var(0) * Poly.var(2) + Poly.var(3), None),
+])
+def test_dof_input_class_is_homogeneous_coefficients(num, want):
+    F = Flag.parse("0|2,3,4")
+    form = RationalForm(2, {frozenset((2, 3)): RationalFn(num, {frozenset((2, 3)): 1,
+                                                                 frozenset((2, 3, 4)): 2})})
+    if want is None:
+        with pytest.raises(NonPolynomialResidue, match=r"factors \[\[2, 3\]\]$"):
+            dof_evaluate(F, form)
+    else:
+        assert dof_evaluate(F, form) == want
 
 
 def test_degree_mismatch_rejected():
@@ -170,11 +189,12 @@ def monomial_forms(draw):
 def test_dof_integral_is_the_product_of_block_integrals(case):
     # the closed formula against the normalized-volume reference, block by
     # block: the reduced wedge of a block with n + 1 vertices is (-1)^n / n!
-    # times the normalized volume form, and Theta_F is their product in block order
+    # times the normalized volume form, and Theta_F is their product in block order.
+    # Each l_{V_j} is 1 on Theta_F, so its factors drop; no other factor may be left
     flag, form = case
     want = Fraction(0)
     for W, f in restrict_to_theta(form, flag).terms.items():
-        assert not f.den
+        assert set(f.den) <= set(map(frozenset, flag.blocks))
         target = tuple(v for b in flag.blocks for v in sorted(W & set(b)))
         for mono, coeff in f.num.terms.items():
             exps = dict(mono)
@@ -334,28 +354,23 @@ def _multiply_then_limit(form, flag):
     """``restrict_to_theta`` with the radial factors multiplied in: each coefficient
     times prod_{i in W} l_{B(i)} as a polynomial, then the limit with no radial set."""
     blocks = flag.blocks
-    full = {frozenset(b) for b in blocks}
     out = {}
     for W, f in reduce_mod_dlv(form, blocks).terms.items():
         scale = Poly.const(1)
         for i in W:
             scale = scale * Poly.subset_sum(next(b for b in blocks if i in b))
-        g = face_limit(f * scale, flag)
-        if g.is_zero():
-            continue
-        num = g.num
-        for b in blocks:
-            if len(b) == 1:
-                num = num.substitute_one(b[0])
-        out[W] = RationalFn(num, {S: e for S, e in g.den.items() if S not in full})
+        out[W] = face_limit(f * scale, flag)
     return RationalForm(flag.k, out)
 
 
 @pytest.mark.parametrize("nv", [2, 3, 4])
 def test_radial_order_shift_equals_multiplying_the_radial_factors(nv, monkeypatch):
     # on psi_R and lambda_v phi_W, for every flag: equal DOFs, and equal values at
-    # rational points of Theta_F, where each block's theta sum to 1.  Not term by
-    # term: the product can keep a factor l_B, which is 1 on B's simplex
+    # rational points of Theta_F, where each block's theta sum to 1.  Not as
+    # functions: the product can keep a factor l_B, or cancel one against the
+    # denominator, and l_B is 1 on B's simplex.  Both keep the full-block
+    # denominators, so a factor l_{V_j} that the product cancels counts in
+    # kept_factor too: 1, 3 and 7 of the pinned counts
     import blowupforms.dof as dof_mod
 
     V = tuple(range(nv))
@@ -365,10 +380,13 @@ def test_radial_order_shift_equals_multiplying_the_radial_factors(nv, monkeypatc
         forms = [basis_element(R).form for R in {standard_representative(F)[0] for F in flags}]
         forms += [whitney_form(W) * var_fn(v) for W in combinations(V, k + 1) for v in V]
         for F in flags:
+            T_F = frozenset(v for b in F.blocks for v in b[:-1])
             points = [{v: Fraction(w(v), sum(map(w, b))) for b in F.blocks for v in b}
                       for w in (lambda v: v + 1, lambda v: 2 ** v + v * v)]
             for form in forms:
                 new, old = restrict_to_theta(form, F), _multiply_then_limit(form, F)
+                # Theta_F is k-dimensional: one coefficient, on T_F
+                assert new.terms.keys() <= {T_F}, (F, form)
                 for W in new.terms.keys() | old.terms.keys():
                     for p in points:
                         assert new.coefficient(W).evaluate(p) == old.coefficient(W).evaluate(p)
@@ -378,7 +396,7 @@ def test_radial_order_shift_equals_multiplying_the_radial_factors(nv, monkeypatc
                     m.setattr(dof_mod, "restrict_to_theta", _multiply_then_limit)
                     assert dof_evaluate(F, form) == value, (F, form)
                 pairs += 1
-    assert (pairs, kept_factor) == {2: (13, 2), 3: (130, 9), 4: (1651, 40)}[nv]
+    assert (pairs, kept_factor) == {2: (13, 3), 3: (130, 12), 4: (1651, 47)}[nv]
 
 
 def test_divergent_limit_propagates():

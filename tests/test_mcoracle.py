@@ -477,33 +477,34 @@ def test_divergent_face_integral_estimate_is_huge():
 # -- concordance rule --------------------------------------------------------------
 
 def scripted_run(*means, stderr=0.01):
-    """A run(samples, attempt) callback that replays fixed estimates."""
+    """A run(samples, seed) callback that replays fixed estimates, one per call."""
     calls = []
 
-    def run(samples, attempt):
-        calls.append((samples, attempt))
-        return Estimate(mean=means[attempt], stderr=stderr, samples=samples)
+    def run(samples, seed):
+        calls.append((samples, seed))
+        return Estimate(mean=means[len(calls) - 1], stderr=stderr, samples=samples)
 
     return run, calls
 
 
 def test_concordance_passes_on_first_try():
     run, calls = scripted_run(0.52)
-    est, escalated, ok = check_concordance(run, 0.5, 1000)
+    est, escalated, ok = check_concordance(run, 0.5, 1000, (7, 1))
     assert (est.mean, escalated, ok) == (0.52, False, True)
-    assert calls == [(1000, 0)]
+    assert calls == [(1000, (7, 1))]
 
 
 def test_concordance_escalates_to_ten_times_the_samples():
     run, calls = scripted_run(0.6, 0.505)
-    est, escalated, ok = check_concordance(run, 0.5, 1000)
+    est, escalated, ok = check_concordance(run, 0.5, 1000, (7, 1))
     assert (est.mean, est.samples, escalated, ok) == (0.505, 10_000, True, True)
-    assert calls == [(1000, 0), (10_000, 1)]
+    # the re-run draws under a seed of its own
+    assert calls == [(1000, (7, 1)), (10_000, (7, 1, 256))]
 
 
 def test_concordance_fails_after_escalation():
     run, calls = scripted_run(0.6, 0.6)
-    est, escalated, ok = check_concordance(run, 0.5, 1000)
+    est, escalated, ok = check_concordance(run, 0.5, 1000, (7, 1))
     assert (escalated, ok) == (True, False)
     assert len(calls) == 2
 

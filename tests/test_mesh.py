@@ -507,8 +507,26 @@ def pure_complexes(draw) -> dict:
     return {"dimension": n, "cells": [sorted(c) for c in cells]}
 
 
+@st.composite
+def strip_cones(draw) -> dict:
+    """The cone from a new apex over n >= 3 quads glued end to end into a ring,
+    straight (an annulus) or with a half twist (a Moebius band), each quad cut
+    along a drawn diagonal, with one boundary circle optionally capped by a fan
+    (a disk, or the projective plane)."""
+    n, twist = draw(st.integers(3, 5)), draw(st.booleans())
+    us, ws = list(range(n)), list(range(n, 2 * n))
+    ends = list(zip(us, ws)) + [(ws[0], us[0]) if twist else (us[0], ws[0])]
+    base = []
+    for (a, b), (c, d) in zip(ends, ends[1:]):
+        base += [[a, b, c], [b, c, d]] if draw(st.booleans()) else [[a, b, d], [a, c, d]]
+    if draw(st.booleans()):
+        ring = us + ws if twist else us
+        base += [[u, w, 2 * n] for u, w in zip(ring, ring[1:] + ring[:1])]
+    return {"dimension": 3, "cells": [sorted(c) + [2 * n + 1] for c in base]}
+
+
 @settings(max_examples=150, deadline=None)
-@given(pure_complexes())
+@given(st.one_of(pure_complexes(), strip_cones()))
 @example(ANNULUS_CONE)
 def test_loader_refuses_what_general_assembly_would_get_wrong(doc):
     # a mesh either is refused with its face named, or gets the simplicial

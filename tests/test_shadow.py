@@ -274,13 +274,18 @@ def _d_subset_sum(S) -> RationalForm:
     return RationalForm(1, {frozenset((v,)): RationalFn.one() for v in S})
 
 
-def _merge_lemma_rhs(A, B) -> RationalForm:
-    """perm_sign(A + B) (-1)^|A| m (l_A^|A| l_B^|B| / l_{A u B}^{|A|+|B|})
-    (dl_A / l_A - dl_B / l_B) ^ omega_A ^ omega_B, m = (|A|+|B|-1)! / ((|A|-1)! (|B|-1)!)."""
+def _merge_ratio(A, B) -> RationalFn:
+    """m l_A^|A| l_B^|B| / l_{A u B}^{|A|+|B|}, m = (|A|+|B|-1)! / ((|A|-1)! (|B|-1)!)."""
     a, b = len(A), len(B)
     m = math.factorial(a + b - 1) // (math.factorial(a - 1) * math.factorial(b - 1))
     ratio = RationalFn(Poly.subset_sum(A) ** a * Poly.subset_sum(B) ** b)
-    ratio = ratio.over_subset_sum(A + B, a + b) * (perm_sign(A + B) * (-1) ** a * m)
+    return ratio.over_subset_sum(A + B, a + b) * m
+
+
+def _merge_lemma_rhs(A, B) -> RationalForm:
+    """perm_sign(A + B) (-1)^|A| m (l_A^|A| l_B^|B| / l_{A u B}^{|A|+|B|})
+    (dl_A / l_A - dl_B / l_B) ^ omega_A ^ omega_B, m = (|A|+|B|-1)! / ((|A|-1)! (|B|-1)!)."""
+    ratio = _merge_ratio(A, B) * (perm_sign(A + B) * (-1) ** len(A))
     radial = (_d_subset_sum(A) * RationalFn.one().over_subset_sum(A)
               - _d_subset_sum(B) * RationalFn.one().over_subset_sum(B))
     return radial.wedge(omega_form(A)).wedge(omega_form(B)) * ratio
@@ -295,6 +300,23 @@ _SPLITS = [(A, tuple(v for v in range(nv) if v not in A))
 def test_merge_lemma(A, B):
     # fact 2 behind Flag.merge_sign, an exact identity in R^{|A|+|B|}
     assert omega_form(A + B) == _merge_lemma_rhs(A, B)
+
+
+@pytest.mark.parametrize("nv", range(1, 6))
+def test_euler_identity_of_every_standard_representative(nv):
+    # fact 3 behind Flag.merge_sign: for every block i of F, E_i p_F = T_{i+1} - T_i,
+    # where E_i = sum_{v in V_i} lambda_v d/dlambda_v is block i's Euler field,
+    # T_0 = T_m = 0 for m blocks, and the merge at j of A = V_{j-1} and B = V_j
+    # gives T_j = m_j r_j p_{F.coarsen(j)}, m_j r_j as in fact 2
+    for F in _standard_flags(nv, all_up_to=0):
+        p, blocks = poisson_probability(F), F.blocks
+        T = [RationalFn.zero()]
+        T += [_merge_ratio(blocks[j - 1], blocks[j]) * poisson_probability(F.coarsen(j))
+              for j in range(1, len(blocks))]
+        T.append(RationalFn.zero())
+        for i, block in enumerate(blocks):
+            euler = sum((p.derivative(v) * Poly.var(v) for v in block), RationalFn.zero())
+            assert euler == T[i + 1] - T[i], (F, i)
 
 
 # -- relabelling ---------------------------------------------------------------------
