@@ -4,14 +4,15 @@ The functional attached to a flag F works in two steps.  ``restrict_to_theta``
 pulls a k-form back to the product of block simplices Theta_F = prod_j T_{V_j}
 and takes the limit toward the corresponding blow-up face with
 ``symexpr.face_limit`` (every block infinitesimal relative to the one before
-it, all steps in one pass).  The pull-back drops the radial differentials
-d l_{V_j} with ``symexpr.reduce_mod_dlv``, which leaves Theta_F's one
-coefficient.  Modulo d l_B, dlambda_i = l_B dtheta_i for i in a block B; the
-radial factor l_B tends to itself and is 1 on T_B, so the limit counts its
-order and never multiplies it in.  ``dof_evaluate`` then integrates that
-coefficient over Theta_F exactly.  Each block simplex carries the
-ascending-vertex orientation with the block-maximal coordinate eliminated, and
-Theta_F is the product in block order.
+it, all steps in one pass).  The integrand is the form on Theta_F's tangent
+frame e_t - e_{max B(t)}, t in T_F (the non-maximal vertices of F's blocks):
+a signed sum, by ``tangent_sign``, of the terms that reach T_F, the rule the
+Monte Carlo oracle uses too.  Modulo d l_B, dlambda_i = l_B dtheta_i for i in
+a block B; the radial factor l_B tends to itself and is 1 on T_B, so the
+limit counts its order and never multiplies it in.  ``dof_evaluate`` then
+integrates that coefficient over Theta_F exactly.  Each block simplex carries
+the ascending-vertex orientation with the block-maximal coordinate
+eliminated, and Theta_F is the product in block order.
 
 The integral is one closed formula, the Dirichlet integral (Eisenberg and
 Malvern, IJNME 7, 1973).  Let eta_B be the reduced wedge of a block B with
@@ -29,24 +30,46 @@ import math
 from fractions import Fraction
 
 from .flagcomb import Flag, perm_sign
-from .symexpr import RationalForm, face_limit, reduce_mod_dlv
+from .symexpr import RationalForm, face_limit
 
 
 class NonPolynomialResidue(ArithmeticError):
     """The restricted integrand kept a denominator no block can absorb."""
 
 
+def tangent_sign(flag: Flag, W) -> int:
+    """The ascending dlambda_W on the ascending frame (e_t - e_{max B(t)}), t in T_F.
+
+    T_F holds the non-maximal vertices of F's blocks; W is a k-subset.  On the
+    frame, dlambda_{max B} = -sum of dlambda_i over the rest of B, and the
+    dlambda_t, t in T_F, are its dual coframe.  The substitution keeps |W & B|,
+    so dlambda_W reaches dlambda_{T_F} only if W misses exactly one vertex u_B
+    of every block B, and is 0 otherwise.  Where u_B != max B, the one summand
+    that W does not already hold is -dlambda_{u_B}, in max B's slot.  So
+    dlambda_W = (-1)^s dlambda_seq = (-1)^s perm_sign(seq) dlambda_{T_F}, seq
+    being sorted(W) with each such max B replaced in place by u_B and s the
+    number of replacements; dlambda_{T_F} is 1 on the frame.
+    """
+    seq, s = sorted(W), 0
+    for block in flag.blocks:
+        missed = [v for v in block if v not in W]
+        if len(missed) != 1:
+            return 0
+        if missed[0] != block[-1]:
+            seq[seq.index(block[-1])] = missed[0]
+            s += 1
+    return (-1) ** s * perm_sign(seq)
+
+
 def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
     """Pull a k-form back to Theta_F and take its limit toward the face of F.
 
-    Steps: (1) keep only components tangential to Theta_F: ``reduce_mod_dlv``
-    rewrites each block-maximal dlambda modulo d l_B of its block B, and a
-    singleton block's dlambda, purely radial, drops; (2) take the ``face_limit``
-    of each coefficient f_W with radial set W: against dtheta the coefficient is
-    f_W prod_{i in W} l_{B(i)}, and each l_{B(i)} tends to itself, which is 1 on
-    Theta_F.  After step (1) no dlambda_{max B} is left, so the only k-subset W
-    is T_F, the non-maximal vertices of F's blocks: Theta_F is k-dimensional and
-    the result has at most one coefficient, keyed by T_F.
+    Steps: (1) keep only the component tangential to Theta_F: the form on
+    Theta_F's tangent frame is sum_W tangent_sign(F, W) f_W, and Theta_F is
+    k-dimensional, so the result has at most one coefficient, keyed by T_F;
+    (2) take its ``face_limit`` with radial set T_F: against dtheta the
+    coefficient is f prod_{t in T_F} l_{B(t)}, and each l_{B(t)} tends to
+    itself, which is 1 on Theta_F.
 
     The returned form reuses the lambda indices as coordinates theta_i on
     Theta_F; its coefficient is not yet restricted to the block simplices
@@ -57,8 +80,14 @@ def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
     foreign = form.variables() - set(flag.vertices)
     if foreign:
         raise ValueError(f"form uses variables {sorted(foreign)} outside the flag's vertex set")
-    return RationalForm(flag.k, {W: face_limit(f, flag, W)
-                                 for W, f in reduce_mod_dlv(form, flag.blocks).terms.items()})
+    T_F = frozenset(v for b in flag.blocks for v in b[:-1])
+    tangent = None
+    for W, f in form.terms.items():
+        sign = tangent_sign(flag, W)
+        if sign:
+            f = f if sign > 0 else -f
+            tangent = f if tangent is None else tangent + f
+    return RationalForm(flag.k, {} if tangent is None else {T_F: face_limit(tangent, flag, T_F)})
 
 
 def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:

@@ -3,7 +3,8 @@
 Simulates the Poisson ensembles directly in 64-bit floats, firewalled from
 the exact core: exact rationals cross the boundary only as float rates and
 expected values, and the face integral evaluates the exact forms' rational
-coefficients at float points.  The samples are i.i.d., so a sample's index
+coefficients at float points, on the tangent frame by ``dof.tangent_sign``.
+The samples are i.i.d., so a sample's index
 carries no information and a probability's estimate needs only the number
 of samples that hit.  Both races are therefore run on populations, never
 on arrays of samples.  A flag's blocks finish in flag order or not according to the
@@ -29,12 +30,12 @@ that re-run.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import comb
 
 import numpy as np
 
-from .flagcomb import ArrivalSequence, Flag, perm_sign
+from .dof import tangent_sign
+from .flagcomb import ArrivalSequence, Flag
 from .shadow import flag_omega
 from .symexpr import RationalForm
 
@@ -190,24 +191,14 @@ def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
 # face integrals on a per-sample ladder
 # ---------------------------------------------------------------------------
 
-def _form_values(form: RationalForm, point: dict[int, np.ndarray], vectors) -> np.ndarray:
-    """Evaluate a k-form on a fixed tuple of lambda-space vectors, vectorized.
-
-    ``vectors`` is a list of sparse columns {var: float}.  The frame is the
-    same at every sample, so each term's determinant is one Python float.
-    """
-    k = form.degree
-    n = next(iter(point.values())).shape[0]
-    total = np.zeros(n)
+def _tangent_values(form: RationalForm, flag: Flag, point: dict[int, np.ndarray]) -> np.ndarray:
+    """The form at ``point`` on Theta_F's tangent frame, vectorized over samples:
+    each term's value on the frame is the integer ``tangent_sign``."""
+    total = np.zeros(next(iter(point.values())).shape[0])
     for W, f in form.terms.items():
-        sw = tuple(sorted(W))
-        det = 0.0
-        for perm in permutations(range(k)):
-            prod = float(perm_sign(perm))
-            for row, col in enumerate(perm):
-                prod = prod * vectors[col].get(sw[row], 0.0)
-            det = det + prod
-        total = total + f.evaluate(point) * det
+        sign = tangent_sign(flag, W)
+        if sign:
+            total = total + f.evaluate(point) * sign
     return total
 
 
@@ -223,11 +214,11 @@ def estimate_face_integral(flag: Flag, form: RationalForm, cfg: SimulationConfig
     eps -> 0, and the integrand differs from its value there by O(eps).  A
     ladder shared by all samples (rho_j = eps^j) does not: near a corner of
     Theta_F it crosses the neighbouring exceptional faces, and the estimate
-    tends to the DOF of a chain of faces.  The form and omega_F are evaluated on the
-    tangential frame e_v - e_{max V_j}; both are multilinear in the same
-    frame, so the frame's scale cancels in their ratio, whose sample mean
-    and standard error are the estimate.  A form whose face limit diverges
-    gives an estimate of order 1/eps, not an error.
+    tends to the DOF of a chain of faces.  The form and omega_F are evaluated on
+    the tangent frame e_v - e_{max V_j} as in ``dof.restrict_to_theta``; both
+    are multilinear in it, so its scale and order cancel in their ratio,
+    whose sample mean and standard error are the estimate.  A form whose face
+    limit diverges gives an estimate of order 1/eps, not an error.
     """
     if form.degree != flag.k:
         raise ValueError("form degree must match the flag")
@@ -244,9 +235,7 @@ def estimate_face_integral(flag: Flag, form: RationalForm, cfg: SimulationConfig
     total_r = sum(radii)
     point = {v: theta[v] * radii[j] / total_r
              for j, block in enumerate(flag.blocks) for v in block}
-    vectors = [{v: 1.0, max(block): -1.0}
-               for block in flag.blocks for v in block if v != max(block)]
-    vals = _form_values(form, point, vectors) / _form_values(flag_omega(flag), point, vectors)
+    vals = _tangent_values(form, flag, point) / _tangent_values(flag_omega(flag), flag, point)
     stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return Estimate(mean=float(vals.mean()), stderr=stderr, samples=n)
 

@@ -81,6 +81,39 @@ def substitute_one(f: RationalFn, v: int) -> RationalFn:
     return RationalFn(num, den)
 
 
+def reduce_mod_dlv(form: RationalForm, blocks) -> RationalForm:
+    """Rewrite modulo d(l_B) for each block B: dlambda_{max B} -> -sum of the others.
+
+    The result involves no dlambda_{max B} and represents the same form on
+    vectors tangent to every slice l_B = const; a singleton block's dlambda
+    drops.  Moving the substituted dlambda_i from the slot of max B to its
+    own slot passes the members of W strictly between i and max B.  The
+    blocks are disjoint, so substituting block by block is substituting all
+    at once.  The reference for ``dof.tangent_sign``: the T_F coefficient of the
+    result is sum_W tangent_sign(F, W) f_W.
+    """
+    terms = form.terms
+    for B in blocks:
+        *rest, vmax = sorted(B)
+        out: dict[frozenset, RationalFn] = {}
+        for W, f in terms.items():
+            if vmax not in W:
+                s = out.get(W)
+                out[W] = f if s is None else s + f
+                continue
+            W0 = W - {vmax}
+            for i in rest:
+                if i in W0:
+                    continue
+                between = sum(1 for w in W0 if i < w < vmax)
+                key = W0 | {i}
+                contrib = f if between % 2 else -f  # -1 from the substitution itself
+                s = out.get(key)
+                out[key] = contrib if s is None else s + contrib
+        terms = out
+    return RationalForm(form.degree, terms)
+
+
 def relabel_poly(p: Poly, perm: dict[int, int]) -> Poly:
     """p with each lambda_v renamed lambda_{perm[v]} (unmapped variables kept)."""
     return Poly({

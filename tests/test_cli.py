@@ -330,6 +330,25 @@ def test_mc_verify_samples_bound(monkeypatch, capsys):
     assert report["results"]["failures"] == []
 
 
+def test_mc_verify_dof_case_samples_are_capped(monkeypatch, capsys):
+    # a DOF case's error is its ladder's bias, not noise: at the --samples bound
+    # it still draws at most 10 000 samples, instead of running out of memory
+    import blowupforms.mcoracle as mcoracle
+
+    samples = []
+    estimate_face_integral = mcoracle.estimate_face_integral
+
+    def recorded(flag, form, cfg):
+        samples.append(cfg.samples)
+        return estimate_face_integral(flag, form, cfg)
+
+    monkeypatch.setattr(mcoracle, "estimate_face_integral", recorded)
+    code, report = run_json(capsys, ["mc-verify", "--target", "dof", "--n", "1", "--rates", "1",
+                                     "--samples", str((2 ** 63 - 1) // 10)])
+    assert code == 0 and report["pass"] is True
+    assert samples and max(samples) <= 10_000
+
+
 def test_mc_verify_z_summary_is_opt_in(capsys):
     argv = ["mc-verify", "--target", "all", "--n", "1", "--samples", "2000", "--seed", "9"]
     _, plain = run_json(capsys, argv)

@@ -26,8 +26,15 @@ from blowupforms.shadow import (
     orbit_pairing,
     whitney_form,
 )
-from blowupforms.symexpr import Poly, RationalFn, RationalForm, face_limit, reduce_mod_dlv
-from form_helpers import d_lambda, dense_rows, integrate_monomial_simplex, relabel_form, var_fn
+from blowupforms.symexpr import Poly, RationalFn, RationalForm, face_limit
+from form_helpers import (
+    d_lambda,
+    dense_rows,
+    integrate_monomial_simplex,
+    reduce_mod_dlv,
+    relabel_form,
+    var_fn,
+)
 
 
 # -- independent quadrature oracle -------------------------------------------------

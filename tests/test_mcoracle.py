@@ -1,19 +1,18 @@
 import tracemalloc
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import permutations, product
 from math import factorial, prod
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from blowupforms.flagcomb import ArrivalSequence, Flag, enumerate_flags
+from blowupforms.flagcomb import ArrivalSequence, Flag, enumerate_flags, perm_sign
 from blowupforms.hiord import enumerate_experiments
 from blowupforms.mcoracle import (
     Estimate,
     SimulationConfig,
-    _form_values,
     check_concordance,
     concordant,
     estimate_face_integral,
@@ -422,6 +421,18 @@ def test_config_validation():
         SimulationConfig(rates={0: Fraction(1)}, samples=0, seed=0)
 
 
+def frame_values(form, point, vectors):
+    """The form at ``point`` on the frame ``vectors`` ({var: float}), each term's
+    determinant a signed sum over the k! permutations."""
+    total = 0.0
+    for W, f in form.terms.items():
+        cols = sorted(W)
+        det = sum(perm_sign(p) * prod(vec.get(cols[c], 0.0) for vec, c in zip(vectors, p))
+                  for p in permutations(range(form.degree)))
+        total = total + f.evaluate(point) * det
+    return total
+
+
 def fixed_ladder_values(flag, form, cfg, eps):
     """The face integrand with every sample on one ladder, rho_j = eps^j."""
     rng = cfg.rng()
@@ -434,7 +445,7 @@ def fixed_ladder_values(flag, form, cfg, eps):
     point = {v: theta[v] * radii[j] / sum(radii) for j, block in enumerate(flag.blocks)
              for v in block}
     vectors = [{v: 1.0, max(b): -1.0} for b in flag.blocks for v in b if v != max(b)]
-    return _form_values(form, point, vectors) / _form_values(flag_omega(flag), point, vectors)
+    return frame_values(form, point, vectors) / frame_values(flag_omega(flag), point, vectors)
 
 
 def test_dof_face_integration_bridge_n2():

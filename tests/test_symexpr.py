@@ -5,6 +5,7 @@ from math import prod
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
+from blowupforms.dof import tangent_sign
 from blowupforms.flagcomb import Flag, enumerate_flags, perm_sign
 from blowupforms.symexpr import (
     DivergentLimit,
@@ -13,7 +14,6 @@ from blowupforms.symexpr import (
     RationalForm,
     _probe,
     face_limit,
-    reduce_mod_dlv,
 )
 from blowupforms.shadow import poisson_probability
 from form_helpers import (
@@ -21,6 +21,7 @@ from form_helpers import (
     d_lambda,
     is_homogeneous,
     race_limit,
+    reduce_mod_dlv,
     substitute_one,
     var_fn,
 )
@@ -572,7 +573,8 @@ def test_reduce_mod_dlv_keeps_every_tangent_value(data):
     flag F with n <= 3 and a k-form with every dlambda_W on {0..3}, the form and its
     reduction take the same value on the tangent vectors e_i - e_{max B} of F's
     blocks, and no dlambda_{max B} is left.  Blocks whose maximum lies below members
-    of W exercise the sign of the substitution."""
+    of W exercise the sign of the substitution.  ``dof.tangent_sign`` is each
+    dlambda_W's value on the ascending frame, a determinant taken here directly."""
     forms = {k: RationalForm(k, {frozenset(W): data.draw(rationals)
                                  for W in combinations(range(4), k)})
              for k in range(4)}
@@ -585,6 +587,10 @@ def test_reduce_mod_dlv_keeps_every_tangent_value(data):
         assert not any(W & tops for W in reduced.terms), flag
         tangent = [{i: 1, max(B): -1} for B in flag.blocks for i in B if i != max(B)]
         assert value_on_vectors(reduced, point, tangent) == value_on_vectors(form, point, tangent), flag
+        ascending = sorted(tangent, key=min)  # e_t - e_{max B} by t, its least index
+        for W in combinations(range(4), flag.k):
+            dlW = RationalForm(flag.k, {frozenset(W): RationalFn.one()})
+            assert tangent_sign(flag, W) == value_on_vectors(dlW, point, ascending), (flag, W)
 
 
 # -- serialization and display ---------------------------------------------------
