@@ -78,42 +78,48 @@ def _write_latex(path: str, header: str, rows: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_basis(args):
-    from .shadow import shadow_basis
+    from .flagcomb import enumerate_flags
+    from .shadow import flag_omega, poisson_probability
     from .symexpr import form_latex, form_to_json, rational_fn_to_json
 
     V = tuple(range(args.n + 1))
     ks = [args.k] if args.k is not None else list(range(args.n + 1))
-    elems = [(k, elem) for k in ks for elem in shadow_basis(V, k)]
+    elems = []
+    for k in ks:
+        for F in enumerate_flags(V, k):
+            # psi_F as ``basis_element`` builds it, with p_F (half the work) built once
+            p = poisson_probability(F)
+            elems.append((k, F, p, flag_omega(F) * p))
     entries = []
-    for k, elem in elems:
+    for k, F, p, psi in elems:
         entry = {
             "k": k,
-            "flag": str(elem.flag),
-            "flag_compact": elem.flag.compact(),
-            "probability": rational_fn_to_json(elem.probability),
-            "psi": form_to_json(elem.form),
+            "flag": str(F),
+            "flag_compact": F.compact(),
+            "probability": rational_fn_to_json(p),
+            "psi": form_to_json(psi),
         }
         if args.eval_grid:
-            entry["grid"] = _grid_values(elem, args.eval_grid)
+            entry["grid"] = _grid_values(F, psi, args.eval_grid)
         entries.append(entry)
     if args.latex:
         _write_latex(args.latex, "$k$ & $F$ & $\\psi_F$", [
-            f"{k} & ${elem.flag.compact()}$ & ${form_latex(elem.form)}$ \\\\"
-            for k, elem in elems
+            f"{k} & ${F.compact()}$ & ${form_latex(psi)}$ \\\\"
+            for k, F, _, psi in elems
         ])
     return {"n": args.n, "k": args.k}, {"count": len(entries), "entries": entries}, True
 
 
-def _grid_values(elem, m: int):
+def _grid_values(F, psi, m: int):
     """Coefficient samples of psi_F on a barycentric grid (CSV-ready rows)."""
-    V = elem.flag.vertices
+    V = F.vertices
     rows = []
     for weights in product(range(1, m + 1), repeat=len(V)):
         total = sum(weights)
         point = {v: Fraction(w, total) for v, w in zip(V, weights)}
         vals = {
             ",".join(map(str, sorted(W))): float(f.evaluate(point))
-            for W, f in elem.form.terms.items()
+            for W, f in psi.terms.items()
         }
         rows.append({"point": [str(point[v]) for v in V], "coefficients": vals})
     return rows
@@ -306,7 +312,7 @@ def _cmd_mc_verify(args):
             V = tuple(range(args.n + 1))
             for k in range(args.n + 1):
                 for F in enumerate_flags(V, k):
-                    yield "dof", F, basis_element(F).form
+                    yield "dof", F, basis_element(F)
 
     checked, escalated, failures = 0, 0, []
     details = []
@@ -386,10 +392,9 @@ def _mc_dof_case(flag, form, args, trial: int) -> dict:
     from . import mcoracle
 
     exact = 1.0
-    cfg = mcoracle.SimulationConfig(rates={0: Fraction(1)},
-                                    samples=min(_DOF_SAMPLES, max(1000, args.samples // 10)),
-                                    seed=(args.seed, trial, *str(flag).encode()))
-    est = mcoracle.estimate_face_integral(flag, form, cfg)
+    est = mcoracle.estimate_face_integral(flag, form,
+                                          min(_DOF_SAMPLES, max(1000, args.samples // 10)),
+                                          (args.seed, trial, *str(flag).encode()))
     tol = max(3 * est.stderr, 1e-2)
     ok = abs(est.mean - exact) <= tol
     return {

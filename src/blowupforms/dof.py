@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .flagcomb import Flag, perm_sign
-from .symexpr import RationalForm, face_limit
+from .symexpr import RationalFn, RationalForm, face_limit
 
 
 class NonPolynomialResidue(ArithmeticError):
@@ -61,33 +61,33 @@ def tangent_sign(flag: Flag, W) -> int:
     return (-1) ** s * perm_sign(seq)
 
 
-def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalForm:
+def restrict_to_theta(form: RationalForm, flag: Flag) -> RationalFn:
     """Pull a k-form back to Theta_F and take its limit toward the face of F.
 
     Steps: (1) keep only the component tangential to Theta_F: the form on
-    Theta_F's tangent frame is sum_W tangent_sign(F, W) f_W, and Theta_F is
-    k-dimensional, so the result has at most one coefficient, keyed by T_F;
-    (2) take its ``face_limit`` with radial set T_F: against dtheta the
-    coefficient is f prod_{t in T_F} l_{B(t)}, and each l_{B(t)} tends to
-    itself, which is 1 on Theta_F.
+    Theta_F's tangent frame is sum_W tangent_sign(F, W) f_W, one coefficient,
+    since Theta_F is k-dimensional; (2) take its ``face_limit`` with radial set
+    T_F: against dtheta the coefficient is f prod_{t in T_F} l_{B(t)}, and each
+    l_{B(t)} tends to itself, which is 1 on Theta_F.
 
-    The returned form reuses the lambda indices as coordinates theta_i on
-    Theta_F; its coefficient is not yet restricted to the block simplices
-    (see ``dof_evaluate``).  DivergentLimit propagates from step (2).
+    Returns that coefficient of dtheta_{T_F} (zero if no term reaches T_F), in
+    the lambda indices as coordinates theta_i on Theta_F, not yet restricted to
+    the block simplices (see ``dof_evaluate``).  DivergentLimit propagates.
     """
     if form.degree != flag.k:
         raise ValueError(f"form degree {form.degree} != flag k {flag.k}")
     foreign = form.variables() - set(flag.vertices)
     if foreign:
         raise ValueError(f"form uses variables {sorted(foreign)} outside the flag's vertex set")
-    T_F = frozenset(v for b in flag.blocks for v in b[:-1])
     tangent = None
     for W, f in form.terms.items():
         sign = tangent_sign(flag, W)
         if sign:
             f = f if sign > 0 else -f
             tangent = f if tangent is None else tangent + f
-    return RationalForm(flag.k, {} if tangent is None else {T_F: face_limit(tangent, flag, T_F)})
+    if tangent is None:
+        return RationalFn.zero()
+    return face_limit(tangent, flag, frozenset(v for b in flag.blocks for v in b[:-1]))
 
 
 def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
@@ -101,26 +101,25 @@ def dof_evaluate(flag: Flag, form: RationalForm) -> Fraction:
     a non-homogeneous coefficient can keep a factor that only pinning a
     singleton variable to 1 would cancel, and raises too.
     """
-    restricted = restrict_to_theta(form, flag)
+    f = restrict_to_theta(form, flag)
     blocks = flag.blocks
     full = {frozenset(b) for b in blocks}
+    left = [S for S in f.den if S not in full]
+    if left:
+        raise NonPolynomialResidue(
+            f"restriction to {flag} left denominator factors {sorted(map(sorted, left))}"
+        )
     block_of = {i: j for j, b in enumerate(blocks) for i in b}
     # the blocks' (-1)^n, and the reordering of ascending T_F into block order
     sign = (-1) ** flag.k * perm_sign(tuple(v for b in blocks for v in b[:-1]))
     total = Fraction(0)
-    for f in restricted.terms.values():
-        left = [S for S in f.den if S not in full]
-        if left:
-            raise NonPolynomialResidue(
-                f"restriction to {flag} left denominator factors {sorted(map(sorted, left))}"
-            )
-        for mono, coeff in f.num.terms.items():
-            num = sign * coeff
-            degree = [len(b) - 1 for b in blocks]
-            for v, a in mono:
-                num *= math.factorial(a)
-                degree[block_of[v]] += a
-            total += Fraction(num, math.prod(map(math.factorial, degree)))
+    for mono, coeff in f.num.terms.items():
+        num = sign * coeff
+        degree = [len(b) - 1 for b in blocks]
+        for v, a in mono:
+            num *= math.factorial(a)
+            degree[block_of[v]] += a
+        total += Fraction(num, math.prod(map(math.factorial, degree)))
     return total
 
 

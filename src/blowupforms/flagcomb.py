@@ -110,6 +110,14 @@ class Flag:
         with unit coefficients, which ``shadow.d_decomposition`` proves exactly, and
         ``d-check`` once per block-size composition.
 
+        By Stokes and unisolvence, dof_{F_j}(d psi_F) = sum_G [F_j : G] dof_G(psi_F)
+        = [F_j : F], the incidence number of the cell Theta_F in the boundary of
+        Theta_{F_j} in the blow-up, under the DOF orientations.  The tests derive it
+        from the cells alone (exact chart determinants, no form) and find this sign
+        on every (flag, j) on 2-6 vertices.  That derives the second step's unit
+        coefficients; only that d(psi_F) lies in the span of the coarsenings' psi
+        stays verified, not derived.
+
         Relabelling law, for sigma injective and eps = ``relabel_sign``:
 
             F.relabel(sigma).merge_sign(j) = eps(F, sigma) eps(F.coarsen(j), sigma) F.merge_sign(j).

@@ -13,8 +13,8 @@ import math
 from itertools import product
 
 from . import linalg
-from .flagcomb import ArrivalSequence, Flag, vertex_set
-from .shadow import IdentityFailed, shadow_basis
+from .flagcomb import ArrivalSequence, Flag, enumerate_flags, vertex_set
+from .shadow import IdentityFailed, poisson_probability
 from .symexpr import Poly, RationalFn, _den_scale, face_limit
 
 
@@ -74,11 +74,11 @@ def enumerate_experiments(V, r: int) -> list[HigherBasisCandidate]:
 
 
 def r1_reduction_check(V) -> bool:
-    """True iff the r=1 candidates coincide with the blow-up 0-form basis."""
+    """True iff the r=1 candidates coincide with the blow-up 0-form basis,
+    psi_F = p_F (omega_F = 1 on a 0-flag)."""
     V = vertex_set(V)
     candidates = {c.flag: c.probability for c in enumerate_experiments(V, 1)}
-    basis = {e.flag: e.form.coefficient(()) for e in shadow_basis(V, 0)}
-    return candidates == basis
+    return candidates == {F: poisson_probability(F) for F in enumerate_flags(V, 0)}
 
 
 def independence_rank(candidates: list[HigherBasisCandidate]) -> int:

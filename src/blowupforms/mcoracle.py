@@ -202,7 +202,8 @@ def _tangent_values(form: RationalForm, flag: Flag, point: dict[int, np.ndarray]
     return total
 
 
-def estimate_face_integral(flag: Flag, form: RationalForm, cfg: SimulationConfig) -> Estimate:
+def estimate_face_integral(flag: Flag, form: RationalForm, samples: int,
+                           seed: int | tuple[int, ...]) -> Estimate:
     """Monte Carlo value of the degree of freedom attached to ``flag``.
 
     Samples Theta_F uniformly (per-block Dirichlet theta) and places each
@@ -218,26 +219,28 @@ def estimate_face_integral(flag: Flag, form: RationalForm, cfg: SimulationConfig
     the tangent frame e_v - e_{max V_j} as in ``dof.restrict_to_theta``; both
     are multilinear in it, so its scale and order cancel in their ratio,
     whose sample mean and standard error are the estimate.  A form whose face
-    limit diverges gives an estimate of order 1/eps, not an error.
+    limit diverges gives an estimate of order 1/eps, not an error.  The
+    ``samples`` draws come from ``generator(seed)``; no rate enters.
     """
     if form.degree != flag.k:
         raise ValueError("form degree must match the flag")
-    rng = cfg.rng()
-    n = cfg.samples
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = generator(seed)
     theta: dict[int, np.ndarray] = {}
     for block in flag.blocks:
-        draws = rng.dirichlet(np.ones(len(block)), size=n)
+        draws = rng.dirichlet(np.ones(len(block)), size=samples)
         for idx, v in enumerate(block):
             theta[v] = draws[:, idx]
-    radii = [np.ones(n)]
+    radii = [np.ones(samples)]
     for block in flag.blocks[:-1]:
         radii.append(radii[-1] * FACE_EPS * np.minimum.reduce([theta[v] for v in block]))
     total_r = sum(radii)
     point = {v: theta[v] * radii[j] / total_r
              for j, block in enumerate(flag.blocks) for v in block}
     vals = _tangent_values(form, flag, point) / _tangent_values(flag_omega(flag), flag, point)
-    stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return Estimate(mean=float(vals.mean()), stderr=stderr, samples=n)
+    stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    return Estimate(mean=float(vals.mean()), stderr=stderr, samples=samples)
 
 
 # ---------------------------------------------------------------------------

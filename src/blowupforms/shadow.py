@@ -92,15 +92,6 @@ def poisson_probability(flag: Flag) -> RationalFn:
     return p(flag.block_sizes)
 
 
-class ShadowBasisElement:
-    __slots__ = ("flag", "form", "probability")
-
-    def __init__(self, flag: Flag, form: RationalForm, probability: RationalFn):
-        self.flag = flag
-        self.form = form
-        self.probability = probability
-
-
 def flag_omega(flag: Flag) -> RationalForm:
     """omega_F: the wedge of omega_form over the blocks, in flag order."""
     omega = RationalForm.function(RationalFn.one())
@@ -109,14 +100,9 @@ def flag_omega(flag: Flag) -> RationalForm:
     return omega
 
 
-def basis_element(flag: Flag) -> ShadowBasisElement:
-    p = poisson_probability(flag)
-    return ShadowBasisElement(flag=flag, form=flag_omega(flag) * p, probability=p)
-
-
-def shadow_basis(V, k: int) -> list[ShadowBasisElement]:
-    """The psi_F basis for all flags on V with the given k, canonical order."""
-    return [basis_element(F) for F in enumerate_flags(V, k)]
+def basis_element(flag: Flag) -> RationalForm:
+    """psi_F = p_F * omega_F, the shadow basis form of ``flag``."""
+    return flag_omega(flag) * poisson_probability(flag)
 
 
 def gram_matrix(V, k: int) -> list[dict[Flag, Fraction]]:
@@ -130,7 +116,7 @@ def gram_matrix(V, k: int) -> list[dict[Flag, Fraction]]:
     for F in flags:
         R, sigma = standard_representative(F)
         if R not in nonzero:
-            nonzero[R] = orbit_pairing(R, basis_element(R).form, flags)
+            nonzero[R] = orbit_pairing(R, basis_element(R), flags)
         columns.append(push_forward(nonzero[R], sigma))
     return columns
 
@@ -169,7 +155,7 @@ def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:
     """
     if flag.k == flag.n:
         return []
-    dpsi = basis_element(flag).form.exterior_derivative()
+    dpsi = basis_element(flag).exterior_derivative()
     out: list[tuple[int, Flag]] = []
     recon = RationalForm.zero(flag.k + 1)
     for j in range(1, len(flag.blocks)):
@@ -179,7 +165,7 @@ def d_decomposition(flag: Flag) -> list[tuple[int, Flag]]:
             raise DecompositionFailed(
                 f"coefficient {c} for {Fj} in d(psi_{flag}), closed-form sign {sign}")
         out.append((sign, Fj))
-        recon = recon + basis_element(Fj).form * sign
+        recon = recon + basis_element(Fj) * sign
     if dpsi != recon:
         raise DecompositionFailed(f"d(psi_{flag}) != signed sum of coarsenings")
     return out
@@ -201,7 +187,7 @@ def whitney_containment(W, V) -> list[Flag]:
     flags = [Flag((W,) + tuple((v,) for v in order)) for order in permutations(others)]
     total = RationalForm.zero(len(W) - 1)
     for F in flags:
-        total = total + basis_element(F).form
+        total = total + basis_element(F)
     if total != whitney_form(W) * RationalFn.one().over_subset_sum(V, len(W)):
         raise IdentityFailed(f"sum of psi over {len(flags)} flags != phi_{W}")
     return flags

@@ -3,10 +3,8 @@
 Everything here is built from three layers:
 
 * ``Poly`` -- multivariate polynomials in the variables ``lambda_i`` with
-  exact rational coefficients.  A coefficient is stored as a Python ``int``
-  whenever it is integral and as a non-integral ``Fraction`` otherwise; the
-  polynomials built from subset sums are integral, so their arithmetic
-  never leaves ``int``.
+  exact rational coefficients, each stored as the type its arithmetic gives
+  (see ``Poly``).
 * ``RationalFn`` -- a polynomial numerator over a denominator that is a
   product of powers of subset sums ``l_S = sum_{i in S} lambda_i``.  This
   restricted class is closed under sums, products, partial derivatives and
@@ -51,14 +49,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(d.items()))
 
 
-def _exact(c):
-    """c as an int when it is integral, else as a non-integral Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _probe(v: int) -> int:
     """Integer coordinate of lambda_v at the non-divisibility probe point.
 
@@ -87,18 +77,18 @@ def _hyperplane_point(S: frozenset) -> _ProbePoint:
 
 
 class Poly:
-    """Multivariate polynomial over exact rationals; integral coefficients are ints."""
+    """Multivariate polynomial over exact rationals; a coefficient keeps the type
+    its arithmetic gives.  The package's coefficients stay ints: every constructor
+    is integral (factorials, subset sums, multinomials), and Z[lambda] is closed
+    under +, -, *, ``derivative`` (c * e), ``epsilon_split`` and
+    ``divide_by_subset_sum`` (l_S has unit coefficients).  A caller's ``Fraction``
+    computes as exactly; an integral one equals, hashes, prints and serializes as
+    its int."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        t: dict[Mono, int | Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = _exact(c)
-                if c:
-                    t[m] = c
-        self.terms = t
+        self.terms: dict[Mono, int | Fraction] = {m: c for m, c in (terms or {}).items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -126,7 +116,7 @@ class Poly:
         for m, c in other.terms.items():
             s = t.get(m, 0) + c
             if s:
-                t[m] = s if type(s) is int else _exact(s)
+                t[m] = s
             else:
                 t.pop(m, None)
         out = Poly.__new__(Poly)
@@ -146,7 +136,7 @@ class Poly:
             if not other:
                 return Poly.zero()
             out = Poly.__new__(Poly)
-            out.terms = {m: _exact(c * other) for m, c in self.terms.items()}
+            out.terms = {m: c * other for m, c in self.terms.items()}
             return out
         t: dict[Mono, int | Fraction] = {}
         for ma, ca in self.terms.items():
@@ -154,7 +144,7 @@ class Poly:
                 m = _mono_mul(ma, mb)
                 s = t.get(m, 0) + ca * cb
                 if s:
-                    t[m] = s if type(s) is int else _exact(s)
+                    t[m] = s
                 else:
                     t.pop(m, None)
         out = Poly.__new__(Poly)

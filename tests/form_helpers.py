@@ -143,6 +143,55 @@ def relabel_form(w: RationalForm, perm: dict[int, int]) -> RationalForm:
     return RationalForm(w.degree, out)
 
 
+def determinant(rows) -> Fraction:
+    """The determinant of a square matrix, by exact Gaussian elimination."""
+    m = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def cellular_incidence(flag: Flag, j: int) -> int:
+    """[Theta_{F.coarsen(j)} : Theta_F], the incidence number of the cell Theta_F in
+    the boundary of Theta_{F.coarsen(j)} in the blow-up, by geometry alone: no form.
+
+    Each block simplex T_B carries the DOF orientation sigma_B = (-1)^{|B|-1}
+    relative to its chart (the non-maximal coordinates, ascending), the sign of
+    ``dof_evaluate``'s Dirichlet formula, and Theta_F is the product in block
+    order.  With A = V_{j-1} and B = V_j, Theta_F is the face of T_{A u B}'s
+    blow-up where B becomes infinitesimal against A, charted by theta_a = (1 - t)
+    alpha_a, theta_b = t beta_b, alpha in T_A, beta in T_B and t -> 0+; the
+    outward normal is -d/dt.  Boundary orientation puts the outward normal first,
+    so the local incidence is the sign of det[-d/dt, alpha-frame, beta-frame] in
+    T_{A u B}'s chart, at one interior point (t = 1/2, alpha and beta the
+    barycentres; the positive column factors 1 - t and t are left out; a
+    degenerate chart would read 0), times sigma_{A u B} sigma_A sigma_B.  The
+    blocks ahead add the sign of the boundary of a product,
+    (-1)^{sum_{i<j-1} (|V_i| - 1)}.
+    """
+    A, B = flag.blocks[j - 1], flag.blocks[j]
+    chart = sorted(A + B)[:-1]
+    normal = [Fraction(1, len(A)) if v in A else Fraction(-1, len(B)) for v in chart]
+    frame = [[(v == i) - (v == block[-1]) for v in chart]
+             for block in (A, B) for i in block[:-1]]
+    det = determinant([normal] + frame)
+    local = (det > 0) - (det < 0)
+    sigma = (-1) ** (len(A) + len(B) - 1) * (-1) ** (len(A) - 1) * (-1) ** (len(B) - 1)
+    ahead = sum(len(b) - 1 for b in flag.blocks[:j - 1])
+    return local * sigma * (-1) ** ahead
+
+
 def arrival_words(flag: Flag) -> list[tuple[int, ...]]:
     """All admissible interleavings of block-labelled particle receipts, in lexicographic order.
 

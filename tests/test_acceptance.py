@@ -56,7 +56,7 @@ def test_criterion_1_table_reproduction():
     ok = True
     for table in (table_n2(), table_n3()):
         for text, expected in table.items():
-            got = basis_element(Flag.parse(text)).form
+            got = basis_element(Flag.parse(text))
             if got == expected:
                 signs[text] = 1
             elif got == -expected:
@@ -91,7 +91,7 @@ def test_criterion_3_exterior_derivative_structure():
                     ok = False
                     continue
                 ok = ok and all(s in (1, -1) for s, _ in dec)
-                dd = basis_element(F).form.exterior_derivative().exterior_derivative()
+                dd = basis_element(F).exterior_derivative().exterior_derivative()
                 ok = ok and dd.is_zero()
     report(3, "d(psi_F) decomposes with unit signs and dd = 0 for n <= 3", ok, t0, 60)
 
@@ -110,7 +110,7 @@ def test_criterion_4_whitney_containment():
                 except ArithmeticError:
                     ok = False
     # the displayed affine identity, exact in R^3: lambda_0 / l_012 is lambda_0 on the simplex
-    s = basis_element(Flag.parse("0|1|2")).form + basis_element(Flag.parse("0|2|1")).form
+    s = basis_element(Flag.parse("0|1|2")) + basis_element(Flag.parse("0|2|1"))
     ok = ok and s == RationalForm.function(var_fn(0).over_subset_sum((0, 1, 2)))
     report(4, "classical Whitney forms recovered from flag sums for n <= 3", ok, t0, 10)
 
@@ -134,7 +134,7 @@ def test_criterion_6_partition_of_unity():
     for nv in (2, 3, 4):
         total = RationalForm.zero(0)
         for F in enumerate_flags(tuple(range(nv)), 0):
-            total = total + basis_element(F).form
+            total = total + basis_element(F)
         ok = ok and total == RationalForm.function(RationalFn.one())
     report(6, "full flags sum to 1 exactly for n <= 3", ok, t0, 30)
 

@@ -35,6 +35,9 @@ def test_basis_latex_written(tmp_path, capsys):
     assert code == 0
     text = path.read_text()
     assert "\\lambda" in text and "tabular" in text
+    # the whole table, byte for byte, as the report digests pin the JSON
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "acfa37536b30b6bcb70fa92493ad924704ca87c7f5858c13f991fcb76a2feedf"
 
 
 def test_dof_matrix_assert_identity(capsys):
@@ -51,8 +54,7 @@ def test_dof_matrix_names_the_first_mismatch(monkeypatch, capsys):
     real = shadow.basis_element
 
     def doubled(F):
-        e = real(F)
-        return shadow.ShadowBasisElement(flag=e.flag, form=e.form * 2, probability=e.probability)
+        return real(F) * 2
 
     monkeypatch.setattr(shadow, "basis_element", doubled)
     code, report = run_json(capsys, ["dof-matrix", "--n", "1", "--assert-identity"])
@@ -338,9 +340,9 @@ def test_mc_verify_dof_case_samples_are_capped(monkeypatch, capsys):
     samples = []
     estimate_face_integral = mcoracle.estimate_face_integral
 
-    def recorded(flag, form, cfg):
-        samples.append(cfg.samples)
-        return estimate_face_integral(flag, form, cfg)
+    def recorded(flag, form, n, seed):
+        samples.append(n)
+        return estimate_face_integral(flag, form, n, seed)
 
     monkeypatch.setattr(mcoracle, "estimate_face_integral", recorded)
     code, report = run_json(capsys, ["mc-verify", "--target", "dof", "--n", "1", "--rates", "1",
@@ -626,10 +628,10 @@ def test_unknown_rule_is_usage_error(capsys):
 def test_internal_error_exits_1_with_report(monkeypatch, capsys):
     from blowupforms import shadow
 
-    def broken(V, k):
+    def broken(F):
         raise ZeroDivisionError("bug")
 
-    monkeypatch.setattr(shadow, "shadow_basis", broken)
+    monkeypatch.setattr(shadow, "poisson_probability", broken)
     code, report = _error_exit(capsys, ["basis", "--n", "1"])
     assert code == 1
     assert report["error"] == {"type": "ZeroDivisionError", "message": "bug"}

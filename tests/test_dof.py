@@ -94,13 +94,13 @@ def test_restrict_own_face_gives_normalized_volume_form():
     # integrating the pieces reproduces the product volume form exactly
     for text in ("0,1|2", "0|1,2", "0,1|2,3", "0|1,2,3", "0,1,2"):
         F = Flag.parse(text)
-        psi = basis_element(F).form
+        psi = basis_element(F)
         assert dof_evaluate(F, psi) == 1
 
 
 def test_restrict_reordered_partition_vanishes():
     F = Flag.parse("0,1|2,3")
-    psi = basis_element(F).form
+    psi = basis_element(F)
     reordered = Flag.parse("2,3|0,1")
     restricted = restrict_to_theta(psi, reordered)
     assert restricted.is_zero()
@@ -112,7 +112,7 @@ def test_restrict_scalar_vertex_values():
     assert at_120.is_zero()
     # lambda_0 restricts to theta_0, which is 1 on Theta_F: every block is a singleton
     F = Flag.parse("0|1|2")
-    assert restrict_to_theta(lam0, F).coefficient(()).evaluate({0: 1, 1: 1, 2: 1}) == 1
+    assert restrict_to_theta(lam0, F).evaluate({0: 1, 1: 1, 2: 1}) == 1
     assert dof_evaluate(F, lam0) == 1
 
 
@@ -153,8 +153,8 @@ def test_edge_dof_of_classical_whitney_form():
 
 def test_dof_linearity():
     F = Flag.parse("0|1,2")
-    a = basis_element(F).form
-    b = basis_element(Flag.parse("1|0,2")).form
+    a = basis_element(F)
+    b = basis_element(Flag.parse("1|0,2"))
     lhs = dof_evaluate(F, a * Fraction(3, 7) + b * Fraction(-2, 5))
     assert lhs == Fraction(3, 7) * dof_evaluate(F, a) + Fraction(-2, 5) * dof_evaluate(F, b)
 
@@ -200,17 +200,18 @@ def test_dof_integral_is_the_product_of_block_integrals(case):
     # Each l_{V_j} is 1 on Theta_F, so its factors drop; no other factor may be left
     flag, form = case
     want = Fraction(0)
-    for W, f in restrict_to_theta(form, flag).terms.items():
-        assert set(f.den) <= set(map(frozenset, flag.blocks))
-        target = tuple(v for b in flag.blocks for v in sorted(W & set(b)))
-        for mono, coeff in f.num.terms.items():
-            exps = dict(mono)
-            value = Fraction(perm_sign(target) * coeff)
-            for b in flag.blocks:
-                n = len(b) - 1
-                value *= (-1) ** n * integrate_monomial_simplex(
-                    b, {i: exps.get(i, 0) for i in b}) / math.factorial(n)
-            want += value
+    f = restrict_to_theta(form, flag)
+    assert set(f.den) <= set(map(frozenset, flag.blocks))
+    # the coefficient of dtheta_{T_F}, T_F ascending, against Theta_F's block order
+    target = tuple(v for b in flag.blocks for v in b[:-1])
+    for mono, coeff in f.num.terms.items():
+        exps = dict(mono)
+        value = Fraction(perm_sign(target) * coeff)
+        for b in flag.blocks:
+            n = len(b) - 1
+            value *= (-1) ** n * integrate_monomial_simplex(
+                b, {i: exps.get(i, 0) for i in b}) / math.factorial(n)
+        want += value
     assert dof_evaluate(flag, form) == want
 
 
@@ -231,7 +232,7 @@ def test_permutation_equivariance_n2(perm):
     # parity gauge; for block-order-preserving relabelings this is plain equality
     for k in range(3):
         for F in enumerate_flags((0, 1, 2), k):
-            psi = basis_element(F).form
+            psi = basis_element(F)
             for probe in enumerate_flags((0, 1, 2), k):
                 lhs = dof_evaluate(probe.relabel(perm), relabel_form(psi, perm))
                 rhs = dof_evaluate(probe, psi)
@@ -284,7 +285,7 @@ def test_gram_matrix_equals_the_per_pair_pairing(nv):
     V = tuple(range(nv))
     for k in range(nv):
         flags = list(enumerate_flags(V, k))
-        psi = [basis_element(F).form for F in flags]
+        psi = [basis_element(F) for F in flags]
         reference = [tuple(dof_evaluate(G, w) for w in psi) for G in flags]
         assert dense_rows(flags, gram_matrix(V, k)) == reference
 
@@ -297,7 +298,7 @@ def test_orbit_pairing_of_psi_equals_the_per_pair_column(nv):
     for k in range(nv):
         flags = list(enumerate_flags(V, k))
         for R in {standard_representative(F)[0] for F in flags}:
-            psi = basis_element(R).form
+            psi = basis_element(R)
             column = orbit_pairing(R, psi, flags)
             assert {H: column.get(H, 0) for H in flags} == {
                 H: dof_evaluate(H, psi) for H in flags}, R
@@ -340,9 +341,7 @@ def test_gram_matrix_detects_non_identity(monkeypatch):
     orig = shadow_mod.basis_element
 
     def doubled(F):
-        e = orig(F)
-        return shadow_mod.ShadowBasisElement(flag=e.flag, form=e.form * 2,
-                                             probability=e.probability)
+        return orig(F) * 2
 
     monkeypatch.setattr(shadow_mod, "basis_element", doubled)
     assert first_mismatch(list(enumerate_flags((0, 1), 0)), gram_matrix((0, 1), 0)) == (0, 0, 2)
@@ -359,15 +358,20 @@ def test_first_mismatch_is_row_major():
 
 def _multiply_then_limit(form, flag):
     """``restrict_to_theta`` with the radial factors multiplied in: each coefficient
-    times prod_{i in W} l_{B(i)} as a polynomial, then the limit with no radial set."""
+    of the form reduced mod d l_B, times prod_{i in W} l_{B(i)} as a polynomial,
+    then the limit with no radial set.  Theta_F is k-dimensional, so every such
+    coefficient lies on T_F; the one on T_F is returned."""
     blocks = flag.blocks
+    T_F = frozenset(v for b in blocks for v in b[:-1])
     out = {}
     for W, f in reduce_mod_dlv(form, blocks).terms.items():
         scale = Poly.const(1)
         for i in W:
             scale = scale * Poly.subset_sum(next(b for b in blocks if i in b))
         out[W] = face_limit(f * scale, flag)
-    return RationalForm(flag.k, out)
+    # nothing falls outside T_F
+    assert out.keys() <= {T_F}, (flag, sorted(map(sorted, out)))
+    return out.get(T_F, RationalFn.zero())
 
 
 @pytest.mark.parametrize("nv", [2, 3, 4])
@@ -384,19 +388,17 @@ def test_radial_order_shift_equals_multiplying_the_radial_factors(nv, monkeypatc
     pairs, kept_factor = 0, 0
     for k in range(nv):
         flags = list(enumerate_flags(V, k))
-        forms = [basis_element(R).form for R in {standard_representative(F)[0] for F in flags}]
+        forms = [basis_element(R) for R in {standard_representative(F)[0] for F in flags}]
         forms += [whitney_form(W) * var_fn(v) for W in combinations(V, k + 1) for v in V]
         for F in flags:
-            T_F = frozenset(v for b in F.blocks for v in b[:-1])
             points = [{v: Fraction(w(v), sum(map(w, b))) for b in F.blocks for v in b}
                       for w in (lambda v: v + 1, lambda v: 2 ** v + v * v)]
             for form in forms:
                 new, old = restrict_to_theta(form, F), _multiply_then_limit(form, F)
-                # Theta_F is k-dimensional: one coefficient, on T_F
-                assert new.terms.keys() <= {T_F}, (F, form)
-                for W in new.terms.keys() | old.terms.keys():
-                    for p in points:
-                        assert new.coefficient(W).evaluate(p) == old.coefficient(W).evaluate(p)
+                # Theta_F is k-dimensional: one coefficient, of dtheta_{T_F}
+                assert isinstance(new, RationalFn), (F, form)
+                for p in points:
+                    assert new.evaluate(p) == old.evaluate(p), (F, form)
                 kept_factor += new != old
                 value = dof_evaluate(F, form)
                 with monkeypatch.context() as m:

@@ -78,7 +78,7 @@ def test_oracle_gram_matrix_is_the_identity(n):
     V = tuple(range(n + 1))
     for k in range(n + 1):
         flags = list(enumerate_flags(V, k))
-        psi = [basis_element(F).form for F in flags]
+        psi = [basis_element(F) for F in flags]
         rows = [tuple(oracle(G, form) for form in psi) for G in flags]
         assert rows == [tuple(int(i == j) for j in range(len(flags)))
                         for i in range(len(flags))]
@@ -113,7 +113,7 @@ def test_oracle_matches_dof_on_every_d_psi_pairing():
         V = tuple(range(n + 1))
         for k in range(n):
             for F in enumerate_flags(V, k):
-                d_psi = basis_element(F).form.exterior_derivative()
+                d_psi = basis_element(F).exterior_derivative()
                 for G in enumerate_flags(V, k + 1):
                     assert dof_evaluate(G, d_psi) == oracle(G, d_psi), (G, F)
                     count += 1
@@ -125,7 +125,7 @@ def test_oracle_diagonal_of_every_n3_standard_representative():
     reps = {standard_representative(F)[0] for k in range(4) for F in enumerate_flags(V, k)}
     assert len(reps) == 8  # one per block-size composition of 4
     for R in sorted(reps, key=str):
-        psi = basis_element(R).form
+        psi = basis_element(R)
         assert oracle(R, psi) == 1 == dof_evaluate(R, psi), R
 
 
@@ -177,10 +177,10 @@ def test_d_psi_is_the_merge_signed_sum_of_coarsenings(flag):
     # coefficients come from shadow
     V, n = flag.vertices, flag.n
     lam = {v: LAM[v] for v in V}
-    lhs = _on_slice(_d(_at(basis_element(flag).form, lam), V), n)
+    lhs = _on_slice(_d(_at(basis_element(flag), lam), V), n)
     rhs = {}
     for j in range(1, len(flag.blocks)):
-        psi = _on_slice(_at(basis_element(flag.coarsen(j)).form, lam), n)
+        psi = _on_slice(_at(basis_element(flag.coarsen(j)), lam), n)
         for U, f in psi.items():
             rhs[U] = rhs.get(U, 0) + flag.merge_sign(j) * f
     for U in lhs.keys() | rhs.keys():

@@ -12,7 +12,7 @@ from blowupforms.flagcomb import (
     standard_representative,
     vertex_set,
 )
-from form_helpers import arrival_words
+from form_helpers import arrival_words, cellular_incidence
 
 
 # -- independent oracles ------------------------------------------------------
@@ -223,6 +223,20 @@ def test_merge_sign_relabelling_law(case):
     F, sigma, j = case
     assert F.relabel(sigma).merge_sign(j) == (
         F.relabel_sign(sigma) * F.coarsen(j).relabel_sign(sigma) * F.merge_sign(j))
+
+
+def test_merge_sign_is_the_cellular_incidence_number():
+    # by Stokes, dof_{F_j}(d psi_F) = [Theta_{F_j} : Theta_F]: merge_sign, which
+    # d-check proves against the forms, equals T~'s incidence numbers computed
+    # from its cells alone, on every (flag, j) on 2-6 vertices
+    pairs = 0
+    for nv in range(2, 7):
+        for k in range(nv):
+            for F in enumerate_flags(range(nv), k):
+                for j in range(1, len(F.blocks)):
+                    assert cellular_incidence(F, j) == F.merge_sign(j), (F, j)
+                    pairs += 1
+    assert pairs == 18330
 
 
 @pytest.mark.parametrize("V", [(0, 1, 2, 3), (2, 5, 7, 9, 11)])

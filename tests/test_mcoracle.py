@@ -396,21 +396,19 @@ def test_pF_allocates_no_sample_array():
 
 
 def test_face_integral_duality():
-    cfg = SimulationConfig(rates={0: Fraction(1)}, samples=4000, seed=17)
     F = Flag.parse("0,1|2,3")
-    psi = basis_element(F).form
-    dual = estimate_face_integral(F, psi, cfg)
+    psi = basis_element(F)
+    dual = estimate_face_integral(F, psi, 4000, 17)
     assert abs(dual.mean - 1.0) <= max(3 * dual.stderr, 1e-6)
     other = Flag.parse("0,2|1,3")
-    off = estimate_face_integral(other, basis_element(F).form, cfg)
+    off = estimate_face_integral(other, basis_element(F), 4000, 17)
     assert abs(off.mean) <= max(3 * off.stderr, 1e-6)
 
 
 def test_face_integral_volume_form():
-    cfg = SimulationConfig(rates={0: Fraction(1)}, samples=2000, seed=23)
     for W in [(0, 1), (0, 1, 2)]:
         F = Flag([W])
-        est = estimate_face_integral(F, omega_form(W), cfg)
+        est = estimate_face_integral(F, omega_form(W), 2000, 23)
         assert abs(est.mean - 1.0) <= 1e-9
 
 
@@ -419,6 +417,8 @@ def test_config_validation():
         SimulationConfig(rates={0: Fraction(0)}, samples=10, seed=0)
     with pytest.raises(ValueError):
         SimulationConfig(rates={0: Fraction(1)}, samples=0, seed=0)
+    with pytest.raises(ValueError, match="samples"):
+        estimate_face_integral(Flag.parse("0|1"), basis_element(Flag.parse("0|1")), 0, 0)
 
 
 def frame_values(form, point, vectors):
@@ -433,12 +433,12 @@ def frame_values(form, point, vectors):
     return total
 
 
-def fixed_ladder_values(flag, form, cfg, eps):
+def fixed_ladder_values(flag, form, samples, seed, eps):
     """The face integrand with every sample on one ladder, rho_j = eps^j."""
-    rng = cfg.rng()
+    rng = generator(seed)
     theta = {}
     for block in flag.blocks:
-        draws = rng.dirichlet(np.ones(len(block)), size=cfg.samples)
+        draws = rng.dirichlet(np.ones(len(block)), size=samples)
         for idx, v in enumerate(block):
             theta[v] = draws[:, idx]
     radii = [eps ** j for j in range(len(flag.blocks))]
@@ -458,12 +458,11 @@ def test_dof_face_integration_bridge_n2():
     for V, k in product([(0, 1, 2), (0, 1, 2, 3)], (1, 2)):
         flags = list(enumerate_flags(V, k))
         for F, column in zip(flags, gram_matrix(V, k)):
-            psi = basis_element(F).form
+            psi = basis_element(F)
             for H in flags:
-                cfg = SimulationConfig(rates={0: Fraction(1)}, samples=20, seed=41)
                 exact = float(column.get(H, 0))
-                assert abs(estimate_face_integral(H, psi, cfg).mean - exact) <= bound, (H, F)
-                coarse, fine = (fixed_ladder_values(H, psi, cfg, eps) for eps in (1e-3, 1e-4))
+                assert abs(estimate_face_integral(H, psi, 20, 41).mean - exact) <= bound, (H, F)
+                coarse, fine = (fixed_ladder_values(H, psi, 20, 41, eps) for eps in (1e-3, 1e-4))
                 richardson = (1e-3 * fine - 1e-4 * coarse) / (1e-3 - 1e-4)
                 missed += abs(float(richardson.mean()) - exact) > bound
     assert missed > 0
@@ -479,8 +478,7 @@ def test_divergent_face_integral_estimate_is_huge():
         1, {frozenset((1,)): RationalFn(Poly.const(1), {frozenset((1, 2)): 2})}
     )
     F = Flag.parse("0|1,2")
-    cfg = SimulationConfig(rates={0: Fraction(1)}, samples=500, seed=2)
-    assert abs(estimate_face_integral(F, singular, cfg).mean) > 1e6
+    assert abs(estimate_face_integral(F, singular, 500, 2).mean) > 1e6
     with pytest.raises(DivergentLimit):
         dof_evaluate(F, singular)
 

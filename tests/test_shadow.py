@@ -11,7 +11,6 @@ from blowupforms.shadow import (
     flag_omega,
     omega_form,
     poisson_probability,
-    shadow_basis,
     whitney_containment,
     whitney_form,
 )
@@ -44,7 +43,7 @@ def test_n3_basis_coefficients_are_ints():
     Fraction among their stored coefficients means a stray conversion."""
     for k in range(4):
         for F in enumerate_flags((0, 1, 2, 3), k):
-            psi = basis_element(F).form
+            psi = basis_element(F)
             fns = [poisson_probability(F), *psi.terms.values(),
                    *psi.exterior_derivative().terms.values()]
             for f in fns:
@@ -175,20 +174,21 @@ from reference_tables import table_n2, table_n3  # noqa: E402
 @pytest.mark.parametrize("table,V", [(table_n2, (0, 1, 2)), (table_n3, (0, 1, 2, 3))])
 def test_table_entries_exact(table, V):
     for text, expected in table().items():
-        got = basis_element(Flag.parse(text)).form
+        got = basis_element(Flag.parse(text))
         assert got == expected, f"psi for flag {text} does not match its table entry"
 
 
 def test_basis_elements_are_probability_times_omega():
-    for elem in shadow_basis((0, 1, 2, 3), 1):
-        assert elem.form == flag_omega(elem.flag) * elem.probability
-        assert elem.form.degree == elem.flag.k
+    for F in enumerate_flags((0, 1, 2, 3), 1):
+        psi = basis_element(F)
+        assert psi == flag_omega(F) * poisson_probability(F)
+        assert psi.degree == F.k
 
 
 def test_psi_coefficients_homogeneous_of_degree_minus_k():
     for k in range(3):
-        for elem in shadow_basis((0, 1, 2), k):
-            for f in elem.form.terms.values():
+        for F in enumerate_flags((0, 1, 2), k):
+            for f in basis_element(F).terms.values():
                 assert is_homogeneous(f, -k)
 
 
@@ -206,7 +206,7 @@ def test_d_decomposition_012_structure():
 
 def test_d_of_affine_identity():
     # psi_012 + psi_021 = lambda_0 / l_012 exactly (lambda_0 on the simplex), and so do their d's
-    s = basis_element(Flag.parse("0|1|2")).form + basis_element(Flag.parse("0|2|1")).form
+    s = basis_element(Flag.parse("0|1|2")) + basis_element(Flag.parse("0|2|1"))
     lam0 = RationalForm.function(var_fn(0).over_subset_sum((0, 1, 2)))
     assert s == lam0
     assert s.exterior_derivative() == lam0.exterior_derivative()
@@ -227,7 +227,7 @@ def test_dd_zero_symbolically(nv):
     V = tuple(range(nv))
     for k in range(nv):
         for F in enumerate_flags(V, k):
-            dd = basis_element(F).form.exterior_derivative().exterior_derivative()
+            dd = basis_element(F).exterior_derivative().exterior_derivative()
             assert dd.is_zero()
 
 
@@ -252,7 +252,7 @@ def test_compared_forms_are_basic_and_dilation_invariant(nv):
     so equal on the simplex means equal as rational forms."""
     V = tuple(range(nv))
     for F in _standard_flags(nv):
-        psi = basis_element(F).form
+        psi = basis_element(F)
         assert _basic_and_invariant(psi, V), F
         assert _basic_and_invariant(psi.exterior_derivative(), V), F
     for size in range(1, nv + 1):
@@ -333,7 +333,7 @@ def test_relabelling_laws(nv):
     # Every sigma in S_{n+1} permutes the flags on {0..n}, so each value is
     # computed once per flag and the laws are checked by lookup.
     flags = [F for k in range(nv) for F in enumerate_flags(range(nv), k)]
-    known = {F: (poisson_probability(F), basis_element(F).form,
+    known = {F: (poisson_probability(F), basis_element(F),
                  {Fj: c for c, Fj in d_decomposition(F)}) for F in flags}
     for sigma in map(dict, map(enumerate, itertools.permutations(range(nv)))):
         for F, (p, psi, dec) in known.items():
@@ -418,5 +418,5 @@ def test_reduce_dimension_everywhere_n3():
 def test_partition_of_unity(nv):
     total = RationalForm.zero(0)
     for F in enumerate_flags(tuple(range(nv)), 0):
-        total = total + basis_element(F).form
+        total = total + basis_element(F)
     assert total == RationalForm.function(RationalFn.one())

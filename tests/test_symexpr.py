@@ -14,6 +14,8 @@ from blowupforms.symexpr import (
     RationalForm,
     _probe,
     face_limit,
+    rational_fn_latex,
+    rational_fn_to_json,
 )
 from blowupforms.shadow import poisson_probability
 from form_helpers import (
@@ -154,12 +156,21 @@ def test_monomial_edits_match_dict_and_sort(a, b, S, exact, v):
 
 # -- coefficient types ----------------------------------------------------------------
 
-def test_integral_coefficients_are_stored_as_int():
+def test_rational_coefficients_compute_as_their_equal_ints():
+    # a coefficient keeps the type its arithmetic gives: 1/2 + 1/2 stays a
+    # Fraction, and equals, hashes, serializes and prints as the int 1
     half = Poly.var(0) * Fraction(1, 2)
-    assert type(half.terms[((0, 1),)]) is Fraction
-    for p in (half + half, half * 2, Poly({(): Fraction(4, 2)}), half * (Poly.var(1) * 2)):
-        assert all(type(c) is int for c in p.terms.values()), p.terms
-    assert (half + half).terms == {((0, 1),): 1}
+    assert half.terms == {((0, 1),): Fraction(1, 2)}
+    whole = half + half
+    assert whole == Poly.var(0)
+    assert type(whole.terms[((0, 1),)]) is Fraction
+    assert hash(whole.terms[((0, 1),)]) == hash(1)
+    shifted = half * 2 - Poly.const(Fraction(3, 3))
+    for a, b in [(whole, Poly.var(0)), (shifted, Poly.var(0) - Poly.const(1))]:
+        fa, fb = RationalFn(a, {l(0, 1): 1}), RationalFn(b, {l(0, 1): 1})
+        assert rational_fn_to_json(fa) == rational_fn_to_json(fb)
+        assert rational_fn_latex(fa) == rational_fn_latex(fb)
+        assert repr(fa) == repr(fb)
 
 
 def test_evaluate_at_an_integer_point_stays_exact():
