@@ -2,7 +2,8 @@
 
 The package root holds only ``__version__``: import each name from the module
 that defines it (``blowupforms.symexpr``, ``blowupforms.mesh``, ...).  Only
-``blowupforms.mcoracle`` imports numpy, and only ``mc-verify`` loads it.
+``blowupforms.mcoracle`` imports numpy, for the Monte Carlo face integral, so
+only ``mc-verify --target dof`` loads it; the races draw from ``random``.
 """
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -286,12 +287,11 @@ def _cmd_mc_verify(args):
     from .hiord import enumerate_experiments
     from .shadow import basis_element, poisson_probability
 
-    # mcoracle, and with it numpy, loads only on this path, and after the exact
-    # layers: loaded first, numpy raised the run's peak RSS by about 0.4 MiB
+    # mcoracle loads only on this path, and numpy only with a DOF case's face integral
     from . import mcoracle
 
     budget = Budget(args.budget_seconds)
-    rng = mcoracle.generator(args.seed)
+    rng = mcoracle.RaceRandom(args.seed)
 
     def pairs():
         # each case with its exact probability, or for a DOF the basis form whose
@@ -332,7 +332,7 @@ def _cmd_mc_verify(args):
             if args.verbose_cases:
                 details.append(res)
     results = {
-        "rng": mcoracle.RNG_ALGORITHM,
+        "rng": mcoracle.FACE_RNG_ALGORITHM if args.target == "dof" else mcoracle.RNG_ALGORITHM,
         "cases": checked,
         "escalated": escalated,
         "failures": failures,
@@ -356,7 +356,7 @@ def _z_summary(details: list[dict]) -> dict:
           if d["kind"] != "dof" and d["stderr"] > 0]
     return {"cases": len(zs),
             "max_abs_z": max((abs(z) for z in zs), default=None),
-            "mean_z": sum(zs) / len(zs) if zs else None,
+            "mean_z": math.fsum(zs) / len(zs) if zs else None,
             "above_2sigma": sum(abs(z) > 2 for z in zs)}
 
 
@@ -484,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 # the smallest accepted value of each numeric option
 _LOWEST = {"n": 0, "k": 0, "r": 1, "samples": 1, "rates": 1, "eval_grid": 0, "seed": 0,
            "budget_seconds": 0}
-# numpy counts samples in 64 bits, and a missed case re-runs at 10x --samples
+# a missed case re-runs at 10x --samples: the bound keeps every sample count a
+# run makes a signed 64-bit integer, which any 64-bit reader of a count holds
 _MOST_SAMPLES = (2 ** 63 - 1) // 10
 
 

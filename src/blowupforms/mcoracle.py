@@ -11,15 +11,21 @@ on arrays of samples.  A flag's blocks finish in flag order or not according to 
 block labels of the merged arrivals alone: the labels are i.i.d. with odds
 l_{V_j} over the running blocks' rates and independent of the arrival times
 (competing exponentials), so the race runs on its embedded jump chain, and
-each occupied state splits its samples by one scalar multinomial draw.  An
+each occupied state splits its samples by one multinomial draw.  An
 arrival sequence's rounds are chains of conditional binomials, one link per
 source, and the samples whose counts still match after a link with success
 probability q are Binomial(alive, q), one scalar draw.  Either way the hits
 are Binomial(n, p), the law of the per-sample race, and the draws do not
-grow with n.  This is the one module of the package that imports numpy,
-and ``generator`` the one place that builds its SFC64 generator.
-The CLI seeds each case with (seed, trial, *label bytes), so every estimate
-is reproducible from (seed, samples) and the case label, in any process.
+grow with n.
+
+The races draw from ``RaceRandom``, the standard library's Mersenne Twister
+with a binomial sampler (a port of CPython 3.12's ``binomialvariate``) and
+a multinomial built as a chain of conditional binomials (Devroye 1986,
+ch. X), so they need no numpy.  The face integral draws Dirichlet points
+for many samples at once from numpy's SFC64 (``generator``), the one place
+that imports numpy.  The CLI seeds each case with (seed, trial, *label
+bytes), so every estimate is reproducible from (seed, samples) and the case
+label, in any process and on any supported Python.
 
 The concordance rule shared by the CLI and the acceptance suite also lives
 here: an estimate agrees with its exact value within 3 standard errors; a
@@ -29,17 +35,19 @@ that re-run.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import comb
-
-import numpy as np
+from math import comb, fabs, floor, fsum, lgamma, log, log2, sqrt
 
 from .dof import tangent_sign
 from .flagcomb import ArrivalSequence, Flag
 from .shadow import flag_omega
 from .symexpr import RationalForm
 
-RNG_ALGORITHM = "numpy.random.SFC64"
+# the generators that draw the races (pF and degree-r cases) and the face
+# integrals (DOF cases), as a report names them
+RNG_ALGORITHM = "random.Random.MT19937"
+FACE_RNG_ALGORITHM = "numpy.random.SFC64"
 # the ratio of successive radii on a face integral's ladder.  The estimate's
 # error is first order in it: on every (H, psi_F) pair on 3 and 4 vertices,
 # k = 1 and 2, it stayed within 5.4e-9 at 1e-10 and 5.4e-7 at 1e-8.  The
@@ -48,13 +56,107 @@ RNG_ALGORITHM = "numpy.random.SFC64"
 FACE_EPS = 1e-10
 
 
-def generator(seed) -> np.random.Generator:
-    """The oracle's one random generator: SFC64 (``RNG_ALGORITHM``) under ``seed``.
+class RaceRandom(random.Random):
+    """The races' generator (``RNG_ALGORITHM``): ``random.Random`` under an int or int-tuple seed.
+
+    The seed is read as the text of its ints joined by commas, an int as the
+    1-tuple.  A text seed is hashed with sha512, so the stream depends neither
+    on ``PYTHONHASHSEED`` nor on the Python version, and every case seeds a
+    stream of its own.
+    """
+
+    def __init__(self, seed: int | tuple[int, ...]):
+        super().__init__(",".join(map(str, seed if isinstance(seed, tuple) else (seed,))))
+
+    def binomial(self, n: int, p: float) -> int:
+        """A Binomial(n, p) draw: a port of CPython 3.12's ``Random.binomialvariate``.
+
+        The geometric method (Devroye 1986, ch. X) when np < 10, else Hörmann's
+        transformed rejection with squeeze, BTRS (J. Stat. Comput. Simul. 46,
+        1993), after the symmetry p -> 1 - p for p > 0.5.  The port draws the
+        same stream as ``binomialvariate`` on every Python, including those
+        that lack it.
+        """
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        if p <= 0.0 or p >= 1.0:
+            if p == 0.0:
+                return 0
+            if p == 1.0:
+                return n
+            raise ValueError("p must be in the range 0.0 <= p <= 1.0")
+        uniform = self.random
+        if n == 1:
+            return int(uniform() < p)
+        if p > 0.5:
+            return n - self.binomial(n, 1.0 - p)
+        if n * p < 10.0:
+            # geometric: the gaps between successes are Geometric(p), O(np) draws
+            x = y = 0
+            c = log2(1.0 - p)
+            if not c:
+                return x
+            while True:
+                y += floor(log2(uniform()) / c) + 1
+                if y > n:
+                    return x
+                x += 1
+        # BTRS, np >= 10 and p <= 0.5
+        setup_complete = False
+        spq = sqrt(n * p * (1.0 - p))  # the standard deviation
+        b = 1.15 + 2.53 * spq
+        a = -0.0873 + 0.0248 * b + 0.01 * p
+        c = n * p + 0.5
+        vr = 0.92 - 4.2 / b
+        while True:
+            u = uniform()
+            u -= 0.5
+            us = 0.5 - fabs(u)
+            k = floor((2.0 * a / us + b) * u + c)
+            if k < 0 or k > n:
+                continue
+            # the squeeze accepts most draws without the acceptance test
+            v = uniform()
+            if us >= 0.07 and v <= vr:
+                return k
+            # the acceptance test, with the log(v) that the paper omits
+            if not setup_complete:
+                alpha = (2.83 + 5.1 / b) * spq
+                lpq = log(p / (1.0 - p))
+                m = floor((n + 1) * p)  # the mode
+                h = lgamma(m + 1) + lgamma(n - m + 1)
+                setup_complete = True
+            v *= alpha / (a / (us * us) + b)
+            if log(v) <= h - lgamma(k + 1) - lgamma(n - k + 1) + (k - m) * lpq:
+                return k
+
+    def multinomial(self, n: int, pvals: list[float]) -> list[int]:
+        """A Multinomial(n, pvals) draw as a chain of conditional binomials.
+
+        Category i takes Binomial(left, pvals[i] / sum(pvals[i:])) of the
+        ``left`` draws not yet assigned (Devroye 1986, ch. X), and the last
+        takes the rest; the chain stops drawing once none is left.  The sums
+        are ``fsum``'s, correctly rounded: ``sum`` of floats rounds
+        differently from Python 3.12 on.
+        """
+        counts = []
+        for i, p in enumerate(pvals[:-1]):
+            k = self.binomial(n, p / fsum(pvals[i:])) if n else 0
+            counts.append(k)
+            n -= k
+        counts.append(n)
+        return counts
+
+
+def generator(seed):
+    """The face integral's numpy generator: SFC64 (``FACE_RNG_ALGORITHM``) under ``seed``.
 
     Every case seeds its own generator, so the streams need no skip-ahead and
-    a small-state generator serves; SFC64 draws uniforms, Gammas and
-    binomials faster than the counter-based Philox.
+    a small-state generator serves; SFC64 draws uniforms and Gammas faster
+    than the counter-based Philox.
     """
+    import numpy as np
+
     return np.random.Generator(np.random.SFC64(seed))
 
 
@@ -70,8 +172,8 @@ class SimulationConfig:
         self.samples = samples
         self.seed = seed
 
-    def rng(self) -> np.random.Generator:
-        return generator(self.seed)
+    def rng(self) -> RaceRandom:
+        return RaceRandom(self.seed)
 
 
 class Estimate:
@@ -89,7 +191,7 @@ class Estimate:
 def _hit_estimate(hits: int, n: int) -> Estimate:
     """The binomial estimate of a probability from ``hits`` successes in ``n`` samples."""
     mean = hits / n
-    return Estimate(mean=mean, stderr=float(np.sqrt(mean * (1.0 - mean) / n)), samples=n)
+    return Estimate(mean=mean, stderr=sqrt(mean * (1.0 - mean) / n), samples=n)
 
 
 def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
@@ -105,9 +207,10 @@ def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
     embedded jump chain.  A state is (i, counts): block i must complete
     next, and ``counts`` holds the arrivals so far of blocks i, i + 1, ....
     Each step, the ``alive`` samples in each occupied state split over the
-    next label by one scalar Multinomial(alive, l_{V_j} / sum_{j' >= i}
-    l_{V_j'}) draw.  The samples whose arrival fills a later block first are
-    out of order and drop.  Those that fill block i move on to block i + 1,
+    next label by one Multinomial(alive, l_{V_j} / sum_{j' >= i} l_{V_j'})
+    draw, a chain of scalar conditional binomials (``RaceRandom.multinomial``).
+    The samples whose arrival fills a later block first are out of order and
+    drop.  Those that fill block i move on to block i + 1,
     or hit if i is the second to last block, since the last one then
     completes last.  The samples in a state step independently, so the
     split is the per-sample chains grouped by state, and the hits are
@@ -120,15 +223,15 @@ def estimate_pF(flag: Flag, cfg: SimulationConfig) -> Estimate:
         return _hit_estimate(n, n)
     rng = cfg.rng()
     sizes = [len(block) for block in flag.blocks]
-    rates = np.array([float(sum(cfg.rates[v] for v in block)) for block in flag.blocks])
-    odds = [rates[i:] / rates[i:].sum() for i in range(len(sizes) - 1)]
+    rates = [float(sum(cfg.rates[v] for v in block)) for block in flag.blocks]
+    odds = [[rate / fsum(rates[i:]) for rate in rates[i:]] for i in range(len(sizes) - 1)]
     hits = 0
     # the occupied states after the same number of arrivals, with their samples
     level = {(0, (0,) * len(sizes)): n}
     while level:
         after = {}
         for (i, counts), alive in level.items():
-            for j, moved in enumerate(rng.multinomial(alive, odds[i]).tolist()):
+            for j, moved in enumerate(rng.multinomial(alive, odds[i])):
                 if not moved:
                     continue
                 if counts[j] + 1 < sizes[i + j]:
@@ -179,7 +282,7 @@ def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
             want = target.get(v, 0)
             p = float(cfg.rates[v] / mass)
             q = comb(left, want) * p ** want * (1.0 - p) ** (left - want)
-            alive = int(rng.binomial(alive, q))
+            alive = rng.binomial(alive, q)
             left -= want
             mass -= cfg.rates[v]
         silenced = set(silenced)
@@ -191,9 +294,11 @@ def estimate_higher(seq: ArrivalSequence, cfg: SimulationConfig) -> Estimate:
 # face integrals on a per-sample ladder
 # ---------------------------------------------------------------------------
 
-def _tangent_values(form: RationalForm, flag: Flag, point: dict[int, np.ndarray]) -> np.ndarray:
+def _tangent_values(form: RationalForm, flag: Flag, point: dict):
     """The form at ``point`` on Theta_F's tangent frame, vectorized over samples:
     each term's value on the frame is the integer ``tangent_sign``."""
+    import numpy as np
+
     total = np.zeros(next(iter(point.values())).shape[0])
     for W, f in form.terms.items():
         sign = tangent_sign(flag, W)
@@ -226,8 +331,10 @@ def estimate_face_integral(flag: Flag, form: RationalForm, samples: int,
         raise ValueError("form degree must match the flag")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    import numpy as np
+
     rng = generator(seed)
-    theta: dict[int, np.ndarray] = {}
+    theta = {}
     for block in flag.blocks:
         draws = rng.dirichlet(np.ones(len(block)), size=samples)
         for idx, v in enumerate(block):
@@ -247,9 +354,9 @@ def estimate_face_integral(flag: Flag, form: RationalForm, samples: int,
 # concordance with exact values
 # ---------------------------------------------------------------------------
 
-def random_rates(rng: np.random.Generator, V) -> dict[int, Fraction]:
+def random_rates(rng: RaceRandom, V) -> dict[int, Fraction]:
     """A random rate per vertex: a ratio of two integers drawn from 1..4."""
-    return {v: Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 5))) for v in V}
+    return {v: Fraction(rng.randrange(1, 5), rng.randrange(1, 5)) for v in V}
 
 
 def concordant(est: Estimate, exact: float) -> bool:

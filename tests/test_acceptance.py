@@ -23,11 +23,11 @@ from blowupforms.hiord import (
     pr_containment,
 )
 from blowupforms.mcoracle import (
+    RaceRandom,
     SimulationConfig,
     check_concordance,
     estimate_higher,
     estimate_pF,
-    generator,
     random_rates,
     within_escalation_budget,
 )
@@ -160,7 +160,7 @@ def test_criterion_7_higher_order_table():
 
 def test_criterion_8_monte_carlo_concordance():
     t0 = time.time()
-    rng = generator(20260810)
+    rng = RaceRandom(20260810)
     samples = 100_000
     cases = 0
     escalated = 0

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,10 +253,17 @@ def test_mc_verify_small(capsys):
     assert code == 0
     assert report["results"]["cases"] == 6
     # the report names the generator that drew, whichever it is
-    from blowupforms.mcoracle import RNG_ALGORITHM, generator
+    import random
+
+    from blowupforms.mcoracle import FACE_RNG_ALGORITHM, RNG_ALGORITHM, RaceRandom, generator
 
     assert report["results"]["rng"] == RNG_ALGORITHM
-    assert RNG_ALGORITHM == "numpy.random." + type(generator(0).bit_generator).__name__
+    assert isinstance(RaceRandom(0), random.Random)
+    assert RNG_ALGORITHM == "random.Random.MT19937"
+    _, dof = run_json(capsys, ["mc-verify", "--target", "dof", "--n", "1", "--samples", "1000",
+                               "--rates", "1"])
+    assert dof["results"]["rng"] == FACE_RNG_ALGORITHM
+    assert FACE_RNG_ALGORITHM == "numpy.random." + type(generator(0).bit_generator).__name__
 
 
 
@@ -297,12 +305,13 @@ def test_mc_verify_rerun_draws_from_a_fresh_stream(monkeypatch, capsys):
     assert len(seeds) == 6
     for case, first, rerun in zip(report["results"]["details"], seeds[::2], seeds[1::2]):
         assert first == (4, 0, *case["case"].encode())
-        draws = set(mcoracle.generator(rerun).random(10_000).tolist())
-        assert draws.isdisjoint(mcoracle.generator(first).random(1000).tolist()), (first, rerun)
+        rerun_rng, first_rng = mcoracle.RaceRandom(rerun), mcoracle.RaceRandom(first)
+        draws = {rerun_rng.random() for _ in range(10_000)}
+        assert draws.isdisjoint(first_rng.random() for _ in range(1000)), (first, rerun)
 
 
 def test_mc_verify_samples_bound(monkeypatch, capsys):
-    # numpy counts samples in 64 bits and a missed case re-runs at 10x --samples:
+    # a missed case re-runs at 10x --samples, which the bound keeps in 64 bits:
     # one above the bound is a usage error that names it, and at the bound a case
     # runs, and so does its forced re-run
     import blowupforms.mcoracle as mcoracle
@@ -360,7 +369,7 @@ def test_mc_verify_z_summary_is_opt_in(capsys):
     zs = [(d["estimate"] - d["exact"]) / d["stderr"] for d in details if d["stderr"] > 0]
     assert 0 < len(zs) < len(details)  # one-block flags have stderr 0
     assert verbose["results"]["z_summary"] == {
-        "cases": len(zs), "max_abs_z": max(map(abs, zs)), "mean_z": sum(zs) / len(zs),
+        "cases": len(zs), "max_abs_z": max(map(abs, zs)), "mean_z": math.fsum(zs) / len(zs),
         "above_2sigma": sum(abs(z) > 2 for z in zs)}
     _, dof = run_json(capsys, ["mc-verify", "--target", "dof", "--n", "1", "--samples", "2000",
                                "--verbose-cases"])
@@ -406,14 +415,16 @@ def test_module_runs_as_a_script():
 
 
 def test_only_mc_verify_loads_numpy():
-    # numpy is imported by mcoracle alone, which the exact commands never reach
+    # numpy is imported by mcoracle's face integral alone, which only the DOF
+    # cases of mc-verify reach: its races draw from the standard library
     code = """
 import contextlib, io, json, sys
 from blowupforms.cli import run
 loaded = {"import": "numpy" in sys.modules}
 for name, argv in (("local", ["cohomology", "local", "--n", "2"]),
                    ("global", ["cohomology", "global", "--mesh", "triangle-pair"]),
-                   ("mc-verify", ["mc-verify", "--target", "pF", "--n", "1", "--samples", "100"])):
+                   ("mc-verify", ["mc-verify", "--target", "all", "--n", "1", "--samples", "100"]),
+                   ("dof", ["mc-verify", "--target", "dof", "--n", "1", "--samples", "100"])):
     with contextlib.redirect_stdout(io.StringIO()):
         run(argv)
     loaded[name] = "numpy" in sys.modules
@@ -422,7 +433,7 @@ print(json.dumps(loaded))
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"import": False, "local": False, "global": False,
-                                       "mc-verify": True}
+                                       "mc-verify": False, "dof": True}
 
 
 # a fresh interpreter that runs one call, its report sent to stderr, and prints
@@ -471,7 +482,8 @@ _ABSENT = {
     "basis --n 1": _NOT_COMPLEX,
     "higher-order --n 1 --r 1": {"blowupforms.mesh", "blowupforms.mcoracle", "numpy"},
     "cohomology global --mesh triangle-pair": {"blowupforms.hiord", "blowupforms.mcoracle"},
-    "mc-verify --target pF --n 1 --samples 10": {"blowupforms.mesh"},
+    "mc-verify --target pF --n 1 --samples 10": {"blowupforms.mesh", "numpy"},
+    "mc-verify --target dof --n 1 --samples 10": {"blowupforms.mesh"},
 }
 
 
@@ -479,7 +491,7 @@ _ABSENT = {
 def test_each_call_loads_only_what_its_subcommand_runs(bare_modules, argv):
     added = _added_modules(bare_modules, *argv.split())
     assert not added & (_ABSENT[argv] | {"dataclasses"})
-    if argv.startswith("mc-verify"):
+    if "--target dof" in argv:
         assert "numpy" in added  # the probe sees what a call loads
 
 

@@ -12,6 +12,7 @@ from blowupforms.flagcomb import ArrivalSequence, Flag, enumerate_flags, perm_si
 from blowupforms.hiord import enumerate_experiments
 from blowupforms.mcoracle import (
     Estimate,
+    RaceRandom,
     SimulationConfig,
     check_concordance,
     concordant,
@@ -66,7 +67,7 @@ def test_full_flag_equal_rates_is_one_sixth():
 
 
 def test_gamma_sum_consistency():
-    # the estimator's products of uniforms against numpy's Gamma sampler
+    # the estimator's jump chain against numpy's Gamma sampler
     F = Flag.parse("0|1,2|3")
     a = estimate_pF(F, SimulationConfig(rates=EQUAL4, samples=150_000, seed=21))
     b = matrix_estimate_pF(F, SimulationConfig(rates=EQUAL4, samples=150_000, seed=22),
@@ -154,8 +155,8 @@ def gamma_times(rng, size, n):
 def matrix_estimate_pF(flag, cfg, block_times):
     """estimate_pF with every block drawn for every sample by ``block_times``,
     all completion times in one (samples x blocks) matrix, the order tested
-    along axis 1."""
-    rng = cfg.rng()
+    along axis 1; the draws come from numpy's ``generator``, not the estimator's."""
+    rng = generator(cfg.seed)
     n = cfg.samples
     times = np.empty((n, len(flag.blocks)))
     for j, block in enumerate(flag.blocks):
@@ -166,8 +167,8 @@ def matrix_estimate_pF(flag, cfg, block_times):
 
 def matrix_estimate_higher(seq, cfg):
     """estimate_higher with one multinomial count row per sample and round,
-    matched as a whole row along axis 1."""
-    rng = cfg.rng()
+    matched as a whole row along axis 1, drawn from numpy's ``generator``."""
+    rng = generator(cfg.seed)
     n = cfg.samples
     alive = np.ones(n, dtype=bool)
     active = sorted(cfg.rates)
@@ -226,7 +227,7 @@ def test_higher_chain_is_the_multinomial(seed):
     # the survivors of each link are thinned with the probability q that one
     # sample's conditional binomial hits its target count; the q multiply to
     # the multinomial pmf of the whole sequence
-    rng = generator(seed)
+    rng = RaceRandom(seed)
     assert len(ALL_SEQUENCES) == 46
     for i, (seq, V) in enumerate(ALL_SEQUENCES):
         rates = random_rates(rng, V)
@@ -258,7 +259,7 @@ class ExpectedSplits:
 
     def multinomial(self, alive, p):
         self.calls.append((alive, p))
-        return alive * np.asarray(p)
+        return [alive * q for q in p]
 
 
 def expected_split_estimate(flag, rates, samples):
@@ -277,7 +278,7 @@ def test_pF_chain_is_the_flag_probability(seed):
     # split by their expectations, the jump chain's samples hit in the exact
     # proportion p_F: in flag order, a block of l_{V_j} fills at its |V_j|-th
     # label, and a later block that fills first drops its samples
-    rng = generator(seed)
+    rng = RaceRandom(seed)
     assert len(FLAGS_2_TO_5) == 632
     for F in FLAGS_2_TO_5:
         rates = random_rates(rng, F.vertices)
@@ -298,7 +299,7 @@ def test_pF_draws_do_not_grow_with_samples():
     _, few = expected_split_estimate(F, rates, 10)
     _, many = expected_split_estimate(F, rates, 10 ** 9)
     assert len(few) == len(many) == 4 + 2
-    rng = generator(5)
+    rng = RaceRandom(5)
     draws = []
 
     def multinomial(alive, p):
@@ -316,7 +317,7 @@ def test_pF_draws_do_not_grow_with_samples():
 def test_pF_matches_the_erlang_race_in_law():
     # five vertices in up to five blocks: the chain, with real multinomial
     # draws, against every block drawn as an Erlang time for every sample
-    rng = generator(17)
+    rng = RaceRandom(17)
     samples = 100_000
     for i, flag in enumerate(["0|1|2|3|4", "0,1|2|3,4", "0|1,2,3|4", "0,1,2|3,4"]):
         F = Flag.parse(flag)
@@ -333,8 +334,8 @@ def test_estimators_match_matrix_forms_in_law(seed):
     # different draws, the same law: each survivor-only estimate lies within
     # 4 combined standard errors of its matrix form's at 20 000 samples; the
     # flag's matrix form draws Gamma variates, so this also checks the
-    # estimator's products of uniforms against numpy's Gamma sampler
-    rng = generator(seed)
+    # estimator's jump chain against numpy's Gamma sampler
+    rng = RaceRandom(seed)
     samples = 20_000
     matrix_gamma_pF = partial(matrix_estimate_pF, block_times=gamma_times)
     cases = [(estimate_pF, matrix_gamma_pF, F, F.vertices) for F in ALL_FLAGS]
@@ -353,7 +354,7 @@ def test_estimators_match_matrix_forms_in_law(seed):
 def traced_peak(estimate, obj, rates, samples):
     """Run ``estimate`` on ``samples`` samples; return its peak traced memory in
     bytes, after checking that the estimate is a probability strictly inside (0, 1)."""
-    # a first generator imports numpy's seeding modules; keep that out of the peak
+    # a first run loads what the estimate imports on its first call; keep that out of the peak
     estimate(obj, SimulationConfig(rates=rates, samples=1, seed=13))
     cfg = SimulationConfig(rates=rates, samples=samples, seed=13)
     tracemalloc.start()
