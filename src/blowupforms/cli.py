@@ -30,7 +30,9 @@ column is then read off its cells by ``Flag.merge_sign``, and ``d(d psi_F) = 0``
 is checked on those columns.  ``dof-matrix`` pairs each R's DOF column once per
 orbit of R's stabiliser (``shadow.orbit_pairing``), and ``flagcomb.push_forward``
 carries it to every flag of R's orbit.  ``whitney-check`` proves one W per
-subset size.  The tests check every column against the per-flag path.
+subset size.  ``mc-verify`` builds one p_R per composition and reads each
+flag's exact p_F as p_R at the rates sigma carries back to R's vertices.  The
+tests check every column, and that relabelling law, against the per-flag path.
 """
 
 from __future__ import annotations
@@ -283,7 +285,7 @@ def _cmd_higher_order(args):
 
 
 def _cmd_mc_verify(args):
-    from .flagcomb import enumerate_flags
+    from .flagcomb import enumerate_flags, standard_representative
     from .hiord import enumerate_experiments
     from .shadow import basis_element, poisson_probability
 
@@ -294,20 +296,25 @@ def _cmd_mc_verify(args):
     rng = mcoracle.RaceRandom(args.seed)
 
     def pairs():
-        # each case with its exact probability, or for a DOF the basis form whose
-        # DOF is 1; built once per case, as the budget reaches it, for every trial
+        # each case with its exact probability and the sigma that reads it at the
+        # case's rates, or for a DOF the basis form whose DOF is 1; built as the
+        # budget reaches the case, for every trial
         if args.target in ("pF", "all"):
+            built = {}  # p_R, one per composition: p_F(rates) = p_R(rates o sigma)
             for nv in range(2, args.n + 2):
                 V = tuple(range(nv))
                 for k in range(nv):
                     for F in enumerate_flags(V, k):
-                        yield "pF", F, poisson_probability(F)
+                        R, sigma = standard_representative(F)
+                        if R not in built:
+                            built[R] = poisson_probability(R)
+                        yield "pF", F, (built[R], sigma)
         if args.target in ("higher", "all"):
             for nv in range(2, min(args.n, 2) + 2):
                 V = tuple(range(nv))
                 for r in range(1, args.r + 1):
                     for c in enumerate_experiments(V, r):
-                        yield "higher", c, c.probability
+                        yield "higher", c, (c.probability, {v: v for v in V})
         if args.target == "dof":
             V = tuple(range(args.n + 1))
             for k in range(args.n + 1):
@@ -323,7 +330,9 @@ def _cmd_mc_verify(args):
             else:
                 V = obj.vertices if kind == "pF" else obj.flag.vertices
                 rates = mcoracle.random_rates(rng, V)
-                res = _mc_prob_case(kind, obj, ref, rates, args, trial)
+                probability, sigma = ref
+                exact = float(probability.evaluate({u: rates[v] for u, v in sigma.items()}))
+                res = _mc_prob_case(kind, obj, exact, rates, args, trial)
             checked += 1
             if res["escalated"]:
                 escalated += 1
@@ -360,11 +369,10 @@ def _z_summary(details: list[dict]) -> dict:
             "above_2sigma": sum(abs(z) > 2 for z in zs)}
 
 
-def _mc_prob_case(kind: str, obj, probability, rates: dict[int, Fraction], args,
+def _mc_prob_case(kind: str, obj, exact: float, rates: dict[int, Fraction], args,
                   trial: int) -> dict:
     from . import mcoracle
 
-    exact = float(probability.evaluate(rates))
     label = str(obj) if kind == "pF" else obj.sequence.compact()
 
     def run(samples: int, seed: tuple[int, ...]):

@@ -15,10 +15,13 @@ from math import gcd, lcm
 
 def _primitive(row) -> dict:
     """The nonzero entries of ``row`` scaled to coprime integers."""
-    m = lcm(*(x.denominator for x in row.values()))
-    r = {c: x.numerator * (m // x.denominator) for c, x in row.items() if x}
-    g = gcd(*r.values()) or 1
-    return {c: x // g for c, x in r.items()}
+    if all(type(x) is int for x in row.values()):
+        r = {c: x for c, x in row.items() if x}
+    else:
+        m = lcm(*(x.denominator for x in row.values()))
+        r = {c: x.numerator * (m // x.denominator) for c, x in row.items() if x}
+    g = gcd(*r.values())
+    return r if g <= 1 else {c: x // g for c, x in r.items()}
 
 
 def rank(matrix) -> int:

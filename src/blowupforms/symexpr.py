@@ -19,6 +19,7 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -367,13 +368,45 @@ class RationalFn:
         return out
 
     def evaluate(self, point: dict[int, object]):
-        """The value at a point: exact at int or Fraction points, float at float ones."""
+        """The value at a point: exact at int or Fraction points, float at float ones.
+
+        With a denominator, an exact point is evaluated in integers.  Let D be
+        the lcm of the point's denominators, so lambda_v = a_v / D with a_v an
+        integer, and let top be the largest total degree in the numerator.  Then
+        D^top num(lambda) = N = sum_m c_m a^m D^(top - |m|), which needs no
+        homogeneity, and l_S(lambda)^e = (sum_{i in S} a_i)^e / D^e.  So the value
+        is N D^(E - top) / Q, with Q = prod_S (sum_{i in S} a_i)^e and E the sum of
+        the exponents: one Fraction, built at the end.  It is the rational that
+        Fraction arithmetic term by term gives, so ``float`` of it is the same
+        double.  A Fraction coefficient keeps N exact, and Q = 0 raises
+        ZeroDivisionError.  Without a denominator, and at a float point, this is
+        ``Poly.evaluate`` followed by one division per factor.
+        """
+        if self.den and all(isinstance(point[v], (int, Fraction)) for v in self.variables()):
+            return self._evaluate_exact(point)
         val = self.num.evaluate(point)
         for S, e in self.den.items():
-            q = sum(point[i] for i in S) ** e
-            # int / int is float division; keep an all-int point exact
-            val = Fraction(val, q) if type(val) is int and type(q) is int else val / q
+            val = val / sum(point[i] for i in S) ** e
         return val
+
+    def _evaluate_exact(self, point: dict[int, int | Fraction]) -> Fraction:
+        xs = {v: point[v] for v in self.variables()}
+        D = math.lcm(*(x.denominator for x in xs.values()))
+        a = {v: x.numerator * (D // x.denominator) for v, x in xs.items()}
+        terms = []
+        for m, c in self.num.terms.items():
+            deg = 0
+            for v, e in m:
+                c = c * a[v] ** e
+                deg += e
+            terms.append((deg, c))
+        top = max((deg for deg, _ in terms), default=0)
+        N = sum(c * D ** (top - deg) for deg, c in terms)
+        Q, E = 1, 0
+        for S, e in self.den.items():
+            Q *= sum(a[i] for i in S) ** e
+            E += e
+        return Fraction(N * D ** (E - top), Q) if E >= top else Fraction(N, Q * D ** (top - E))
 
     # -- display / serialization ----------------------------------------------
 

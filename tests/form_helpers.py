@@ -114,6 +114,17 @@ def reduce_mod_dlv(form: RationalForm, blocks) -> RationalForm:
     return RationalForm(form.degree, terms)
 
 
+def evaluate_by_fractions(f: RationalFn, point: dict):
+    """f at ``point`` in Fraction arithmetic: the numerator's value by ``Poly.evaluate``,
+    then one division per denominator factor, an int over an int kept exact.  The
+    reference for ``RationalFn.evaluate``, which works in integers at an exact point."""
+    val = f.num.evaluate(point)
+    for S, e in f.den.items():
+        q = sum(point[i] for i in S) ** e
+        val = Fraction(val, q) if type(val) is int and type(q) is int else val / q
+    return val
+
+
 def relabel_poly(p: Poly, perm: dict[int, int]) -> Poly:
     """p with each lambda_v renamed lambda_{perm[v]} (unmapped variables kept)."""
     return Poly({

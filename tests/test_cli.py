@@ -187,6 +187,23 @@ def test_exact_suites_work_once_per_orbit(monkeypatch, capsys, argv, expected):
     assert calls == expected
 
 
+def test_mc_verify_builds_one_p_R_per_composition(monkeypatch, capsys):
+    # 2 + 4 + 8 compositions of 2, 3 and 4 vertices, not one p_F per flag (3 + 13 + 75)
+    from blowupforms import shadow
+
+    built = []
+    real = shadow.poisson_probability
+
+    def counted(flag):
+        built.append(flag)
+        return real(flag)
+
+    monkeypatch.setattr(shadow, "poisson_probability", counted)
+    code, report = run_json(capsys, ["mc-verify", "--target", "pF", "--n", "3"])
+    assert code == 0 and report["results"]["cases"] == 5 * 91
+    assert len(built) == len(set(built)) == 14
+
+
 def test_cohomology_local_flag_spelling(capsys):
     code, report = run_json(capsys, ["cohomology", "--local", "--n", "2"])
     assert code == 0

@@ -57,6 +57,18 @@ def test_rank_matches_sympy(m):
     assert _rank_unchanged(tuple_rows) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+@example((3, [[2, -4, 0], [0, 3, 3], [1, -2, 0]]))  # a common factor and a dependent row
+def test_integer_rows_rank_as_their_equal_fractions(m):
+    # integer rows skip the denominator pass; the same rows as Fractions take it
+    _, dense = m
+    ints = _as_dicts(dense, keep_zeros=True)
+    fracs = [{c: Fraction(x) for c, x in row.items()} for row in ints]
+    assert [linalg._primitive(row) for row in ints] == [linalg._primitive(row) for row in fracs]
+    assert linalg.rank(ints) == linalg.rank(fracs)
+
+
 @st.composite
 def large_matrices(draw):
     """Entries up to 10**12, some rows entrywise Fractions with mixed denominators,

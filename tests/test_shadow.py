@@ -345,6 +345,31 @@ def test_relabelling_laws(nv):
                                  for Fj, c in dec.items()}, (F, sigma)
 
 
+# p_F's value at F's rates is p_R's at the rates sigma carries back to R's vertices,
+# for R, sigma = standard_representative(F): mc-verify builds one p_R per composition
+RATE_VECTORS = [
+    [Fraction(1, 2), Fraction(3), Fraction(2, 3), Fraction(5, 4), Fraction(1)],
+    [Fraction(7, 3), Fraction(1, 5), Fraction(2), Fraction(3, 2), Fraction(4, 7)],
+]
+
+
+def test_p_F_is_p_R_at_the_rates_sigma_carries():
+    p_R = {}
+    checked = 0
+    for nv in range(2, 6):
+        for F in (F for k in range(nv) for F in enumerate_flags(range(nv), k)):
+            R, sigma = standard_representative(F)
+            if R not in p_R:
+                p_R[R] = poisson_probability(R)
+            p_F = poisson_probability(F)
+            for rates in RATE_VECTORS:
+                at_F = dict(enumerate(rates[:nv]))
+                at_R = {u: at_F[v] for u, v in sigma.items()}
+                assert p_F.evaluate(at_F) == p_R[R].evaluate(at_R), (F, rates)
+            checked += 1
+    assert (checked, len(p_R)) == (632, 2 + 4 + 8 + 16)
+
+
 # -- containment and dimension reduction --------------------------------------------
 
 def test_containment_whole_set():

@@ -21,6 +21,7 @@ from blowupforms.shadow import poisson_probability
 from form_helpers import (
     contract_tautological,
     d_lambda,
+    evaluate_by_fractions,
     is_homogeneous,
     race_limit,
     reduce_mod_dlv,
@@ -178,6 +179,64 @@ def test_evaluate_at_an_integer_point_stays_exact():
     got = f.evaluate({0: 1, 1: 2})
     assert type(got) is Fraction and got == Fraction(1, 3)
     assert f.evaluate({0: 1.0, 1: 2.0}) == pytest.approx(1 / 3)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A RationalFn on lambda_0..lambda_4 and a point of ints and Fractions.
+
+    The numerators mix degrees and carry Fraction coefficients; a zero
+    numerator and an empty denominator both occur.  Half the functions are
+    built raw, skipping canonicalisation, so a zero numerator over a
+    denominator and a factor shared with the numerator occur too.
+    """
+    num, den = draw(wide_polys), draw(dens)
+    if draw(st.booleans()):
+        f = RationalFn(num, den)
+    else:
+        f = RationalFn.__new__(RationalFn)
+        f.num, f.den = num, {frozenset(S): e for S, e in den.items()}
+    value = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)))
+    point = dict(enumerate(draw(st.lists(value, min_size=5, max_size=5))))
+    return f, point
+
+
+def _same_value_or_zero_division(f, point):
+    try:
+        want = evaluate_by_fractions(f, point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.evaluate(point)
+        return None
+    got = f.evaluate(point)
+    assert type(got) is type(want) and got == want, (f, point)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_cases())
+# l_01 = 0 at an int point; 1/2 over 1 + 1/3 - 1/3 at a Fraction one
+@example((RationalFn(Poly.var(2), {l(0, 1): 1}), {0: 1, 1: -1, 2: 3, 3: 0, 4: 0}))
+@example((RationalFn(Poly.const(Fraction(1, 2)), {l(0, 1, 2): 2}),
+          {0: 1, 1: Fraction(1, 3), 2: Fraction(-1, 3), 3: 0, 4: 2}))
+def test_integer_evaluation_equals_fraction_arithmetic(case):
+    # the value, its type (int or Fraction) and a ZeroDivisionError all agree
+    f, point = case
+    _same_value_or_zero_division(f, point)
+    if f.den:
+        # every denominator factor's hyperplane raises on both paths
+        for S in f.den:
+            v0 = min(S)
+            on_plane = {**point, v0: -sum((point[w] for w in S if w != v0), 0)}
+            with pytest.raises(ZeroDivisionError):
+                evaluate_by_fractions(f, on_plane)
+            with pytest.raises(ZeroDivisionError):
+                f.evaluate(on_plane)
+    # a float point keeps the float path: the reference's value and type
+    floats = {v: float(x) for v, x in point.items()}
+    got = _same_value_or_zero_division(f, floats)
+    if f.den and got is not None:
+        assert type(got) is float
 
 
 # -- trial division against sympy ------------------------------------------------
